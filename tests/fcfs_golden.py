@@ -15,6 +15,13 @@ standalone at the commit *before* the refactor::
 and :mod:`tests.test_sched_policy` re-runs every scenario on the current
 code and compares canonical serializations byte-for-byte. Regenerate the
 golden only for a deliberate, understood behaviour change.
+
+The four memory-path scenarios (``memory_pressure_swap``,
+``memory_pressure_tiered``, ``paged_prefix_cache`` and
+``prefix_cache_pressure``) were captured the same way, at the commit
+before the memory subsystem collapsed to a single ``MemoryManager``
+path: CPU-tier preemption in both modes, the prefix cache over the
+block pool, and cache eviction under KV and byte-budget pressure.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import os
 from typing import Dict, List
 
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.metrics.collector import RunReport
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
@@ -96,7 +104,9 @@ def _paged(**config) -> RunReport:
 
 def _prefix_cached(**config) -> RunReport:
     """FCFS with the radix prefix cache on a shared-prefix trace."""
-    engine = LLMEngine(_base_config(enable_prefix_cache=True, **config))
+    engine = LLMEngine(
+        _base_config(memory=MemoryConfig(enable_prefix_cache=True), **config)
+    )
     trace = shared_prefix_trace(
         count=16,
         sharing_factor=4,
@@ -108,7 +118,7 @@ def _prefix_cached(**config) -> RunReport:
     return engine.run()
 
 
-def _preempting(**config) -> RunReport:
+def _preempting(max_new_tokens: int = 800, **config) -> RunReport:
     """FCFS under memory pressure: preemptions and re-admissions."""
     from repro.units import GB
 
@@ -118,8 +128,70 @@ def _preempting(**config) -> RunReport:
     trace = fixed_trace(
         count=8,
         prompt_len=8_000,
-        max_new_tokens=800,
+        max_new_tokens=max_new_tokens,
         arrivals=poisson_arrivals(qps=4.0, count=8, seed=19),
+    )
+    engine.submit(trace)
+    return engine.run()
+
+
+def _preempting_to_tier(mode: str):
+    """FCFS under memory pressure with victims moved to the CPU tier."""
+
+    def run(**config) -> RunReport:
+        return _preempting(
+            max_new_tokens=300,
+            memory=MemoryConfig(preemption_mode=mode),
+            **config,
+        )
+
+    run.__doc__ = f"FCFS under memory pressure, ``{mode}`` preemption."
+    return run
+
+
+def _paged_prefix_cached(**config) -> RunReport:
+    """The radix prefix cache over the PagedAttention block pool."""
+    engine = LLMEngine(
+        _base_config(
+            memory_backend="paged",
+            prefill_kernel="fa2_paged",
+            decode_kernel="fa2_paged",
+            block_size=256,
+            memory=MemoryConfig(enable_prefix_cache=True),
+            **config,
+        )
+    )
+    trace = shared_prefix_trace(
+        count=16,
+        sharing_factor=4,
+        prefix_tokens=2_048,
+        seed=913,
+        arrivals=poisson_arrivals(qps=2.5, count=16, seed=41),
+    )
+    engine.submit(trace)
+    return engine.run()
+
+
+def _prefix_cache_pressure(**config) -> RunReport:
+    """A byte-budgeted prefix cache evicted under KV memory pressure."""
+    from repro.units import MB
+
+    engine = LLMEngine(
+        _base_config(
+            kv_budget_bytes=1_536 * MB,
+            memory=MemoryConfig(
+                enable_prefix_cache=True,
+                prefix_cache_budget_bytes=768 * MB,
+            ),
+            **config,
+        )
+    )
+    trace = shared_prefix_trace(
+        count=24,
+        sharing_factor=4,
+        prefix_tokens=2_048,
+        seed=577,
+        arrivals=poisson_arrivals(qps=3.0, count=24, seed=29),
     )
     engine.submit(trace)
     return engine.run()
@@ -137,6 +209,10 @@ SCENARIOS = {
     "paged_backend": _paged,
     "prefix_cache": _prefix_cached,
     "memory_pressure": _preempting,
+    "memory_pressure_swap": _preempting_to_tier("swap"),
+    "memory_pressure_tiered": _preempting_to_tier("tiered"),
+    "paged_prefix_cache": _paged_prefix_cached,
+    "prefix_cache_pressure": _prefix_cache_pressure,
 }
 
 
