@@ -37,6 +37,7 @@ from typing import List
 
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig
@@ -133,7 +134,7 @@ def build_fleet(router: str = DEFAULT_ROUTER) -> ClusterEngine:
         gpu=A100,
         memory_backend="vattention",
         max_batch_size=MAX_BATCH,
-        enable_prefix_cache=(router == "cache_aware"),
+        memory=MemoryConfig(enable_prefix_cache=(router == "cache_aware")),
     )
     return ClusterEngine(
         ClusterConfig(

@@ -46,7 +46,6 @@ MODULES = [
     "repro.scheduling",
     "repro.serving.engine",
     "repro.serving.memory",
-    "repro.serving.swap",
     "repro.workloads.traces",
 ]
 

@@ -1,7 +1,9 @@
 """Engine-integrated automatic KV prefix reuse (backend-agnostic).
 
-:class:`PrefixCacheManager` is a :class:`~repro.serving.memory.
-MemoryBackend` that wraps a sharing-capable allocator and adds
+:class:`PrefixCacheManager` is the tree cache the
+:class:`~repro.memory.manager.MemoryManager` holds next to its
+allocator (sglang ``mem_cache_v2``'s ``tree_cache``): a radix tree, an
+adapter onto a sharing-capable backend, and statistics. It adds
 RadixAttention-style behaviour:
 
 * When a request is about to prefill, its prompt token ids are matched
@@ -19,13 +21,14 @@ RadixAttention-style behaviour:
 * When a request finishes, its prompt KV is **retained by the cache**
   instead of freed (the live entry becomes cache-owned), bounded by an
   optional byte budget.
-* Under memory pressure — an admission that does not fit, or a
-  ``prepare_iteration`` that would otherwise force a preemption —
-  unreferenced cache-owned entries are evicted LRU-first, returning
+* Under memory pressure — an admission that does not fit, no free
+  reqId, or a ``prepare_iteration`` that would otherwise force a
+  preemption — the memory manager evicts unreferenced cache-owned
+  entries LRU-first (:meth:`PrefixCacheManager.evict_one`), returning
   their rows/blocks to the pool before the engine resorts to
   preempting a running request.
 
-Over vAttention the wrapper reserves extra request slots for
+Over vAttention the engine reserves extra request slots for
 cache-owned prefixes, so a full cache never starves the running batch
 of reqIds; block allocations need no such reservation.
 """
@@ -35,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..errors import SchedulingError
 from ..serving.memory import MemoryBackend
 from ..serving.request import Request
 from .backends import make_cache_adapter
@@ -87,18 +89,16 @@ class PrefixCacheReport:
     cached_bytes: int
 
 
-class PrefixCacheManager(MemoryBackend):
-    """Radix-tree prefix cache between the engine and a backend."""
+class PrefixCacheManager:
+    """Radix tree + backend adapter + statistics for one engine."""
 
     def __init__(
         self,
-        inner: MemoryBackend,
+        backend: MemoryBackend,
         budget_bytes: Optional[int] = None,
     ) -> None:
-        self.inner = inner
-        self.layout = inner.layout
         self.budget_bytes = budget_bytes
-        self.adapter = make_cache_adapter(inner)
+        self.adapter = make_cache_adapter(backend)
         self.tree = RadixTree()
         self.stats = PrefixCacheStats()
         #: request_id -> entry it borrowed a prefix from (ref-counted).
@@ -110,23 +110,6 @@ class PrefixCacheManager(MemoryBackend):
     # Derived state
     # ------------------------------------------------------------------
     @property
-    def manager(self):
-        """The underlying :class:`~repro.core.vattention.VAttention`.
-
-        Exposed so introspection written against the plain vattention
-        backend (``engine.memory.manager``) keeps working with the
-        cache wrapper in place. Raises for backends without one.
-        """
-        return self.inner.manager
-
-    @property
-    def clock(self):
-        return self.adapter.clock
-
-    def _entry_rows(self, entry: PrefixEntry) -> int:
-        return self.adapter.entry_units(entry)
-
-    @property
     def cached_bytes(self) -> int:
         """Bytes held by cache-owned (not live) entries' allocations.
 
@@ -137,25 +120,22 @@ class PrefixCacheManager(MemoryBackend):
         """
         unit_bytes = self.adapter.unit_bytes
         return sum(
-            self._entry_rows(e) * unit_bytes
+            self.adapter.entry_units(e) * unit_bytes
             for e in self.tree.entries
             if not e.live
         )
 
     def telemetry_sample(self) -> Dict[str, float]:
-        # The inner backend's occupancy plus the cache-layer signals.
         # cached_bytes is skipped deliberately: it walks every entry,
         # too costly for a per-iteration sample.
-        sample = self.inner.telemetry_sample()
         tree = self.tree.stats
-        sample.update({
+        return {
             "cache_hit_rate": tree.hit_rate,
             "cache_lookups_total": float(tree.lookups),
             "cache_hits_total": float(tree.hits),
             "cache_evictions_total": float(self.stats.evictions),
             "shared_prefix_bytes": float(self.adapter.dedup_saved_bytes),
-        })
-        return sample
+        }
 
     def report(self) -> PrefixCacheReport:
         """Snapshot of every cache statistic for the run report."""
@@ -182,9 +162,6 @@ class PrefixCacheManager(MemoryBackend):
             cached_bytes=self.cached_bytes,
         )
 
-    def cache_report(self) -> Optional[PrefixCacheReport]:
-        return self.report()
-
     def probe_prefix_tokens(self, token_ids, limit=None) -> int:
         """Reusable-prefix tokens a prompt would hit right now (no side
         effects). Two callers depend on that purity: the cluster
@@ -192,7 +169,7 @@ class PrefixCacheManager(MemoryBackend):
         scheduling layer budgets chunk sizes with post-cache prompt
         lengths (:meth:`repro.scheduling.base.SchedulingView.
         remaining_prefill_tokens`). ``limit`` should be the same
-        ``prompt_len - 1`` cap :meth:`before_prefill` applies, and the
+        ``prompt_len - 1`` cap :meth:`share_cached_prefix` applies, and the
         result is clamped to what the source physically backs (and, on
         block pools, floored to full blocks), so the estimate matches
         what an actual hit would deliver.
@@ -208,14 +185,14 @@ class PrefixCacheManager(MemoryBackend):
     def _evict_entry(self, victim: PrefixEntry) -> int:
         """Drop a cache-owned entry and free its memory; returns its
         sharing units."""
-        rows = self._entry_rows(victim)
+        rows = self.adapter.entry_units(victim)
         self.tree.evict(victim)
         self.adapter.free_entry(victim)
         self.stats.evictions += 1
         self.stats.evicted_rows += rows
         return rows
 
-    def _evict_one(self) -> bool:
+    def evict_one(self) -> bool:
         """Free the LRU unreferenced cache-owned entry; False if none."""
         victim = self.tree.lru_victim()
         if victim is None:
@@ -237,28 +214,9 @@ class PrefixCacheManager(MemoryBackend):
             excess -= self._evict_entry(victim) * unit_bytes
 
     # ------------------------------------------------------------------
-    # MemoryBackend interface
+    # Request lifecycle
     # ------------------------------------------------------------------
-    def can_admit(self, request: Request) -> bool:
-        if request.resident_tokens_needed > self.adapter.max_context:
-            return False  # eviction can never help an oversized prompt
-        # Admission pressure is the cache's cue to shrink: release
-        # slots and rows/blocks before the engine gives up on the
-        # request.
-        while not self.inner.can_admit(request):
-            if not self._evict_one():
-                return False
-        return True
-
-    def admit(self, request: Request) -> None:
-        while not self.adapter.has_free_slot():
-            if not self._evict_one():
-                raise SchedulingError(
-                    "no free reqId and no evictable cached prefix"
-                )
-        self.inner.admit(request)
-
-    def before_prefill(self, request: Request) -> None:
+    def share_cached_prefix(self, request: Request) -> None:
         """Share the longest cached prefix into a request about to
         prefill (called before the iteration's memory preparation)."""
         if (
@@ -274,7 +232,7 @@ class PrefixCacheManager(MemoryBackend):
         # iteration must still run to produce the first output token.
         entry, matched = self.tree.match_prefix(
             request.prefix.token_ids,
-            now=self.clock.now,
+            now=self.adapter.clock.now,
             limit=request.prompt_len - 1,
         )
         if entry is None:
@@ -292,7 +250,7 @@ class PrefixCacheManager(MemoryBackend):
         self.stats.alias_seconds += result.latency_seconds
         self.adapter.after_share(request)
 
-    def note_prefill_complete(self, request: Request) -> None:
+    def insert_prefilled(self, request: Request) -> None:
         """Register a just-prefilled request's prompt KV as reusable."""
         if request.prefix is None or request.memory_handle is None:
             return
@@ -303,19 +261,11 @@ class PrefixCacheManager(MemoryBackend):
             slot=self.adapter.live_slot(request),
             group=request.prefix.group,
             live=True,
-            now=self.clock.now,
+            now=self.adapter.clock.now,
         )
         if entry is not None:
             self.adapter.bind_slot(entry, request)
             self._live[request.request_id] = entry
-
-    def prepare_iteration(self, batch) -> bool:
-        # Evict cached prefixes before the engine resorts to preemption.
-        while True:
-            if self.inner.prepare_iteration(batch):
-                return True
-            if not self._evict_one():
-                return False
 
     def _deref_source(self, request: Request) -> None:
         """Release the request's borrow on its alias-source entry."""
@@ -324,7 +274,8 @@ class PrefixCacheManager(MemoryBackend):
             source.ref_count -= 1
 
     def release(self, request: Request) -> None:
-        """Preemption (or external) release: nothing is retained."""
+        """Forget a request whose memory the backend is about to free
+        (preemption): nothing is retained."""
         self._deref_source(request)
         live = self._live.pop(request.request_id, None)
         if live is not None:
@@ -333,45 +284,28 @@ class PrefixCacheManager(MemoryBackend):
             # by the backend).
             self.tree.remove(live)
             self.adapter.unbind_live(live)
-        self.inner.release(request)
 
-    def retire(self, request: Request) -> None:
-        """Finished request: keep its prefix resident instead of freeing."""
+    def retain(self, request: Request) -> bool:
+        """Keep a finished request's prefix resident instead of freeing
+        it; False when nothing is retained and the backend must free
+        the request's memory."""
         self._deref_source(request)
         live = self._live.pop(request.request_id, None)
         if live is None:
             # Nothing indexable (no token ids, or a duplicate of an
             # already-cached prefix): free normally.
-            self.inner.release(request)
-            return
+            return False
         keep_tokens = self.adapter.retainable_tokens(live.tokens)
         if keep_tokens <= 0:
             # The prompt holds no shareable unit (shorter than one
             # block): nothing worth retaining.
             self.tree.remove(live)
             self.adapter.unbind_live(live)
-            self.inner.release(request)
-            return
+            return False
         live.live = False
-        self.tree.touch(live, self.clock.now)
+        self.tree.touch(live, self.adapter.clock.now)
         # Retain only the shareable prompt units, not the decode tail.
         self.adapter.detach_to_cache(request, live, keep_tokens)
         self.stats.retained += 1
         self._enforce_budget()
-
-    def after_iteration(self, iteration_seconds: float) -> None:
-        self.inner.after_iteration(iteration_seconds)
-
-    def decode_fast_path(self, batch):
-        """Delegate to the backend: a steady decode stretch never
-        touches the cache (no admissions, no prefills, no memory
-        pressure — the inner plan's horizon guarantees
-        ``prepare_iteration`` would succeed outright, so the wrapper's
-        eviction path stays idle)."""
-        return self.inner.decode_fast_path(batch)
-
-    def framework_overhead(self, running) -> float:
-        return self.inner.framework_overhead(running)
-
-    def append_overhead(self, new_tokens: int) -> float:
-        return self.inner.append_overhead(new_tokens)
+        return True

@@ -35,6 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..cluster import ClusterConfig, ClusterEngine, ClusterReport
 from ..gpu.spec import A100, GpuSpec
+from ..memory import MemoryConfig
 from ..models.shard import ShardedModel
 from ..models.zoo import YI_6B
 from ..serving.engine import EngineConfig
@@ -103,7 +104,7 @@ def build_fleet(
         gpu=gpu,
         memory_backend="vattention",
         max_batch_size=max_batch_size,
-        enable_prefix_cache=True,
+        memory=MemoryConfig(enable_prefix_cache=True),
     )
     return ClusterEngine(
         ClusterConfig(

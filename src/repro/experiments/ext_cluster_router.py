@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..cluster import ClusterConfig, ClusterEngine, ClusterReport
 from ..gpu.spec import A100, GpuSpec
+from ..memory import MemoryConfig
 from ..models.shard import ShardedModel
 from ..models.zoo import YI_6B
 from ..serving.engine import EngineConfig
@@ -126,8 +127,10 @@ def build_cluster(
         gpu=gpu,
         memory_backend="vattention",
         max_batch_size=max_batch_size,
-        enable_prefix_cache=enable_prefix_cache,
-        prefix_cache_budget_bytes=prefix_cache_budget_bytes,
+        memory=MemoryConfig(
+            enable_prefix_cache=enable_prefix_cache,
+            prefix_cache_budget_bytes=prefix_cache_budget_bytes,
+        ),
     )
     return ClusterEngine(
         ClusterConfig(

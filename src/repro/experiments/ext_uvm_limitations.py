@@ -77,9 +77,9 @@ def run_backend(
         report = engine.partial_report()
         died = True
     if backend == "uvm":
-        committed = engine.memory.committed_bytes
+        committed = engine.memory.backend.committed_bytes
     else:
-        committed = engine.memory.manager.physical_bytes_in_use
+        committed = engine.memory.backend.manager.physical_bytes_in_use
     return UvmComparison(
         backend=backend,
         finished=len(report.finished_requests),

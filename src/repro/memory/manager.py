@@ -1,21 +1,30 @@
-"""Unified MemoryManager facade: one memory subsystem for the engine.
+"""The MemoryManager: the engine's one memory object.
 
-The engine historically talked to three loosely-coupled pieces — a
-:class:`~repro.serving.memory.MemoryBackend`, the radix prefix cache
-bolted onto the vAttention backend, and a swap space off to the side in
-``serving/swap.py``. This module composes them behind one facade in the
-style of sglang's ``mem_cache_v2``: the engine speaks
-``allocate_request`` / ``allocate_tokens`` / ``cache_finished_request``
-/ ``evict`` / ``tier_transfer`` and the facade routes each verb through
-the backend, the cache, and the hierarchical GPU→CPU KV tier.
+In the style of sglang's ``mem_cache_v2`` ``MemoryManagerAdapter``, the
+manager simply holds its parts and calls them directly:
+
+* ``backend`` — the raw allocator (:class:`~repro.serving.memory.
+  MemoryBackend`: ``can_admit`` / ``admit`` / ``prepare_iteration`` /
+  ``release``, plus its cost, fast-path and telemetry hooks);
+* ``cache`` — an optional :class:`~repro.cache.manager.
+  PrefixCacheManager` (radix tree + backend adapter + stats);
+* ``tier`` — an optional :class:`~repro.memory.tier.CpuKvTier`.
+
+The engine speaks only the manager's verbs — ``can_admit``,
+``allocate_request``, ``allocate_tokens``, ``evict``,
+``cache_finished_request``, the prefill hooks ``before_prefill`` /
+``note_prefill_complete``, ``probe_prefix_tokens`` and
+``decode_fast_path`` — and the manager runs the cache's eviction loops
+inside them: admission pressure, reqId exhaustion and a failing
+``prepare_iteration`` all evict cached prefixes before the engine has
+to preempt a running request.
 
 Eviction policy lives here (``MemoryConfig.preemption_mode``):
 
 * ``recompute`` — drop the KV; re-admission prefills again (vLLM's
   default, the paper's behaviour).
-* ``swap`` — the legacy whole-cache policy: ``context_len *
+* ``swap`` — the whole-cache policy: ``context_len *
   kv_bytes_per_token`` moves over PCIe regardless of layout.
-  Byte-identical to the pre-facade engine-inline path.
 * ``tiered`` — cache-aware hierarchical eviction: the transfer is
   sized at backend granularity (vAttention page-group rows via the
   manager's own row math — demand-paged restore re-maps exactly those
@@ -24,27 +33,31 @@ Eviction policy lives here (``MemoryConfig.preemption_mode``):
   count. Under pressure this prefers tiering over recompute whenever
   the victim's prefill is done and the host tier has room.
 
-The facade performs no clock or telemetry operations itself — each verb
-returns a :class:`TierTransfer` describing what moved, and the engine
-charges the seconds to the simulated clock and emits the
-``tier_transfer`` event. That keeps the facade reusable from replay
-tooling and keeps facade-on runs byte-identical to the legacy paths.
+The manager performs no clock or telemetry operations itself — each
+cross-tier verb returns a :class:`TierTransfer` describing what moved,
+and the engine charges the seconds to the simulated clock and emits the
+``tier_transfer`` event. That keeps the manager reusable from replay
+tooling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
+from ..errors import SchedulingError
 from ..models.shard import ShardedModel
 from ..serving.memory import MemoryBackend, PagedMemory, VAttentionMemory
 from ..serving.request import Request
-from .tier import CpuKvTier
+from .tier import CpuKvTier, TierStats
+
+if TYPE_CHECKING:  # repro.cache builds on repro.serving.memory
+    from ..cache.manager import PrefixCacheManager, PrefixCacheReport
 
 
 @dataclass(frozen=True)
 class TierTransfer:
-    """Outcome of one facade verb that may have moved KV across tiers.
+    """Outcome of one manager verb that may have moved KV across tiers.
 
     ``nbytes == 0`` means nothing moved (a recompute eviction, or an
     admission with nothing to restore); the engine advances the clock
@@ -64,117 +77,141 @@ class TierTransfer:
 
 
 _NO_TRANSFER_OUT = TierTransfer("out", 0, 0.0, "recompute")
+_NO_TRANSFER_IN = TierTransfer("in", 0, 0.0, "recompute")
 
 
-class MemoryManager(MemoryBackend):
-    """Facade composing a backend, the prefix cache, and the CPU tier.
-
-    The ``backend`` may itself be a
-    :class:`~repro.cache.manager.PrefixCacheManager` wrapping the raw
-    allocator — the facade is cache-agnostic and unwraps one layer only
-    where tier-transfer sizing needs the raw backend's units.
-    Everything the unified verbs do not cover delegates to the backend
-    (explicitly for the :class:`MemoryBackend` surface, via
-    ``__getattr__`` for backend-specific extras like
-    ``probe_prefix_tokens``, ``manager`` or ``committed_bytes``), so
-    every existing ``engine.memory.*`` consumer keeps working.
-    """
+class MemoryManager:
+    """The engine's memory subsystem: allocator, prefix cache, CPU tier."""
 
     def __init__(
         self,
         backend: MemoryBackend,
         shard: ShardedModel,
+        cache: Optional["PrefixCacheManager"] = None,
         tier: Optional[CpuKvTier] = None,
         preemption_mode: str = "recompute",
     ) -> None:
         self.backend = backend
         self.shard = shard
+        self.cache = cache
         self.tier = tier
         self.preemption_mode = preemption_mode
-        self.layout = backend.layout
 
-    def __getattr__(self, name: str):
-        # Only consulted for names the facade does not define itself:
-        # backend-specific extras (probe_prefix_tokens, manager, inner,
-        # blocks, region, committed_bytes, ...) pass straight through,
-        # and their absence raises AttributeError exactly as before.
-        return getattr(self.backend, name)
+    @property
+    def stats(self) -> TierStats:
+        """The CPU tier's transfer counters (raises without a tier).
 
-    # -- classic MemoryBackend surface: pure delegation ----------------
-    def can_admit(self, request: Request) -> bool:
-        return self.backend.can_admit(request)
-
-    def admit(self, request: Request) -> None:
-        self.backend.admit(request)
-
-    def prepare_iteration(self, batch: Sequence[Request]) -> bool:
-        return self.backend.prepare_iteration(batch)
-
-    def release(self, request: Request) -> None:
-        self.backend.release(request)
-
-    def retire(self, request: Request) -> None:
-        self.backend.retire(request)
-
-    def before_prefill(self, request: Request) -> None:
-        self.backend.before_prefill(request)
-
-    def note_prefill_complete(self, request: Request) -> None:
-        self.backend.note_prefill_complete(request)
-
-    def cache_report(self):
-        return self.backend.cache_report()
-
-    def after_iteration(self, iteration_seconds: float) -> None:
-        self.backend.after_iteration(iteration_seconds)
-
-    def framework_overhead(self, running: Sequence[Request]) -> float:
-        return self.backend.framework_overhead(running)
-
-    def append_overhead(self, new_tokens: int) -> float:
-        return self.backend.append_overhead(new_tokens)
-
-    def decode_fast_path(self, batch: Sequence[Request]):
-        return self.backend.decode_fast_path(batch)
+        Tooling that keeps the receivers of :meth:`tier_transfer`
+        (``perfbench``'s traced run) reads the bytes moved here.
+        """
+        return self.tier.stats
 
     def telemetry_sample(self) -> Dict[str, float]:
-        sample = dict(self.backend.telemetry_sample())
+        # Backend keys first, then cache keys, then tier keys: the
+        # registry creates instruments in this order.
+        sample = self.backend.telemetry_sample()
+        if self.cache is not None:
+            sample.update(self.cache.telemetry_sample())
         if self.tier is not None:
             sample.update(self.tier.telemetry_sample())
         return sample
 
-    # -- unified verbs -------------------------------------------------
-    def allocate_request(self, request: Request) -> Optional[TierTransfer]:
+    def cache_report(self) -> Optional["PrefixCacheReport"]:
+        """Prefix-cache statistics, or ``None`` without a cache."""
+        return None if self.cache is None else self.cache.report()
+
+    def probe_prefix_tokens(self, token_ids, limit=None) -> int:
+        """Reusable-prefix tokens a prompt would hit right now, side
+        effect free; 0 without a cache."""
+        if self.cache is None:
+            return 0
+        return self.cache.probe_prefix_tokens(token_ids, limit=limit)
+
+    # -- engine verbs --------------------------------------------------
+    def can_admit(self, request: Request) -> bool:
+        cache = self.cache
+        if cache is None:
+            return self.backend.can_admit(request)
+        if request.resident_tokens_needed > cache.adapter.max_context:
+            return False  # eviction can never help an oversized prompt
+        # Admission pressure is the cache's cue to shrink: release
+        # slots and rows/blocks before the engine gives up on the
+        # request.
+        while not self.backend.can_admit(request):
+            if not cache.evict_one():
+                return False
+        return True
+
+    def allocate_request(self, request: Request) -> TierTransfer:
         """Admit ``request``; demand-page its KV back from the CPU tier
-        if a previous eviction moved it there."""
+        if a previous eviction moved it there (zero bytes otherwise)."""
+        cache = self.cache
+        if cache is not None:
+            while not cache.adapter.has_free_slot():
+                if not cache.evict_one():
+                    raise SchedulingError(
+                        "no free reqId and no evictable cached prefix"
+                    )
         self.backend.admit(request)
         if request.swapped and self.tier is not None:
-            nbytes = self.tier.resident_bytes(request.request_id)
-            seconds = self.tier.swap_in(request.request_id)
+            restore = self.tier_transfer(request.request_id, "in")
             request.swapped = False
-            return TierTransfer("in", nbytes, seconds, self.preemption_mode)
-        return None
+            return restore
+        return _NO_TRANSFER_IN
 
     def allocate_tokens(self, batch: Sequence[Request]) -> bool:
-        return self.backend.prepare_iteration(batch)
+        """Ensure memory for the tokens ``batch`` will produce this
+        iteration, evicting cached prefixes before giving up; False =>
+        a preemption is needed."""
+        prepare = self.backend.prepare_iteration
+        if prepare(batch):
+            return True
+        cache = self.cache
+        while cache is not None and cache.evict_one():
+            if prepare(batch):
+                return True
+        return False
+
+    def decode_fast_path(self, batch: Sequence[Request]):
+        """The backend's plan: a steady decode stretch never touches the
+        cache (no admissions, no prefills, and the plan's horizon
+        guarantees ``prepare_iteration`` succeeds outright)."""
+        return self.backend.decode_fast_path(batch)
+
+    def before_prefill(self, request: Request) -> None:
+        """Alias the longest cached prefix into a request about to
+        prefill, before its prompt memory is backed."""
+        if self.cache is not None:
+            self.cache.share_cached_prefix(request)
+
+    def note_prefill_complete(self, request: Request) -> None:
+        """Index a just-prefilled request's prompt KV for reuse."""
+        if self.cache is not None:
+            self.cache.insert_prefilled(request)
 
     def cache_finished_request(self, request: Request) -> None:
-        self.backend.retire(request)
+        """Retire a finished request: the cache keeps its prefix
+        resident where it can, the backend frees everything else."""
+        if self.cache is None or not self.cache.retain(request):
+            self.backend.release(request)
         if self.tier is not None:
             # A finished request cannot still be tier-resident (restore
             # precedes re-admission), but keep the tier's view closed.
             self.tier.drop(request.request_id)
 
     def evict(self, victim: Request) -> TierTransfer:
-        """Apply the configured eviction policy to a preemption victim.
+        """Release a preemption victim's GPU memory and apply the
+        configured eviction policy to its KV contents.
 
-        The victim's GPU memory is already released; this decides where
-        its KV *contents* go. Tiering is preferred whenever the policy
-        allows it, the victim's prefill is done (a half-built prompt is
-        cheaper to recompute than to round-trip), and the host tier has
-        capacity — the capacity probe's rejection counter is part of
-        the accounting contract with the legacy path.
+        Tiering is preferred whenever the policy allows it, the
+        victim's prefill is done (a half-built prompt is cheaper to
+        recompute than to round-trip), and the host tier has capacity —
+        the capacity probe's rejection counter is part of the tier's
+        accounting.
         """
+        if self.cache is not None:
+            self.cache.release(victim)
+        self.backend.release(victim)
         if self.tier is not None and victim.prefill_done:
             nbytes = (
                 self._tier_bytes(victim)
@@ -183,10 +220,7 @@ class MemoryManager(MemoryBackend):
             )
             if self.tier.can_swap_out(nbytes):
                 victim.preempt_swap()
-                seconds = self.tier.swap_out(victim.request_id, nbytes)
-                return TierTransfer(
-                    "out", nbytes, seconds, self.preemption_mode
-                )
+                return self.tier_transfer(victim.request_id, "out", nbytes)
         victim.preempt()
         return _NO_TRANSFER_OUT
 
@@ -195,9 +229,9 @@ class MemoryManager(MemoryBackend):
     ) -> TierTransfer:
         """Move ``request_id``'s KV across the GPU↔CPU boundary.
 
-        The primitive behind :meth:`evict` and
-        :meth:`allocate_request`, exposed for callers managing their
-        own placement (cluster drain, replay tooling).
+        The primitive behind :meth:`evict` and :meth:`allocate_request`,
+        exposed for callers managing their own placement (cluster
+        drain, replay tooling).
         """
         if self.tier is None:
             raise ValueError("no CPU tier configured")
@@ -217,7 +251,7 @@ class MemoryManager(MemoryBackend):
         Computed from layout math, not live allocations — the victim's
         GPU memory is already released when eviction policy runs.
         """
-        backend = getattr(self.backend, "inner", self.backend)
+        backend = self.backend
         if isinstance(backend, VAttentionMemory):
             manager = backend.manager
             rows = manager.rows_for_context(victim.context_len)

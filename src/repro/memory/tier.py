@@ -6,14 +6,13 @@ paper's framework preempts and later *recomputes* the victim's prefill
 swapping out KV cache to CPU memory as future work"; this module is
 that policy's host side: pinned host memory reached over PCIe, holding
 evicted KV caches until the scheduler re-admits their request and the
-facade demand-pages them back.
+manager demand-pages them back.
 
 Two preemption modes use this tier (``MemoryConfig.preemption_mode``):
 
-* **swap** — the legacy whole-cache policy: the engine charges
-  ``context_len * kv_bytes_per_token`` per transfer regardless of
-  backend layout.
-* **tiered** — the facade computes transfer sizes at backend
+* **swap** — the whole-cache policy: ``context_len *
+  kv_bytes_per_token`` per transfer regardless of backend layout.
+* **tiered** — the manager computes transfer sizes at backend
   granularity: vAttention page-group rows out/in through the manager's
   own row math, Paged at block granularity. The bytes actually moved
   are what the backend physically holds, not the logical token count.
@@ -40,12 +39,7 @@ DEFAULT_HOST_CAPACITY = 64 * GB
 
 @dataclass
 class TierStats:
-    """Lifetime counters of the CPU tier.
-
-    Field names keep the original ``SwapStats`` spelling ("swap_outs",
-    "bytes_out", ...) so telemetry readers and the ``serving.swap``
-    deprecation shims see identical accounting.
-    """
+    """Lifetime counters of the CPU tier."""
 
     swap_outs: int = 0
     swap_ins: int = 0
@@ -54,10 +48,6 @@ class TierStats:
     seconds_out: float = 0.0
     seconds_in: float = 0.0
     rejected_for_capacity: int = 0
-
-
-#: Historical name, kept for the ``serving.swap`` re-export.
-SwapStats = TierStats
 
 
 class CpuKvTier:

@@ -571,10 +571,10 @@ class EngineTelemetry:
             self._open_preempts[victim.request_id] = engine.clock.now
 
     def on_tier_transfer(self, engine, request, transfer) -> None:
-        """KV moved across the GPU↔CPU tier boundary (facade verbs).
+        """KV moved across the GPU↔CPU tier boundary (manager verbs).
 
         ``transfer`` is the :class:`~repro.memory.manager.TierTransfer`
-        the facade returned; the engine has already charged its seconds
+        the memory manager returned; the engine has already charged its seconds
         to the clock, so the event lands at the transfer's end time
         (stream-clock monotonicity holds). The trace checker matches
         "out"/"in" pairs per request for KV conservation across tiers.
@@ -674,15 +674,6 @@ class EngineTelemetry:
         sample = engine.memory.telemetry_sample()
         if sample:
             self._apply_backend_sample(now, sample)
-        swap = engine.swap_space
-        if swap is not None:
-            self.registry.gauge(
-                "swap_bytes_used", self.scope, "memory", "B"
-            ).set(now, float(swap.used))
-            self._delta_counter(
-                "swap_bytes_out_total", swap.stats.bytes_out, "memory", "B")
-            self._delta_counter(
-                "swap_bytes_in_total", swap.stats.bytes_in, "memory", "B")
 
     def on_report(self, engine, report) -> None:
         """A completed run's report, through the shared ``to_json``."""
@@ -712,11 +703,11 @@ class EngineTelemetry:
                     now, float(value)
                 )
 
-    def _delta_counter(self, name: str, cumulative: float, layer: str,
-                       unit: str = "") -> None:
+    def _delta_counter(self, name: str, cumulative: float,
+                       layer: str) -> None:
         last = self._cumulative.get(name, 0.0)
         if cumulative > last:
-            self.registry.counter(name, self.scope, layer, unit).inc(
+            self.registry.counter(name, self.scope, layer).inc(
                 cumulative - last
             )
             self._cumulative[name] = cumulative

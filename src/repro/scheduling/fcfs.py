@@ -13,9 +13,7 @@ Two artifacts share these semantics:
 * :class:`FcfsScheduler` — a standalone queue component with a
   memory-aware admission predicate, kept as a separately testable unit
   and as the capacity probe of the Figure 15 experiment (maximum batch
-  size a memory backend sustains under a dynamic trace). It lived in
-  ``repro.serving.scheduler`` before this package existed; that module
-  still re-exports it.
+  size a memory backend sustains under a dynamic trace).
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Deque, List, Optional, Sequence
 
 from ..core.config import VAttentionConfig
 from ..errors import AllocationFailed, ConfigError
@@ -88,23 +88,6 @@ def _default_fast_forward() -> bool:
     return DEFAULT_FAST_FORWARD
 
 
-#: Sentinel distinguishing "caller did not pass this deprecated memory
-#: alias" from any real value, so ``__post_init__`` can tell which
-#: spelling to honour. A passed alias always wins over the nested
-#: ``memory`` object — that keeps ``dataclasses.replace(config,
-#: preemption_mode=...)`` working on configs normalized earlier.
-_UNSET: Any = object()
-
-#: The flat ``EngineConfig`` fields mirrored by ``MemoryConfig``.
-_MEMORY_ALIASES = (
-    "preemption_mode",
-    "swap_host_bytes",
-    "enable_prefix_cache",
-    "prefix_cache_slots",
-    "prefix_cache_budget_bytes",
-)
-
-
 @dataclass
 class EngineConfig:
     """Configuration of one serving-engine instance.
@@ -115,13 +98,9 @@ class EngineConfig:
     running a non-paged decode kernel on a PagedAttention pool is
     impossible, which is the paper's portability argument in code.
 
-    Memory-subsystem knobs live in the nested
-    :class:`~repro.memory.MemoryConfig` (``memory=``); the historical
-    flat kwargs (``preemption_mode``, ``swap_host_bytes``,
-    ``enable_prefix_cache``, ``prefix_cache_slots``,
-    ``prefix_cache_budget_bytes``) remain as deprecated aliases. After
-    construction both views are normalized and consistent — either
-    spelling constructs an identical config.
+    Memory-subsystem knobs (preemption policy, CPU tier, prefix cache)
+    live in the nested :class:`~repro.memory.MemoryConfig`
+    (``memory=``).
     """
 
     shard: ShardedModel
@@ -144,12 +123,6 @@ class EngineConfig:
     #: weights + workspace). Capacity experiments use this to match a
     #: deployment's effective serving budget.
     kv_budget_bytes: Optional[int] = None
-    #: Deprecated alias of ``memory.preemption_mode``: "recompute"
-    #: (vLLM default, the paper's behaviour), "swap" (the S5.3.3
-    #: future-work policy: KV cache moves to host memory and back over
-    #: PCIe) or "tiered" (backend-granular GPU→CPU tiering through the
-    #: MemoryManager facade).
-    preemption_mode: str = _UNSET
     #: Sarathi-style chunked prefill (paper ref [36]): process prompts
     #: in chunks of this many tokens, piggybacked onto decode
     #: iterations so ongoing decodes never stall behind a long prompt.
@@ -168,23 +141,9 @@ class EngineConfig:
     #: "sla" policy: TTFT budget assumed for requests without their own
     #: (None = such requests have no deadline).
     sla_ttft_budget: Optional[float] = None
-    #: Deprecated alias of ``memory.swap_host_bytes``.
-    swap_host_bytes: int = _UNSET
-    #: Deprecated alias of ``memory.enable_prefix_cache``: automatic KV
-    #: prefix reuse via the radix-tree cache (S8.1 turned into a
-    #: subsystem). Supported on the vattention backend (physical
-    #: page-group aliasing through CUDA VMM) and the paged backend
-    #: (full-block sharing under per-block refcounts); UVM / static
-    #: slots cannot share KV.
-    enable_prefix_cache: bool = _UNSET
-    #: Deprecated alias of ``memory.prefix_cache_slots``.
-    prefix_cache_slots: int = _UNSET
-    #: Deprecated alias of ``memory.prefix_cache_budget_bytes``.
-    prefix_cache_budget_bytes: Optional[int] = _UNSET
-    #: Consolidated memory-subsystem configuration; ``None`` means
-    #: "build from the flat aliases / their defaults". Normalized to a
-    #: concrete :class:`~repro.memory.MemoryConfig` at construction.
-    memory: Optional[MemoryConfig] = None
+    #: Memory-subsystem configuration: preemption policy, CPU tier and
+    #: prefix cache.
+    memory: MemoryConfig = field(default_factory=MemoryConfig)
     iteration_cpu_overhead: float = ITERATION_CPU_OVERHEAD
     per_seq_cpu_overhead: float = PER_SEQ_CPU_OVERHEAD
     #: Decode fast-forwarding (:mod:`repro.sim.fastforward`): execute
@@ -202,22 +161,6 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown memory backend {self.memory_backend!r}"
             )
-        # Normalize the two memory spellings into one consistent pair:
-        # a concrete nested MemoryConfig *and* concrete flat aliases. A
-        # flat alias the caller actually passed overrides the nested
-        # value (see _UNSET); untouched aliases inherit from ``memory``
-        # (or the MemoryConfig defaults when it was omitted).
-        base = self.memory if self.memory is not None else MemoryConfig()
-        overrides = {}
-        for name in _MEMORY_ALIASES:
-            value = getattr(self, name)
-            if value is _UNSET:
-                setattr(self, name, getattr(base, name))
-            else:
-                overrides[name] = value
-        # replace() re-runs MemoryConfig validation over the merged
-        # values (preemption mode, tier sizing, cache knobs).
-        self.memory = replace(base, **overrides)
         if self.prefill_chunk_size is not None and self.prefill_chunk_size <= 0:
             raise ConfigError("prefill_chunk_size must be positive")
         if self.max_batch_size <= 0:
@@ -225,7 +168,7 @@ class EngineConfig:
         validate_scheduler_policy(self.scheduler_policy)
         if self.sched_token_budget <= 0:
             raise ConfigError("sched_token_budget must be positive")
-        if self.enable_prefix_cache:
+        if self.memory.enable_prefix_cache:
             if self.memory_backend not in ("vattention", "paged"):
                 raise ConfigError(
                     f"prefix cache unsupported on the "
@@ -268,16 +211,7 @@ class LLMEngine:
             config.decode_kernel, config.gpu
         )
         self._validate_kernel_layout()
-        # The CPU KV tier is built before the memory stack so the
-        # facade can own it; the legacy ``engine.swap_space`` attribute
-        # stays pointed at the same instance (identical accounting for
-        # telemetry and experiments reading it directly).
-        self.swap_space: Optional[CpuKvTier] = (
-            CpuKvTier(capacity=config.swap_host_bytes)
-            if config.preemption_mode in ("swap", "tiered")
-            else None
-        )
-        self.memory: MemoryBackend = self._build_memory()
+        self.memory: MemoryManager = self._build_memory()
 
         self.scheduler: SchedulerPolicy = make_scheduler_policy(
             config.scheduler_policy,
@@ -327,27 +261,37 @@ class LLMEngine:
         self._view_cache: Optional[SchedulingView] = None
 
     # ------------------------------------------------------------------
-    def _build_memory(self) -> MemoryBackend:
-        """Assemble the memory stack: backend, cache wrapper, facade."""
+    def _build_memory(self) -> MemoryManager:
+        """Assemble the manager: backend, optional cache and CPU tier."""
         config = self.config
+        memory = config.memory
         backend = self._build_backend()
-        if not config.memory.facade:
-            # Legacy wiring (PR-9 behaviour, byte-identical by the
-            # facade equivalence sweep): the engine talks to the raw
-            # backend and handles swap inline.
-            return backend
+        cache = None
+        if memory.enable_prefix_cache:
+            # Imported here: repro.cache builds on repro.serving.memory.
+            from ..cache.manager import PrefixCacheManager
+
+            cache = PrefixCacheManager(
+                backend, budget_bytes=memory.prefix_cache_budget_bytes
+            )
+        tier = None
+        if memory.preemption_mode in ("swap", "tiered"):
+            tier = CpuKvTier(capacity=memory.swap_host_bytes)
         return MemoryManager(
             backend,
             shard=config.shard,
-            tier=self.swap_space,
-            preemption_mode=config.preemption_mode,
+            cache=cache,
+            tier=tier,
+            preemption_mode=memory.preemption_mode,
         )
 
     def _build_backend(self) -> MemoryBackend:
         config = self.config
         if config.memory_backend == "vattention":
             cache_slots = (
-                config.prefix_cache_slots if config.enable_prefix_cache else 0
+                config.memory.prefix_cache_slots
+                if config.memory.enable_prefix_cache
+                else 0
             )
             va_config = VAttentionConfig(
                 shard=config.shard,
@@ -358,28 +302,13 @@ class LLMEngine:
                 eager_allocation=config.eager_allocation,
                 overlap_allocation=config.overlap_allocation,
             )
-            inner = VAttentionMemory(self.device, va_config)
-            if not config.enable_prefix_cache:
-                return inner
-            # Imported here: repro.cache builds on repro.serving.memory.
-            from ..cache.manager import PrefixCacheManager
-
-            return PrefixCacheManager(
-                inner, budget_bytes=config.prefix_cache_budget_bytes
-            )
+            return VAttentionMemory(self.device, va_config)
         if config.memory_backend == "paged":
-            inner = PagedMemory(
+            return PagedMemory(
                 self.device,
                 config.shard,
                 block_size=config.block_size,
                 library=self.decode_kernel.info.library,
-            )
-            if not config.enable_prefix_cache:
-                return inner
-            from ..cache.manager import PrefixCacheManager
-
-            return PrefixCacheManager(
-                inner, budget_bytes=config.prefix_cache_budget_bytes
             )
         if config.memory_backend == "uvm":
             return UvmMemory(
@@ -691,10 +620,9 @@ class LLMEngine:
         """
         if request.prefix is None or request.prefilled_tokens:
             return 0
-        probe = getattr(self.memory, "probe_prefix_tokens", None)
-        if probe is None:
-            return 0
-        return probe(request.prefix.token_ids, limit=request.prompt_len - 1)
+        return self.memory.probe_prefix_tokens(
+            request.prefix.token_ids, limit=request.prompt_len - 1
+        )
 
     def _remove_waiting(self, request: Request) -> None:
         """Drop ``request`` from the waiting queue by identity."""
@@ -730,22 +658,12 @@ class LLMEngine:
             picked = self.clock.now
             self._remove_waiting(request)
             restore = self.memory.allocate_request(request)
-            if restore is not None:
-                # The facade demand-paged the KV back from the CPU
-                # tier; charge the PCIe transfer to the clock.
-                if restore.seconds:
-                    self.clock.advance(restore.seconds)
-                if restore.nbytes and self.telemetry is not None:
-                    self.telemetry.on_tier_transfer(self, request, restore)
-            elif request.swapped:
-                # Legacy inline restore (facade off): the KV cache
-                # returns from host memory before the request re-joins
-                # the batch (PCIe transfer).
-                assert self.swap_space is not None
-                self.clock.advance(
-                    self.swap_space.swap_in(request.request_id)
-                )
-                request.swapped = False
+            # A KV demand-paged back from the CPU tier: charge the PCIe
+            # transfer to the clock.
+            if restore.seconds:
+                self.clock.advance(restore.seconds)
+            if restore.nbytes and self.telemetry is not None:
+                self.telemetry.on_tier_transfer(self, request, restore)
             request.state = RequestState.RUNNING
             request.admitted_time = self.clock.now
             self._running.append(request)
@@ -786,7 +704,7 @@ class LLMEngine:
         compute = (
             linear_prefill_time(shard, gpu, new_tokens)
             + attention
-            + self.memory.append_overhead(new_tokens)
+            + self.memory.backend.append_overhead(new_tokens)
             + self.config.iteration_cpu_overhead
         )
         self.clock.advance(compute)
@@ -794,7 +712,7 @@ class LLMEngine:
         request.record_prefill(self.clock.now)
         self._outstanding += self._contribution(request) - held
         self.memory.note_prefill_complete(request)
-        self.memory.after_iteration(compute)
+        self.memory.backend.after_iteration(compute)
         record = IterationRecord(
             start_time=before,
             phase="prefill",
@@ -876,8 +794,8 @@ class LLMEngine:
             fused_linear
             + chunk_attention
             + decode_attention
-            + self.memory.framework_overhead(list(self._running))
-            + self.memory.append_overhead(chunk)
+            + self.memory.backend.framework_overhead(list(self._running))
+            + self.memory.backend.append_overhead(chunk)
             + self.config.iteration_cpu_overhead
             + self.config.per_seq_cpu_overhead * (len(decodes) + 1)
         )
@@ -892,7 +810,7 @@ class LLMEngine:
         # Each decode owed at least one more token (it would have been
         # retired otherwise), so the backlog shrinks by exactly one per.
         self._outstanding -= len(decodes)
-        self.memory.after_iteration(compute)
+        self.memory.backend.after_iteration(compute)
         record = IterationRecord(
             start_time=before,
             phase="mixed",
@@ -924,7 +842,7 @@ class LLMEngine:
             + self.decode_kernel.decode_time(
                 shard, contexts, self._block_size_for(self.decode_kernel)
             )
-            + self.memory.framework_overhead(batch)
+            + self.memory.backend.framework_overhead(batch)
             + self.config.iteration_cpu_overhead
             + self.config.per_seq_cpu_overhead * len(batch)
         )
@@ -932,7 +850,7 @@ class LLMEngine:
         for request in batch:
             request.record_decode_token(self.clock.now)
         self._outstanding -= len(batch)
-        self.memory.after_iteration(compute)
+        self.memory.backend.after_iteration(compute)
         record = IterationRecord(
             start_time=before,
             phase="decode",
@@ -981,7 +899,6 @@ class LLMEngine:
                 if self._running[index] is victim:
                     del self._running[index]
                     break
-            self.memory.release(victim)
             self._evict(victim)
             victim.state = RequestState.QUEUED
             self._waiting.appendleft(victim)
@@ -989,31 +906,15 @@ class LLMEngine:
                 self.telemetry.on_preempt(self, victim)
 
     def _evict(self, victim: Request) -> None:
-        """Apply the configured preemption policy to ``victim``."""
+        """Free ``victim``'s memory under the configured preemption
+        policy; charge any device->host transfer to the clock."""
         self._prep_version += 1
         held = self._contribution(victim)
         outcome = self.memory.evict(victim)
-        if outcome is not None:
-            # The facade applied its policy (tier or recompute); charge
-            # any device->host transfer to the clock.
-            if outcome.seconds:
-                self.clock.advance(outcome.seconds)
-            if outcome.nbytes and self.telemetry is not None:
-                self.telemetry.on_tier_transfer(self, victim, outcome)
-        else:
-            # Legacy inline policy (raw backend, facade off).
-            nbytes = victim.context_len * self.config.shard.kv_bytes_per_token
-            if (
-                self.swap_space is not None
-                and victim.prefill_done
-                and self.swap_space.can_swap_out(nbytes)
-            ):
-                victim.preempt_swap()
-                self.clock.advance(
-                    self.swap_space.swap_out(victim.request_id, nbytes)
-                )
-            else:
-                victim.preempt()
+        if outcome.seconds:
+            self.clock.advance(outcome.seconds)
+        if outcome.nbytes and self.telemetry is not None:
+            self.telemetry.on_tier_transfer(self, victim, outcome)
         self._outstanding += self._contribution(victim) - held
 
     def _retire_finished(self) -> None:

@@ -40,7 +40,13 @@ from .request import Request
 
 
 class MemoryBackend(abc.ABC):
-    """Interface between the engine and a KV cache allocation strategy."""
+    """A KV cache allocation strategy: the allocator the engine's
+    :class:`~repro.memory.manager.MemoryManager` holds.
+
+    Backends speak only the allocator verbs (``can_admit`` / ``admit`` /
+    ``prepare_iteration`` / ``release``) plus their cost, fast-path and
+    telemetry hooks; prefix caching and CPU tiering live in the manager.
+    """
 
     #: Layout this backend produces; kernels must match it.
     layout: KvLayout
@@ -66,28 +72,6 @@ class MemoryBackend(abc.ABC):
     @abc.abstractmethod
     def release(self, request: Request) -> None:
         """Free the memory of a finished or preempted request."""
-
-    def retire(self, request: Request) -> None:
-        """Handle a *finished* request's memory.
-
-        Defaults to :meth:`release`; the prefix cache overrides this to
-        retain the request's prompt KV instead of freeing it.
-        """
-        self.release(request)
-
-    def before_prefill(self, request: Request) -> None:
-        """Hook before a request's first prefill work of an iteration.
-
-        The prefix cache uses this to alias the longest cached prefix
-        into the request before its prompt memory is backed.
-        """
-
-    def note_prefill_complete(self, request: Request) -> None:
-        """Hook after a request's prefill completes (KV now resident)."""
-
-    def cache_report(self):
-        """Prefix-cache statistics, or ``None`` for cache-less backends."""
-        return None
 
     def telemetry_sample(self) -> Dict[str, float]:
         """Current occupancy figures for the telemetry registry.
@@ -126,47 +110,6 @@ class MemoryBackend(abc.ABC):
         ``docs/performance.md`` for the contract). ``None`` — the
         default, so custom backends are automatically safe — disables
         fast-forwarding and keeps the per-iteration loop.
-        """
-        return None
-
-    # -- unified MemoryManager verbs (sglang mem_cache_v2 style) -------
-    #
-    # The engine speaks these four verbs; raw backends map them onto
-    # the classic admit/prepare/retire/release surface and return
-    # ``None`` for the tier-transfer outcomes, which tells the engine
-    # to apply its own (legacy) swap/recompute handling inline. The
-    # :class:`~repro.memory.manager.MemoryManager` facade overrides
-    # them to add prefix caching and hierarchical GPU->CPU tiering.
-
-    def allocate_request(self, request: Request):
-        """Admit ``request`` and reserve its prompt memory.
-
-        Returns a :class:`~repro.memory.manager.TierTransfer` describing
-        the host->device restore of a previously evicted KV cache, or
-        ``None`` when there is nothing to restore (or no tier — the
-        engine then handles any legacy swap-in itself).
-        """
-        self.admit(request)
-        return None
-
-    def allocate_tokens(self, batch: Sequence[Request]) -> bool:
-        """Ensure memory for the tokens ``batch`` will produce this
-        iteration; False => a preemption is needed."""
-        return self.prepare_iteration(batch)
-
-    def cache_finished_request(self, request: Request) -> None:
-        """Retire a finished request, retaining its KV where a cache
-        exists (defaults to :meth:`retire`)."""
-        self.retire(request)
-
-    def evict(self, victim: Request):
-        """Apply this backend's eviction policy to a preemption victim
-        whose GPU memory has already been released.
-
-        Returns a :class:`~repro.memory.manager.TierTransfer` describing
-        the device->host transfer (zero bytes for recompute), or
-        ``None`` when the backend has no policy of its own and the
-        engine should fall back to its inline legacy handling.
         """
         return None
 

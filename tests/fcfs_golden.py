@@ -36,6 +36,7 @@ from repro.metrics.collector import RunReport
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
+from repro.units import MB
 from repro.workloads.arrival import bursty_arrivals, poisson_arrivals
 from repro.workloads.traces import fixed_trace, shared_prefix_trace
 
@@ -174,8 +175,6 @@ def _paged_prefix_cached(**config) -> RunReport:
 
 def _prefix_cache_pressure(**config) -> RunReport:
     """A byte-budgeted prefix cache evicted under KV memory pressure."""
-    from repro.units import MB
-
     engine = LLMEngine(
         _base_config(
             kv_budget_bytes=1_536 * MB,

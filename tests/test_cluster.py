@@ -16,6 +16,7 @@ from repro.cluster import (
 from repro.cluster.router import ReplicaView
 from repro.errors import ConfigError, SchedulingError
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
@@ -33,7 +34,7 @@ def engine_config(cache: bool = True, max_batch: int = 8) -> EngineConfig:
         gpu=A100,
         memory_backend="vattention",
         max_batch_size=max_batch,
-        enable_prefix_cache=cache,
+        memory=MemoryConfig(enable_prefix_cache=cache),
     )
 
 
@@ -94,7 +95,7 @@ class TestClusterConfig:
             )
 
     def test_cache_aware_requires_prefix_cache(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="memory.enable_prefix_cache"):
             ClusterConfig(
                 engine=engine_config(cache=False),
                 n_replicas=2,

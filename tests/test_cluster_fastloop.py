@@ -16,6 +16,7 @@ import repro.serving.engine as engine_module
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.cluster.autoscaler import AutoscalerPolicy, ScaleDecision
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.metrics.telemetry import enabled
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
@@ -32,7 +33,7 @@ def engine_config(cache: bool = True, max_batch: int = 8) -> EngineConfig:
         gpu=A100,
         memory_backend="vattention",
         max_batch_size=max_batch,
-        enable_prefix_cache=cache,
+        memory=MemoryConfig(enable_prefix_cache=cache),
     )
 
 

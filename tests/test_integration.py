@@ -77,7 +77,7 @@ class TestMemoryConservation:
         )
         engine.submit(fixed_trace(count=4, prompt_len=3_000, max_new_tokens=5))
         engine.run()
-        engine.memory.manager.shutdown()
+        engine.memory.backend.manager.shutdown()
         # Only rows were owned by vAttention; nothing leaks.
         assert engine.device.pool.committed == 0
 

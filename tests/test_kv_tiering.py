@@ -6,7 +6,7 @@ Three layers:
   eviction must beat recompute-on-preempt on p99 TTFT (waiting
   requests start sooner when a restore is a PCIe transfer instead of a
   quadratic prefill), at every context length the experiment sweeps.
-* Per-tier telemetry — the facade's merged sample carries the
+* Per-tier telemetry — the manager's merged sample carries the
   ``kv_tier_usage`` / queue-depth gauges, and pressured runs emit
   paired ``tier_transfer`` events that replay cleanly.
 * The ``tier-conservation`` trace invariant — synthetic traces that
@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments import ext_kv_tiering
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.metrics.telemetry import TelemetryRegistry, enabled
 from repro.metrics.tracecheck import check_trace
 from repro.models.shard import ShardedModel
@@ -61,7 +62,7 @@ def _pressured_run(mode: str = "tiered"):
             memory_backend="vattention",
             max_batch_size=4,
             kv_budget_bytes=budget,
-            preemption_mode=mode,
+            memory=MemoryConfig(preemption_mode=mode),
             eager_allocation=False,
         )
     )

@@ -13,7 +13,7 @@ from repro.gpu.device import Device
 from repro.gpu.spec import A100
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
-from repro.serving.swap import HostSwapSpace
+from repro.memory.tier import CpuKvTier
 from repro.units import GB, MB
 
 RELAXED = settings(
@@ -64,7 +64,7 @@ class TestSwapSpaceProperties:
         )
     )
     def test_capacity_never_negative(self, ops):
-        space = HostSwapSpace(capacity=256 * MB)
+        space = CpuKvTier(capacity=256 * MB)
         resident = set()
         for key, size in ops:
             rid = f"r{key}"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.serving.request import Request, RequestState
-from repro.serving.scheduler import FcfsScheduler, peak_batch_size
+from repro.scheduling.fcfs import FcfsScheduler, peak_batch_size
 
 
 def make_request(rid: str, prompt: int = 100) -> Request:

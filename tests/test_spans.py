@@ -24,6 +24,7 @@ import math
 from repro.cluster import ClusterConfig, ClusterEngine, ScaleDecision
 from repro.cluster.autoscaler import AutoscalerPolicy
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.metrics import attribution
 from repro.metrics.dashboard import render_waterfall
 from repro.metrics.spans import (
@@ -267,7 +268,7 @@ class TestDrainRerouteSpans:
                     gpu=A100,
                     memory_backend="vattention",
                     max_batch_size=1,
-                    enable_prefix_cache=cache,
+                    memory=MemoryConfig(enable_prefix_cache=cache),
                 ),
                 n_replicas=2,
                 routing_policy="round_robin",

@@ -4,65 +4,66 @@ import pytest
 
 from repro.errors import ConfigError, SchedulingError
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
+from repro.memory.tier import PCIE_BANDWIDTH, CpuKvTier
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
 from repro.serving.request import Request, RequestState
-from repro.serving.swap import HostSwapSpace, PCIE_BANDWIDTH
 from repro.units import GB, MB
 from repro.workloads.traces import fixed_trace
 
 
 class TestHostSwapSpace:
     def test_transfer_latency_is_bytes_over_bandwidth(self):
-        space = HostSwapSpace(capacity=1 * GB)
+        space = CpuKvTier(capacity=1 * GB)
         seconds = space.swap_out("r1", 250 * MB)
         assert seconds == pytest.approx(250 * MB / PCIE_BANDWIDTH)
         assert space.swap_in("r1") == pytest.approx(seconds)
 
     def test_capacity_accounting(self):
-        space = HostSwapSpace(capacity=1 * GB)
+        space = CpuKvTier(capacity=1 * GB)
         space.swap_out("r1", 600 * MB)
         assert space.available == 1 * GB - 600 * MB
         assert not space.can_swap_out(600 * MB)
         assert space.stats.rejected_for_capacity == 1
 
     def test_swap_in_frees_host_memory(self):
-        space = HostSwapSpace(capacity=1 * GB)
+        space = CpuKvTier(capacity=1 * GB)
         space.swap_out("r1", 600 * MB)
         space.swap_in("r1")
         assert space.used == 0
         assert not space.holds("r1")
 
     def test_double_swap_out_rejected(self):
-        space = HostSwapSpace(capacity=1 * GB)
+        space = CpuKvTier(capacity=1 * GB)
         space.swap_out("r1", 1 * MB)
         with pytest.raises(SchedulingError):
             space.swap_out("r1", 1 * MB)
 
     def test_swap_in_of_absent_rejected(self):
         with pytest.raises(SchedulingError):
-            HostSwapSpace(capacity=1 * GB).swap_in("ghost")
+            CpuKvTier(capacity=1 * GB).swap_in("ghost")
 
     def test_overflow_rejected(self):
-        space = HostSwapSpace(capacity=1 * MB)
+        space = CpuKvTier(capacity=1 * MB)
         with pytest.raises(SchedulingError):
             space.swap_out("big", 2 * MB)
 
     def test_drop(self):
-        space = HostSwapSpace(capacity=1 * GB)
+        space = CpuKvTier(capacity=1 * GB)
         space.swap_out("r1", 1 * MB)
         space.drop("r1")
         assert space.used == 0
 
     def test_invalid_construction(self):
         with pytest.raises(ConfigError):
-            HostSwapSpace(capacity=0)
+            CpuKvTier(capacity=0)
         with pytest.raises(ConfigError):
-            HostSwapSpace(capacity=1, bandwidth=0)
+            CpuKvTier(capacity=1, bandwidth=0)
 
     def test_stats_accumulate(self):
-        space = HostSwapSpace(capacity=1 * GB)
+        space = CpuKvTier(capacity=1 * GB)
         space.swap_out("r1", 100 * MB)
         space.swap_in("r1")
         assert space.stats.swap_outs == 1
@@ -103,7 +104,7 @@ def engine_with(mode: str) -> LLMEngine:
             memory_backend="vattention",
             max_batch_size=4,
             kv_budget_bytes=3 * GB,
-            preemption_mode=mode,
+            memory=MemoryConfig(preemption_mode=mode),
             eager_allocation=False,
         )
     )
@@ -115,7 +116,7 @@ class TestEngineIntegration:
             engine_with("hibernate")
 
     def test_recompute_mode_has_no_swap_space(self):
-        assert engine_with("recompute").swap_space is None
+        assert engine_with("recompute").memory.tier is None
 
     def test_swap_avoids_recomputed_prefills(self):
         # 3 x 16384-token prompts exactly fill the 3GB budget; decode
@@ -144,7 +145,7 @@ class TestEngineIntegration:
             fixed_trace(count=3, prompt_len=16_384, max_new_tokens=300)
         )
         engine.run()
-        stats = engine.swap_space.stats
+        stats = engine.memory.tier.stats
         assert stats.swap_outs == stats.swap_ins  # all restored
         assert stats.swap_outs >= 1
         assert stats.seconds_out > 0
@@ -164,22 +165,21 @@ class TestEngineIntegration:
         # Preempt exactly the way _prepare_or_preempt does.
         nbytes = victim.context_len * engine.config.shard.kv_bytes_per_token
         engine._running.remove(victim)
-        engine.memory.release(victim)
         engine._evict(victim)
         victim.state = RequestState.QUEUED
         engine._waiting.appendleft(victim)
         assert victim.swapped
-        assert engine.swap_space.holds(victim.request_id)
+        assert engine.memory.tier.holds(victim.request_id)
 
         before = engine.clock.now
         engine._admit()
         # Re-admitted, resident again, PCIe latency on the clock.
         assert victim.state is RequestState.RUNNING
         assert not victim.swapped
-        assert not engine.swap_space.holds(victim.request_id)
+        assert not engine.memory.tier.holds(victim.request_id)
         expected = nbytes / PCIE_BANDWIDTH
         assert engine.clock.now - before == pytest.approx(expected)
-        assert engine.swap_space.stats.swap_ins == 1
+        assert engine.memory.tier.stats.swap_ins == 1
         # The restored request decodes to completion without another
         # prefill (its KV survived the round trip).
         report = engine.run()
@@ -194,8 +194,10 @@ class TestEngineIntegration:
                 memory_backend="vattention",
                 max_batch_size=4,
                 kv_budget_bytes=3 * GB,
-                preemption_mode="swap",
-                swap_host_bytes=1 * MB,  # too small for any KV cache
+                memory=MemoryConfig(
+                    preemption_mode="swap",
+                    swap_host_bytes=1 * MB,  # too small for any KV cache
+                ),
                 eager_allocation=False,
             )
         )
@@ -204,5 +206,5 @@ class TestEngineIntegration:
         )
         report = engine.run()
         assert len(report.finished_requests) == 3
-        assert engine.swap_space.stats.swap_outs == 0
-        assert engine.swap_space.stats.rejected_for_capacity >= 1
+        assert engine.memory.tier.stats.swap_outs == 0
+        assert engine.memory.tier.stats.rejected_for_capacity >= 1

@@ -125,7 +125,7 @@ class TestUvmBackend:
         engine.submit(fixed_trace(count=4, prompt_len=2_000, max_new_tokens=10))
         report = engine.run()
         assert len(report.finished_requests) == 4
-        assert engine.memory.committed_bytes > 0
+        assert engine.memory.backend.committed_bytes > 0
 
     def test_uvm_strands_memory_vattention_reclaims_it(self):
         # Two concurrent 16K requests spread their footprints across two
