@@ -1328,5 +1328,6 @@ class ClusterEngine:
         if not registry.record_spans:
             return None
         return attribution.build(
-            registry.events, domains={self._telemetry.scope}
+            registry.events[self._telemetry.first_record:],
+            domains={self._telemetry.scope},
         ).to_json()

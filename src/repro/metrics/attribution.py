@@ -34,8 +34,10 @@ the p99 tail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import fsum
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .spans import (
     PHASE_ADMISSION,
@@ -46,9 +48,7 @@ from .spans import (
     PHASE_PREFILL,
     PHASE_QUEUE_WAIT,
     PHASE_REQUEST,
-    Span,
     base_request_id,
-    spans_from,
 )
 from .stats import mean, percentile
 
@@ -69,11 +69,11 @@ BUCKETS = (
 )
 
 #: Phases a request waits *for* from outside the batch: a gap leading
-#: into one of these is queue wait, not an in-batch stall.
-_QUEUEING_PHASES = frozenset({
+#: into one of these is queue wait; into any other, an in-batch stall.
+_GAP_INTO = dict.fromkeys((
     PHASE_QUEUE_WAIT, PHASE_ADMISSION, PHASE_KV_MIGRATION,
     PHASE_DRAIN_REROUTE,
-})
+), PHASE_QUEUE_WAIT)
 
 #: Relative closure tolerance: per-request bucket sums must match the
 #: measured wall time to float round-off.
@@ -81,6 +81,13 @@ CLOSURE_TOL = 1e-9
 
 #: One labelled slice of a request's timeline.
 Segment = Tuple[float, float, str]
+
+Record = Dict[str, Any]
+
+#: Walk order: top-level spans by ``(start, end, span id)``; children
+#: by ``(start, end)``, ties kept in record order.
+_TOP_ORDER = itemgetter("start", "end", "span")
+_KID_ORDER = itemgetter("start", "end")
 
 
 @dataclass(frozen=True)
@@ -119,9 +126,9 @@ class RequestAttribution:
         return abs(self.closure_error) <= tol * max(1.0, abs(self.e2e))
 
 
-def _segments(arrival: float, finish: float, top: List[Span],
-              children: Dict[int, List[Span]]) -> List[Segment]:
-    """Partition ``[arrival, finish]`` along the request's spans.
+def _segments(arrival: float, finish: float, top: List[Record],
+              children: Dict[int, List[Record]]) -> Iterator[Segment]:
+    """Partition ``[arrival, finish]`` along the request's span records.
 
     Top-level spans are walked in start order; uncovered gaps are
     classified by the phase they lead into, child spans carve their
@@ -130,104 +137,89 @@ def _segments(arrival: float, finish: float, top: List[Span],
     the result is always a partition — the span checker, not this
     walk, is what flags ill-formed overlap.
     """
-    segments: List[Segment] = []
+    for kids in children.values():
+        kids.sort(key=_KID_ORDER)
     pos = arrival
-    for span in sorted(top, key=lambda s: (s.start, s.end, s.span)):
-        begin = max(span.start, pos)
-        end = min(span.end, finish)
+    for span in sorted(top, key=_TOP_ORDER):
+        begin = max(span["start"], pos)
+        end = min(span["end"], finish)
         if end <= begin:
             continue
+        phase = span["phase"]
         if begin > pos:
-            gap = (
-                PHASE_QUEUE_WAIT if span.phase in _QUEUEING_PHASES
-                else BUCKET_BATCH_WAIT
-            )
-            segments.append((pos, begin, gap))
-        kids = sorted(
-            children.get(span.span, ()), key=lambda s: (s.start, s.end)
-        )
+            yield (pos, begin, _GAP_INTO.get(phase, BUCKET_BATCH_WAIT))
         kpos = begin
-        for kid in kids:
-            kbegin = max(kid.start, kpos)
-            kend = min(kid.end, end)
+        for kid in children.get(span["span"], ()):
+            kbegin = max(kid["start"], kpos)
+            kend = min(kid["end"], end)
             if kend <= kbegin:
                 continue
             if kbegin > kpos:
-                segments.append((kpos, kbegin, span.phase))
-            segments.append((kbegin, kend, kid.phase))
+                yield (kpos, kbegin, phase)
+            yield (kbegin, kend, kid["phase"])
             kpos = kend
         if end > kpos:
-            segments.append((kpos, end, span.phase))
+            yield (kpos, end, phase)
         pos = end
     if finish > pos:
-        segments.append((pos, finish, BUCKET_BATCH_WAIT))
-    return segments
-
-
-def _clip(segments: List[Segment], lo: float, hi: float) -> List[Segment]:
-    out: List[Segment] = []
-    for start, end, bucket in segments:
-        start, end = max(start, lo), min(end, hi)
-        if end > start:
-            out.append((start, end, bucket))
-    return out
-
-
-def _bucket(segments: List[Segment]) -> Dict[str, float]:
-    parts: Dict[str, List[float]] = {bucket: [] for bucket in BUCKETS}
-    for start, end, bucket in segments:
-        parts[bucket].append(end - start)
-    return {bucket: fsum(values) for bucket, values in parts.items()}
+        yield (pos, finish, BUCKET_BATCH_WAIT)
 
 
 def _attribute(domain: str, request_id: str,
-               group: List[Span]) -> Optional[RequestAttribution]:
-    roots = [s for s in group if s.phase == PHASE_REQUEST]
-    if not roots:
-        return None  # never finished inside the trace
-    leaves = [s for s in group if s.phase != PHASE_REQUEST]
-    children: Dict[int, List[Span]] = {}
-    top: List[Span] = []
-    for span in leaves:
-        if span.parent is not None:
-            children.setdefault(span.parent, []).append(span)
-        else:
-            top.append(span)
-    arrival = min(s.start for s in group)
-    for span in group:
-        original = span.extras.get("original_arrival")
-        if original is not None and original < arrival:
-            arrival = original
-    finish = max(s.end for s in roots)
+               group: List[Record]) -> Optional[RequestAttribution]:
+    """One logical request's row from its span records (record order)."""
+    top: List[Record] = []
+    children: Dict[int, List[Record]] = {}
+    arrival = group[0]["start"]
+    finish: Optional[float] = None
     first_token: Optional[float] = None
-    for span in roots:
-        token = span.extras.get("first_token")
-        if token is not None:
-            first_token = (
-                token if first_token is None else min(first_token, token)
-            )
     replica_scope = ""
-    for span in leaves:
-        if span.phase == PHASE_DECODE:
-            replica_scope = span.scope
-    segments = _segments(arrival, finish, top, children)
-    buckets = _bucket(segments)
-    closure_error = (
-        fsum(end - start for start, end, _ in segments)
-        - (finish - arrival)
-    )
-    ttft_buckets = None
-    if first_token is not None:
-        ttft_buckets = _bucket(_clip(segments, arrival, first_token))
+    for span in group:
+        if span["start"] < arrival:
+            arrival = span["start"]
+        # A re-routed request's window opens at its original arrival.
+        restored = span.get("original_arrival")
+        if restored is not None and restored < arrival:
+            arrival = restored
+        if span["phase"] == PHASE_REQUEST:
+            if finish is None or span["end"] > finish:
+                finish = span["end"]
+            token = span.get("first_token")
+            if token is not None and (first_token is None
+                                      or token < first_token):
+                first_token = token
+            continue
+        if span["phase"] == PHASE_DECODE:
+            replica_scope = span.get("scope", "")
+        parent = span.get("parent")
+        if parent is None:
+            top.append(span)
+        else:
+            children.setdefault(parent, []).append(span)
+    if finish is None:
+        return None  # never finished inside the trace
+    # Full and TTFT-clipped buckets in one pass; fsum is correctly
+    # rounded, so the order parts are summed in cannot change a sum.
+    parts: Dict[str, List[float]] = {bucket: [] for bucket in BUCKETS}
+    clipped = {bucket: [] for bucket in BUCKETS}
+    for start, end, bucket in _segments(arrival, finish, top, children):
+        parts[bucket].append(end - start)
+        if first_token is not None:
+            start, end = max(start, arrival), min(end, first_token)
+            if end > start:
+                clipped[bucket].append(end - start)
     return RequestAttribution(
         request=request_id, domain=domain, replica_scope=replica_scope,
         arrival=arrival, first_token=first_token, finish=finish,
-        buckets=buckets, ttft_buckets=ttft_buckets,
-        closure_error=closure_error,
+        buckets={bucket: fsum(parts[bucket]) for bucket in BUCKETS},
+        ttft_buckets=None if first_token is None else {
+            bucket: fsum(clipped[bucket]) for bucket in BUCKETS
+        },
+        closure_error=fsum(chain(*parts.values())) - (finish - arrival),
     )
 
 
-def build(records: Iterable[Dict[str, Any]],
+def build(records: Iterable[Record],
           domains: Optional[Iterable[str]] = None,
           tol: float = CLOSURE_TOL) -> "AttributionReport":
     """Attribute every logical request found in a trace.
@@ -236,19 +228,26 @@ def build(records: Iterable[Dict[str, Any]],
     or a parsed JSONL trace); ``domains`` optionally restricts to one
     cluster or standalone-engine scope (the natural filter when a
     sweep ran many engines through one registry).
+
+    One sweep over ``records`` and one walk over each request's span
+    dicts: the cost is linear in the records passed in.
     """
-    records = list(records)
     cluster_of: Dict[str, str] = {}
+    spans: List[Record] = []
     for record in records:
-        if record.get("event") == "replica_init" and record.get("scope"):
+        event = record.get("event")
+        if event == "span":
+            spans.append(record)
+        elif event == "replica_init" and record.get("scope"):
             cluster_of[record["scope"]] = record["cluster"]
     wanted = None if domains is None else set(domains)
-    groups: Dict[Tuple[str, str], List[Span]] = {}
-    for span in spans_from(records):
-        domain = cluster_of.get(span.scope, span.scope)
+    groups: Dict[Tuple[str, str], List[Record]] = {}
+    for span in spans:
+        scope = span.get("scope", "")
+        domain = cluster_of.get(scope, scope)
         if wanted is not None and domain not in wanted:
             continue
-        key = (domain, base_request_id(span.request))
+        key = (domain, base_request_id(span.get("request", "")))
         groups.setdefault(key, []).append(span)
     requests = []
     for (domain, request_id), group in sorted(groups.items()):

@@ -165,27 +165,32 @@ class TelemetryRegistry:
         #: span is one more record per request-phase per iteration.
         self.record_spans = record_spans
         self._span_ids = itertools.count()
+        #: ``(kind, name, scope)`` -> instrument: the hot-path lookup,
+        #: which skips building a spec and its key string.
+        self._handles: Dict[Tuple[str, str, str], Any] = {}
 
     # ------------------------------------------------------------------
     # Instrument creation (get-or-create, kind-checked)
     # ------------------------------------------------------------------
     def _instrument(self, cls, kind: str, name: str, scope: str,
                     layer: str, unit: str):
+        handle = self._handles.get((kind, name, scope))
+        if handle is not None:
+            return handle
         spec = MetricSpec(name=name, kind=kind, scope=scope,
                           layer=layer, unit=unit)
-        existing = self._metrics.get(spec.key)
-        if existing is not None:
-            if existing.spec.kind != kind:
-                raise ConfigError(
-                    f"metric {spec.key!r} already registered as a "
-                    f"{existing.spec.kind}, not a {kind}"
-                )
-            return existing
-        if kind == "gauge":
-            instrument = cls(spec, self._seq)
-        else:
-            instrument = cls(spec)
-        self._metrics[spec.key] = instrument
+        instrument = self._metrics.get(spec.key)
+        if instrument is None:
+            instrument = (
+                cls(spec, self._seq) if kind == "gauge" else cls(spec)
+            )
+            self._metrics[spec.key] = instrument
+        elif instrument.spec.kind != kind:
+            raise ConfigError(
+                f"metric {spec.key!r} already registered as a "
+                f"{instrument.spec.kind}, not a {kind}"
+            )
+        self._handles[(kind, name, scope)] = instrument
         return instrument
 
     def counter(self, name: str, scope: str = "", layer: str = "",
@@ -456,6 +461,10 @@ class EngineTelemetry:
     def __init__(self, registry: TelemetryRegistry, scope: str) -> None:
         self.registry = registry
         self.scope = scope
+        #: Index of this binding's first possible record in
+        #: ``registry.events``: scopes are unique per registry, so the
+        #: engine's own records all lie in ``events[first_record:]``.
+        self.first_record = len(registry.events)
         self.running = registry.gauge(
             "num_running_reqs", scope, "engine", "reqs")
         self.queued = registry.gauge(
@@ -720,6 +729,9 @@ class ClusterTelemetry:
     def __init__(self, registry: TelemetryRegistry, scope: str) -> None:
         self.registry = registry
         self.scope = scope
+        #: Index of this cluster's first possible record in
+        #: ``registry.events`` (see :class:`EngineTelemetry`).
+        self.first_record = len(registry.events)
         self.routing = registry.counter(
             "routing_decisions_total", scope, "cluster", "reqs")
         self.migrations = registry.counter(

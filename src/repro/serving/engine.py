@@ -383,7 +383,8 @@ class LLMEngine:
         if not registry.record_spans:
             return None
         return attribution.build(
-            registry.events, domains={self.telemetry.scope}
+            registry.events[self.telemetry.first_record:],
+            domains={self.telemetry.scope},
         ).to_json()
 
     def run_until(self, deadline: float) -> int:

@@ -39,7 +39,7 @@ spells out the contract):
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 try:  # pragma: no cover - numpy is part of the baked toolchain
     import numpy as _np

@@ -156,6 +156,24 @@ def _replica_init(seq: int, replica: int, role: str,
     }
 
 
+def _dominant_tail() -> Records:
+    """Ten requests; the last waits twenty times longer in the queue."""
+    records: Records = []
+    for index in range(10):
+        wait = 10.0 if index == 9 else 0.5
+        base = index * 100.0
+        request = f"q{index}"
+        records += [
+            span(3 * index, "queue_wait", base, base + wait,
+                 request=request),
+            span(3 * index + 1, "decode", base + wait, base + wait + 1.0,
+                 request=request),
+            span(3 * index + 2, "request", base, base + wait + 1.0,
+                 request=request, first_token=base + wait),
+        ]
+    return records
+
+
 #: Hand-built traces: the walk's unit cases plus ill-formed shapes the
 #: span checker would flag but attribution must still partition.
 HAND_BUILT: Dict[str, Records] = {
@@ -185,23 +203,7 @@ HAND_BUILT: Dict[str, Records] = {
         span(13, "decode", 2.0, 5.0, scope="r1", request="q#decode"),
         span(14, "request", 2.0, 5.0, scope="r1", request="q#decode"),
     ],
-    "dominant_tail": [
-        record
-        for index in range(10)
-        for record in (
-            span(3 * index, "queue_wait", index * 100.0,
-                 index * 100.0 + (10.0 if index == 9 else 0.5),
-                 request=f"q{index}"),
-            span(3 * index + 1, "decode",
-                 index * 100.0 + (10.0 if index == 9 else 0.5),
-                 index * 100.0 + (11.0 if index == 9 else 1.5),
-                 request=f"q{index}"),
-            span(3 * index + 2, "request", index * 100.0,
-                 index * 100.0 + (11.0 if index == 9 else 1.5),
-                 request=f"q{index}",
-                 first_token=index * 100.0 + (10.0 if index == 9 else 0.5)),
-        )
-    ],
+    "dominant_tail": _dominant_tail(),
     # Ill-formed: overlapping top-level spans are clipped, a span that
     # escapes the request window is cut at finish, and spans tied on
     # (start, end) are walked in span-id order, not record order.

@@ -21,6 +21,7 @@ text renderer.
 
 import math
 
+from attribution_golden import HAND_BUILT
 from repro.cluster import ClusterConfig, ClusterEngine, ScaleDecision
 from repro.cluster.autoscaler import AutoscalerPolicy
 from repro.gpu.spec import A100
@@ -36,7 +37,6 @@ from repro.metrics.telemetry import TelemetryRegistry, enabled
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
-from repro.units import GB
 from repro.workloads.arrival import poisson_arrivals
 from repro.workloads.traces import fixed_trace, shared_prefix_trace
 
@@ -380,6 +380,50 @@ class TestSpansOff:
         assert document["latency_attribution"]["closure_violations"] == 0
 
 
+class TestSharedRegistry:
+    def test_each_report_attributes_exactly_its_own_records(self):
+        # One registry observes two standalone engines — the second
+        # bound before the first runs and driven by run_until before
+        # run(), so its records predate its run() call — and then a
+        # cluster. Each report's attribution reads only the records
+        # emitted since its engine bound the registry, and must equal
+        # the whole-trace attribution restricted to its scope.
+        with enabled(TelemetryRegistry(record_spans=True)) as registry:
+            first = make_engine()
+            second = make_engine()
+            first.submit(
+                fixed_trace(count=3, prompt_len=800, max_new_tokens=60)
+            )
+            second.submit(fixed_trace(
+                count=4, prompt_len=500, max_new_tokens=80,
+                arrivals=[0.0, 0.1, 0.2, 2.0],
+            ))
+            reports = {first.telemetry.scope: first.run()}
+            second.run_until(1.0)
+            assert registry.events[second.telemetry.first_record:], (
+                "run_until emitted nothing before run()"
+            )
+            reports[second.telemetry.scope] = second.run()
+            cluster = ClusterEngine(ClusterConfig(
+                engine=EngineConfig(
+                    shard=ShardedModel(YI_6B, 1), gpu=A100,
+                    memory_backend="vattention", max_batch_size=8,
+                ),
+                n_replicas=2,
+                routing_policy="round_robin",
+            ))
+            cluster.submit(fixed_trace(
+                count=6, prompt_len=600, max_new_tokens=40,
+                arrivals=poisson_arrivals(qps=4.0, count=6, seed=3),
+            ))
+            reports[cluster._telemetry.scope] = cluster.run()
+        records = registry.trace_records()
+        for scope, report in reports.items():
+            expected = attribution.build(records, domains={scope})
+            assert expected.requests, scope
+            assert report.latency_attribution == expected.to_json()
+
+
 class TestSpanSerialization:
     def test_write_spans_jsonl_filters_and_sorts(self, tmp_path):
         import json
@@ -401,27 +445,11 @@ class TestSpanSerialization:
         assert base_request_id("req-7") == "req-7"
 
 
-def _span(span_id, phase, start, end, scope="r0", request="a",
-          parent=None, **extras):
-    record = {
-        "seq": span_id, "time": end, "event": "span", "span": span_id,
-        "phase": phase, "scope": scope, "request": request,
-        "start": start, "end": end, **extras,
-    }
-    if parent is not None:
-        record["parent"] = parent
-    return record
-
-
 class TestAttributionWalk:
+    # The traces are shared with the attribution golden, which pins
+    # every bucket of them exactly; these tests state what they mean.
     def test_phases_partition_the_window(self):
-        records = [
-            _span(0, "queue_wait", 0.0, 2.0),
-            _span(1, "prefill", 2.0, 3.0),
-            _span(2, "decode", 4.0, 9.0),
-            _span(3, "request", 0.0, 10.0, first_token=3.0),
-        ]
-        [row] = attribution.build(records).requests
+        [row] = attribution.build(HAND_BUILT["partition"]).requests
         assert row.closed()
         assert row.buckets["queue_wait"] == 2.0
         assert row.buckets["prefill"] == 1.0
@@ -434,12 +462,7 @@ class TestAttributionWalk:
         assert row.ttft_buckets["decode"] == 0.0
 
     def test_gap_into_queueing_phase_counts_as_queue_wait(self):
-        records = [
-            _span(0, "drain_reroute", 3.0, 4.0, original_arrival=0.0),
-            _span(1, "decode", 4.0, 6.0),
-            _span(2, "request", 3.0, 6.0),
-        ]
-        [row] = attribution.build(records).requests
+        [row] = attribution.build(HAND_BUILT["gap_into_queueing"]).requests
         # original_arrival pulls the window back to the true arrival;
         # the uncovered lead-in is queueing, not batch wait.
         assert row.arrival == 0.0
@@ -448,36 +471,13 @@ class TestAttributionWalk:
         assert row.closed()
 
     def test_nested_child_not_double_counted(self):
-        records = [
-            _span(0, "drain_reroute", 0.0, 4.0),
-            _span(1, "kv_migration", 1.0, 2.0, parent=0),
-            _span(2, "request", 0.0, 4.0),
-        ]
-        [row] = attribution.build(records).requests
+        [row] = attribution.build(HAND_BUILT["nested_child"]).requests
         assert row.buckets["drain_reroute"] == 3.0
         assert row.buckets["kv_migration"] == 1.0
         assert row.closed()
 
     def test_disagg_clones_stitch_to_one_logical_request(self):
-        init = [
-            {"seq": 0, "time": 0.0, "event": "replica_init",
-             "cluster": "c0", "replica": 0, "role": "prefill",
-             "state": "serving", "scope": "r0"},
-            {"seq": 1, "time": 0.0, "event": "replica_init",
-             "cluster": "c0", "replica": 1, "role": "decode",
-             "state": "serving", "scope": "r1"},
-        ]
-        records = init + [
-            _span(10, "prefill", 0.0, 1.0, scope="r0",
-                  request="q#prefill"),
-            _span(11, "request", 0.0, 1.0, scope="r0",
-                  request="q#prefill", first_token=1.0),
-            _span(12, "kv_migration", 1.0, 2.0, scope="c0", request="q"),
-            _span(13, "decode", 2.0, 5.0, scope="r1", request="q#decode"),
-            _span(14, "request", 2.0, 5.0, scope="r1",
-                  request="q#decode"),
-        ]
-        [row] = attribution.build(records).requests
+        [row] = attribution.build(HAND_BUILT["disagg_stitch"]).requests
         assert row.request == "q"
         assert row.domain == "c0"
         assert row.replica_scope == "r1"
@@ -486,18 +486,7 @@ class TestAttributionWalk:
         assert row.closed()
 
     def test_dominant_tail_phase(self):
-        records = []
-        for index in range(10):
-            wait = 10.0 if index == 9 else 0.5
-            base = index * 100.0
-            records.append(_span(3 * index, "queue_wait", base,
-                                 base + wait, request=f"q{index}"))
-            records.append(_span(3 * index + 1, "decode", base + wait,
-                                 base + wait + 1.0, request=f"q{index}"))
-            records.append(_span(3 * index + 2, "request", base,
-                                 base + wait + 1.0, request=f"q{index}",
-                                 first_token=base + wait))
-        report = attribution.build(records)
+        report = attribution.build(HAND_BUILT["dominant_tail"])
         assert report.dominant_tail_phase("ttft") == "queue_wait"
         assert report.to_json()["dominant_p99_ttft_phase"] == "queue_wait"
 

@@ -54,6 +54,57 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             registry.gauge("token_usage", "r0")
 
+    def test_repeat_lookups_return_the_cached_handle(self):
+        registry = TelemetryRegistry()
+        for kind in ("counter", "gauge", "histogram"):
+            lookup = getattr(registry, kind)
+            first = lookup(f"{kind}_x", "r0", "engine", "s")
+            # The first registration's layer and unit stick; a repeat
+            # lookup finds the same instrument whatever it passes.
+            for layer, unit in (("engine", "s"), ("", ""), ("memory", "B")):
+                assert lookup(f"{kind}_x", "r0", layer, unit) is first
+            assert first.spec.layer == "engine"
+            assert first.spec.unit == "s"
+            assert lookup(f"{kind}_x", "r1") is not first
+
+    def test_kind_clash_rejected_after_cached_lookups(self):
+        registry = TelemetryRegistry()
+        gauge = registry.gauge("x")
+        assert registry.gauge("x") is gauge
+        with pytest.raises(ConfigError):
+            registry.counter("x")
+        with pytest.raises(ConfigError):
+            registry.histogram("x")
+        # The failed lookups registered nothing.
+        assert registry.metrics() == [gauge]
+        assert registry.gauge("x") is gauge
+
+    def test_cached_lookups_leave_exports_unchanged(self):
+        def drive(repeat: bool) -> TelemetryRegistry:
+            registry = TelemetryRegistry()
+            for step in range(3):
+                if repeat or step == 0:
+                    handles = (
+                        registry.counter("reqs_total", "r0", "engine", "reqs"),
+                        registry.gauge("token_usage", "r0", "engine", "tok"),
+                        registry.histogram("ttft_seconds", "r0", "engine", "s"),
+                        registry.gauge("kv_pool_usage", "r1", "memory"),
+                    )
+                counter, usage, ttft, pool = handles
+                counter.inc(step + 1.0)
+                usage.set(float(step), 10.0 * step)
+                ttft.observe(0.5 * step)
+                pool.set(float(step), 0.25 * step)
+            return registry
+
+        once, repeated = drive(repeat=False), drive(repeat=True)
+        assert [m.spec for m in once.metrics()] == [
+            m.spec for m in repeated.metrics()
+        ]
+        assert once.snapshot() == repeated.snapshot()
+        assert once.render_prometheus() == repeated.render_prometheus()
+        assert once.trace_records() == repeated.trace_records()
+
     def test_scope_qualifies_key(self):
         registry = TelemetryRegistry()
         a = registry.gauge("num_running_reqs", "r0")
