@@ -229,8 +229,8 @@ def build(records: Iterable[Record],
     cluster or standalone-engine scope (the natural filter when a
     sweep ran many engines through one registry).
 
-    One sweep over ``records`` and one walk over each request's span
-    dicts: the cost is linear in the records passed in.
+    The cost is one sweep over ``records`` plus one sort-and-walk of
+    each request's own span dicts; no per-span objects are built.
     """
     cluster_of: Dict[str, str] = {}
     spans: List[Record] = []
