@@ -15,9 +15,9 @@ default, by the state-aware ``least_outstanding_tokens`` policy: the fast loop
 then routes whole arrival windows against *analytic* replica views
 (persistent closed-form backlog predictors), which is the windowed
 path the analytic router-state replay exists for. ``--router
-round_robin`` selects the state-blind variant, which batches the same
-windows without any state probes and is correspondingly faster — both
-are gated in CI.
+round_robin`` routes the same windows but reads no replica view, so no
+view is ever synced and the day is correspondingly faster — both are
+gated in CI.
 
 Usage::
 
@@ -73,13 +73,13 @@ QUICK_COUNT = 20_000
 #: default exercises the analytic router-state replay; ``cache_aware``
 #: adds frozen-tree prefix probes on top (its fleet runs with the
 #: prefix cache enabled — probes mostly miss on the chat-shaped day,
-#: but the full windowed probe path executes); ``round_robin`` is the
-#: state-blind window-batching regime PR 8 targeted.
+#: but the full windowed probe path executes); ``round_robin`` reads no
+#: view, so its windows route as pure bookkeeping.
 ROUTERS = ("least_outstanding_tokens", "cache_aware", "round_robin")
 DEFAULT_ROUTER = "least_outstanding_tokens"
 
 #: Wall-clock ceilings the run must beat (seconds), per router. The
-#: state-aware day costs more wall than the state-blind one (every
+#: state-aware day costs more wall than the round-robin one (every
 #: window still pays analytic backlog probes and predictor rebuilds at
 #: arrival instants), so each regime carries its own honest budget —
 #: ~40% headroom over the measured reference runs (488 s state-aware,

@@ -29,9 +29,10 @@ Compare like scale with like scale: quick runs against the committed
 ``BENCH_speed_quick.json``, full runs (nightly) against the full-scale
 ``BENCH_speed.json`` — quick and full speedups differ systematically,
 and a cross-scale comparison would eat most of the tolerance before
-any real regression. The same applies to ``bench_scale`` routers: the
-state-aware and state-blind days have different throughput profiles,
-so scale runs are gated per router.
+any real regression. The same applies to ``bench_scale`` routers: a
+day whose router reads replica views and a ``round_robin`` day that
+reads none have different throughput profiles, so scale runs are gated
+per router.
 
 Usage (the CI bench job)::
 

@@ -81,9 +81,6 @@ class ClusterConfig:
     engine: EngineConfig
     n_replicas: int
     routing_policy: str = "round_robin"
-    #: ``cache_aware`` load-imbalance cap (see CacheAwarePolicy).
-    balance_abs_tokens: int = 16_384
-    balance_rel: float = 1.5
     #: Split the fleet into prefill and decode replicas with KV handoff.
     disaggregated: bool = False
     n_prefill_replicas: int = 1
@@ -128,8 +125,8 @@ class ClusterConfig:
     #: Rolling window the SLO tracker keeps TTFT completions over.
     slo_window_seconds: float = 30.0
     #: Run the cluster through the joint-horizon fast loop (skip no-op
-    #: replica sweeps; batch arrival dispatch where the routing policy
-    #: is state-blind). Request-level results are identical to the
+    #: replica sweeps; route whole arrival windows against analytic
+    #: replica views). Request-level results are identical to the
     #: legacy next-event loop; ``False`` runs that loop byte-for-byte.
     #: Defaults to the same switch as the per-engine decode
     #: fast-forwarder (``repro.serving.engine.DEFAULT_FAST_FORWARD``),
@@ -274,29 +271,50 @@ class Replica(ReplicaView):
         return f"Replica({self.index}, {self.role})"
 
 
+class _Window:
+    """The arrival instant window routing is answering for, shared by
+    every :class:`_ReplicaReplay` view of one fast loop.
+
+    The loop bumps ``seq`` once per routed arrival; a view whose last
+    sync carries an older ``seq`` is stale and syncs on its next
+    observation. ``bound`` is the window's fleet-event bound.
+    """
+
+    __slots__ = ("time", "seq", "bound")
+
+    def __init__(self) -> None:
+        self.time = 0.0
+        self.seq = 0
+        self.bound = math.inf
+
+
 class _ReplicaReplay(ReplicaView):
     """One serving replica as the router observes it at window instants,
     answered analytically where provable.
 
-    Window routing binds every view to the arrival instant with
-    :meth:`at` before each ``select``. While a replica's closed-form
+    A view syncs to the window's current arrival instant lazily, on its
+    first observation there (``outstanding_tokens`` or
+    ``probe_prefix``); a view the policy never reads is never synced,
+    so a router that observes nothing routes a window as pure
+    bookkeeping. Skipping a sync is exact: the next sync's ``run_until``
+    composes with the ones skipped. While a replica's closed-form
     predictor (:class:`~repro.sim.fastforward.StretchOracle`, or a
     constant for idle/parked/overshot replicas) is valid, observations
     cost a ``searchsorted`` (backlog) or a frozen-tree probe (cache) —
     no sweep. When the predictor expires, or the replica just received
-    a submission it cannot see (:meth:`invalidate`), the replica is
-    swept to the query instant with a real ``run_until`` — exact by the
-    run-until composition the fast loop is built on — and the predictor
-    rebuilt from a fresh steady-stretch prep. Every answer therefore
-    equals what per-arrival dispatch would have observed.
+    a submission it cannot see (the submit bumps ``_prep_version``), the
+    replica is swept to the query instant with a real ``run_until`` —
+    exact by the run-until composition the fast loop is built on — and
+    the predictor rebuilt from a fresh steady-stretch prep. Every answer
+    therefore equals what per-arrival dispatch would have observed.
 
-    Views persist *across* arrival windows (the cluster loop caches
-    them per replica and only refreshes the window bound). Predictor
-    answers stay exact across the intervening fleet execution because:
+    Views persist *across* arrival windows (the cluster loop keeps one
+    per replica). Predictor answers stay exact across the intervening
+    fleet execution because:
 
     * every mutation a prediction cannot model bumps the engine's
       ``_prep_version`` (submission, drain entry, preemption) — checked
-      on every query;
+      on every sync;
     * execution between windows only runs the *modeled* iterations for
       an untouched replica: the fleet executor's stretches are
       deterministic continuations of the prepped stretch, the oracle's
@@ -312,7 +330,8 @@ class _ReplicaReplay(ReplicaView):
     __slots__ = (
         "replica",
         "index",
-        "_bound",
+        "_window",
+        "_seq",
         "_time",
         "_base",
         "_oracle",
@@ -321,10 +340,11 @@ class _ReplicaReplay(ReplicaView):
         "_state",
     )
 
-    def __init__(self, replica: Replica, bound: float) -> None:
+    def __init__(self, replica: Replica, window: _Window) -> None:
         self.replica = replica
         self.index = replica.index
-        self._bound = bound
+        self._window = window
+        self._seq = -1
         self._time = 0.0
         self._base = 0
         self._oracle: Optional[StretchOracle] = None
@@ -332,13 +352,11 @@ class _ReplicaReplay(ReplicaView):
         self._version = -1
         self._state: Optional[tuple] = None
 
-    def rebind(self, bound: float) -> None:
-        """Adopt a new arrival window's fleet-event bound."""
-        self._bound = bound
-
-    def at(self, time: float) -> None:
-        """Bind observations to the arrival instant ``time``."""
-        self._time = time
+    def _sync(self) -> None:
+        """Bind observations to the window's current arrival instant."""
+        window = self._window
+        self._seq = window.seq
+        time = self._time = window.time
         engine = self.replica.engine
         if time < self._valid and engine._prep_version == self._version:
             return
@@ -359,11 +377,6 @@ class _ReplicaReplay(ReplicaView):
         self._rebuild()
         self._version = engine._prep_version
         self._state = (engine._prep_version, engine.clock.now)
-
-    def invalidate(self) -> None:
-        """Force a sweep + rebuild before the next observation."""
-        self._valid = -math.inf
-        self._state = None
 
     def _rebuild(self) -> None:
         engine = self.replica.engine
@@ -387,20 +400,16 @@ class _ReplicaReplay(ReplicaView):
             else:
                 # Hooks may fire at once: opaque — sweep per query.
                 self._valid = -math.inf
-        elif engine.clock.now >= self._bound:
+        elif engine.clock.now >= self._window.bound:
             # Overshot the whole window: ``run_until(t < bound)`` is a
             # provable no-op, so the observed state is constant for the
             # rest of *this* window (later windows must re-prove).
-            self._valid = self._bound
+            self._valid = self._window.bound
         elif not engine._running:
             # Parked: nothing is admitted and nothing can start before
             # the next pending arrival; constant until then.
             pending = engine._pending
-            self._valid = (
-                min(r.arrival_time for r in pending)
-                if pending
-                else math.inf
-            )
+            self._valid = pending[0].arrival_time if pending else math.inf
         else:
             # Running but no provable steady stretch (prefill next,
             # stretch too short, ...): opaque — sweep per query.
@@ -408,6 +417,8 @@ class _ReplicaReplay(ReplicaView):
 
     @property
     def outstanding_tokens(self) -> int:
+        if self._seq != self._window.seq:
+            self._sync()
         oracle = self._oracle
         if oracle is None:
             return self._base
@@ -416,6 +427,8 @@ class _ReplicaReplay(ReplicaView):
         )
 
     def probe_prefix(self, request: Request) -> int:
+        if self._seq != self._window.seq:
+            self._sync()
         # A valid predictor freezes the radix tree (pure decode
         # completes no prefill and retires nothing inside the validity
         # span), so the live tree *is* the snapshot at every instant
@@ -473,11 +486,7 @@ class ClusterEngine:
         self._decode_targets = [
             r for r in self.replicas if r.role == "decode"
         ]
-        self.router = make_policy(
-            config.routing_policy,
-            balance_abs_tokens=config.balance_abs_tokens,
-            balance_rel=config.balance_rel,
-        )
+        self.router = make_policy(config.routing_policy)
         self.link = MigrationLink(get_interconnect(config.interconnect))
         self._submitted: List[Request] = []
         #: Arrival and migration-completion events on the shared
@@ -541,10 +550,6 @@ class ClusterEngine:
             if config.fast_forward and self._telemetry is None
             else None
         )
-        #: Persistent analytic router views (state-aware window
-        #: routing), keyed by replica index; see :class:`_ReplicaReplay`
-        #: for why their predictors survive across windows.
-        self._replay_views: Dict[int, _ReplicaReplay] = {}
 
     # ------------------------------------------------------------------
     # Submission
@@ -694,43 +699,36 @@ class ClusterEngine:
           submitted to them since, so only replicas *outside* the
           run-ahead sweep — the disaggregated decode tier — can lag the
           event about to dispatch.
-        * One sweep of the whole fleet per arrival. When the routing
-          policy is state-blind (``observes_state`` is ``False``), no
-          telemetry registry is recording per-arrival gauges, and the
-          fleet is not disaggregated, an arrival's dispatch is pure
-          bookkeeping — so every arrival up to the next fleet-state
-          event (scale lifecycle; migrations cannot exist un-disagg) is
-          routed in one pass, and each engine then crosses the whole
-          window in analytic stretches broken only by its own
-          admissions. The serving set cannot change inside the window
-          (lifecycle transitions bound it), so the routing sequence is
-          the one the legacy loop produces.
-        * One sweep of the whole fleet per arrival, *state-aware*
-          edition. A policy whose observations all go through the
-          :class:`~repro.cluster.router.ReplicaView` interface
-          (``supports_analytic_replay``) routes the same windows
-          against :class:`_ReplicaReplay` views: each replica's
-          backlog is replayed closed-form from its steady decode
-          stretch and its radix tree probed frozen, with a real
+        * One sweep of the whole fleet per arrival. Unless a telemetry
+          registry is recording per-arrival gauges or the fleet is
+          disaggregated, every arrival up to the next fleet-state event
+          (scale lifecycle; migrations cannot exist un-disagg) is routed
+          in one pass against :class:`_ReplicaReplay` views, which the
+          router observes only through the
+          :class:`~repro.cluster.router.ReplicaView` interface. A view
+          syncs lazily on its first observation at an arrival instant:
+          its backlog is replayed closed-form from the replica's steady
+          decode stretch and its radix tree probed frozen, with a real
           single-replica sweep exactly where a closed form expires (on
           submission, at a stretch's hook/completion edge, or past a
-          predictor's ``stop_time``). Observations — and therefore
-          routing decisions — are provably those of per-arrival
-          dispatch.
+          predictor's ``stop_time``). A view the router never reads is
+          never swept, so ``round_robin`` routes a window as pure
+          bookkeeping and each engine then crosses it in analytic
+          stretches broken only by its own admissions. The serving set
+          cannot change inside the window (lifecycle transitions bound
+          it), and every observation equals per-arrival dispatch's, so
+          the routing sequence is the one the legacy loop produces.
         """
         events = self._events
-        batch_arrivals = (
-            self._telemetry is None
-            and not self.config.disaggregated
-            and not self.router.observes_state
-        )
         window_arrivals = (
-            self._telemetry is None
-            and not self.config.disaggregated
-            and self.router.observes_state
-            and self.router.supports_analytic_replay
+            self._telemetry is None and not self.config.disaggregated
         )
         fleet = self._fleet_exec
+        window = _Window()
+        # Persistent analytic views, one per replica index (indices are
+        # never reused); see :class:`_ReplicaReplay` for why their
+        # predictors survive across windows.
+        views: Dict[int, _ReplicaReplay] = {}
         while True:
             horizon = self._joint_horizon()
             if fleet is not None:
@@ -751,29 +749,14 @@ class ClusterEngine:
             for replica in self._decode_targets:
                 if replica.engine.has_work():
                     replica.engine.run_until(now)
-            if (
-                batch_arrivals or window_arrivals
-            ) and head.kind is EventKind.ARRIVAL:
-                bound = events.next_fleet_event()
-                replay = None
-                if window_arrivals:
-                    # Persistent per-replica views: a replica whose
-                    # predictor is still valid (nothing was submitted
-                    # to it and its stretch edge lies ahead) carries
-                    # its closed form into this window — no sweep, no
-                    # re-prep. Stale cache entries (scaled-away
-                    # replicas, reused indices) are replaced.
-                    cache = self._replay_views
-                    replay = []
-                    for r in self._route_targets:
-                        if not r.is_serving:
-                            continue
-                        view = cache.get(r.index)
-                        if view is None or view.replica is not r:
-                            view = _ReplicaReplay(r, bound)
-                            cache[r.index] = view
-                        else:
-                            view.rebind(bound)
+            if window_arrivals and head.kind is EventKind.ARRIVAL:
+                bound = window.bound = events.next_fleet_event()
+                replay = []
+                for r in self._route_targets:
+                    if r.is_serving:
+                        view = views.get(r.index)
+                        if view is None:
+                            view = views[r.index] = _ReplicaReplay(r, window)
                         replay.append(view)
                 routed = False
                 while True:
@@ -785,14 +768,10 @@ class ClusterEngine:
                     ):
                         break
                     events.pop()
-                    if replay is None:
-                        self._route(head.payload)
-                    else:
-                        for view in replay:
-                            view.at(head.time)
-                        choice = self.router.select(head.payload, replay)
-                        self._dispatch_to(head.payload, choice.replica)
-                        choice.invalidate()
+                    window.time = head.time
+                    window.seq += 1
+                    choice = self.router.select(head.payload, replay)
+                    self._dispatch_to(head.payload, choice.replica)
                     routed = True
                 if routed:
                     continue

@@ -47,34 +47,33 @@ class ReplicaView(abc.ABC):
 
 
 class RoutingPolicy(abc.ABC):
-    """Picks a replica for each arriving request."""
+    """Picks a replica for each arriving request.
+
+    The contract: :meth:`select` observes replicas only through the
+    :class:`ReplicaView` interface (``outstanding_tokens``,
+    ``probe_prefix``), and its cross-call state must not depend on
+    *when* replicas are simulated. The cluster fast loop relies on it
+    to route whole arrival windows against *analytic* replica views —
+    outstanding tokens replayed closed-form from each replica's steady
+    decode stretch, cache probes against its provably-frozen radix
+    tree, a real replica sweep only where a closed form expires, and
+    none at all for a view :meth:`select` never reads — so window
+    decisions are exactly per-arrival dispatch's.
+    """
 
     name: str
-
-    #: Whether :meth:`select` reads replica state (backlog, cache
-    #: content). A state-blind policy routes identically no matter how
-    #: far the fleet has simulated, which lets the cluster fast loop
-    #: dispatch whole arrival windows before sweeping the replicas.
-    observes_state: bool = True
-
-    #: Whether every observation :meth:`select` makes goes through the
-    #: :class:`ReplicaView` interface alone (``outstanding_tokens``,
-    #: ``probe_prefix``). The cluster fast loop may then route whole
-    #: arrival windows against *analytic* replica views: outstanding
-    #: tokens replayed closed-form from each replica's steady decode
-    #: stretch and cache probes against its provably-frozen radix tree,
-    #: with a real replica sweep only where a closed form expires — so
-    #: window decisions are exactly per-arrival dispatch's. Policies
-    #: that reach around the view, or whose cross-call state depends on
-    #: *when* replicas are simulated, must leave this ``False``; they
-    #: then route one arrival at a time.
-    supports_analytic_replay: bool = False
 
     @abc.abstractmethod
     def select(
         self, request: Request, replicas: Sequence[ReplicaView]
     ) -> ReplicaView:
         """Choose the replica ``request`` is dispatched to."""
+
+
+#: ``cache_aware`` load-imbalance cap: the backlog gap (tokens) and the
+#: most-to-least loaded ratio that must both be exceeded.
+BALANCE_ABS_TOKENS = 16_384
+BALANCE_REL = 1.5
 
 
 def least_loaded(replicas: Sequence[ReplicaView]) -> ReplicaView:
@@ -85,8 +84,6 @@ class RoundRobinPolicy(RoutingPolicy):
     """Cycle through replicas in index order."""
 
     name = "round_robin"
-    observes_state = False
-    supports_analytic_replay = True
 
     def __init__(self) -> None:
         self._next = 0
@@ -105,7 +102,6 @@ class LeastOutstandingPolicy(RoutingPolicy):
     """Route to the replica with the smallest token backlog."""
 
     name = "least_outstanding_tokens"
-    supports_analytic_replay = True
 
     def select(
         self, request: Request, replicas: Sequence[ReplicaView]
@@ -119,26 +115,13 @@ class CacheAwarePolicy(RoutingPolicy):
     """Longest-prefix-match routing under a load-imbalance cap.
 
     The fleet counts as *imbalanced* when the widest backlog gap exceeds
-    ``balance_abs_tokens`` AND the most loaded replica carries more than
-    ``balance_rel`` times the least loaded one — both thresholds must
-    trip, so a busy-but-even fleet and a near-idle fleet with a trivial
-    absolute gap each keep their cache affinity.
+    :data:`BALANCE_ABS_TOKENS` AND the most loaded replica carries more
+    than :data:`BALANCE_REL` times the least loaded one — both
+    thresholds must trip, so a busy-but-even fleet and a near-idle
+    fleet with a trivial absolute gap each keep their cache affinity.
     """
 
     name = "cache_aware"
-    supports_analytic_replay = True
-
-    def __init__(
-        self, balance_abs_tokens: int = 16_384, balance_rel: float = 1.5
-    ) -> None:
-        if balance_abs_tokens < 0:
-            raise ConfigError("balance_abs_tokens cannot be negative")
-        if balance_rel < 1.0:
-            raise ConfigError(
-                f"balance_rel must be >= 1, got {balance_rel}"
-            )
-        self.balance_abs_tokens = balance_abs_tokens
-        self.balance_rel = balance_rel
 
     def select(
         self, request: Request, replicas: Sequence[ReplicaView]
@@ -148,8 +131,8 @@ class CacheAwarePolicy(RoutingPolicy):
         loads = [replica.outstanding_tokens for replica in replicas]
         lowest, highest = min(loads), max(loads)
         imbalanced = (
-            highest - lowest > self.balance_abs_tokens
-            and highest > self.balance_rel * max(lowest, 1)
+            highest - lowest > BALANCE_ABS_TOKENS
+            and highest > BALANCE_REL * max(lowest, 1)
         )
         if imbalanced:
             return least_loaded(replicas)
@@ -167,16 +150,15 @@ class CacheAwarePolicy(RoutingPolicy):
         return least_loaded(winners)
 
 
-#: Policy name -> constructor (cluster config kwargs are passed through
-#: to ``cache_aware``; the others take none).
-ROUTING_POLICIES: Dict[str, Callable[..., RoutingPolicy]] = {
+#: Policy name -> constructor.
+ROUTING_POLICIES: Dict[str, Callable[[], RoutingPolicy]] = {
     "round_robin": RoundRobinPolicy,
     "least_outstanding_tokens": LeastOutstandingPolicy,
     "cache_aware": CacheAwarePolicy,
 }
 
 
-def make_policy(name: str, **kwargs) -> RoutingPolicy:
+def make_policy(name: str) -> RoutingPolicy:
     """Instantiate a routing policy by registry name."""
     try:
         factory = ROUTING_POLICIES[name]
@@ -185,9 +167,7 @@ def make_policy(name: str, **kwargs) -> RoutingPolicy:
         raise ConfigError(
             f"unknown routing policy {name!r}; known: {known}"
         ) from None
-    if name != "cache_aware":
-        kwargs = {}
-    return factory(**kwargs)
+    return factory()
 
 
 def policy_names() -> List[str]:

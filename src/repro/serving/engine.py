@@ -351,10 +351,18 @@ class LLMEngine:
     # Submission and the main loop
     # ------------------------------------------------------------------
     def submit(self, requests: Sequence[Request]) -> None:
-        """Queue requests; they become visible at their arrival times."""
-        ordered = sorted(requests, key=lambda r: r.arrival_time)
-        for request in ordered:
-            self._pending.append(request)
+        """Queue requests; they become visible at their arrival times.
+
+        ``_pending`` stays in arrival order across calls (ties keep
+        submission order), so its head is always the earliest arrival.
+        """
+        pending = self._pending
+        for request in sorted(requests, key=lambda r: r.arrival_time):
+            arrival = request.arrival_time
+            index = len(pending)
+            while index and pending[index - 1].arrival_time > arrival:
+                index -= 1
+            pending.insert(index, request)
             self._all_requests.append(request)
             self._outstanding += self._contribution(request)
         self._prep_version += 1

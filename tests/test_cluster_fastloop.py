@@ -1,7 +1,8 @@
 """Joint-horizon cluster fast-loop edge cases.
 
 The fast loop (``ClusterConfig.fast_forward``) sweeps replicas to a
-joint fleet horizon and batches state-blind arrival windows. These
+joint fleet horizon and routes arrival windows against lazy analytic
+replica views. These
 tests pin its boundary behaviour: equal-time event ties dispatch in
 the legacy kind order, drained replicas retire mid-loop, the
 degenerate single-replica fleet stays exact, a migration landing at an
@@ -15,6 +16,7 @@ import pytest
 import repro.serving.engine as engine_module
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.cluster.autoscaler import AutoscalerPolicy, ScaleDecision
+from repro.cluster.router import RoutingPolicy, least_loaded
 from repro.gpu.spec import A100
 from repro.memory import MemoryConfig
 from repro.metrics.telemetry import enabled
@@ -267,43 +269,39 @@ class TestPersistentViewReuse:
         self, monkeypatch
     ):
         """The equivalence sweeps prove window routing is exact; this
-        pins that the *mechanism* engages — views are cached across
-        windows (``rebind``, not reconstruction) and some queries are
-        answered from a carried predictor with no engine sweep —
-        otherwise the persistence layer proves nothing."""
+        pins that the *mechanism* engages — views are built once per
+        replica and synced again in later windows (not reconstructed),
+        and some syncs are answered from a carried predictor with no
+        engine sweep — otherwise the persistence layer proves nothing."""
         from repro.cluster import engine as cluster_module
 
         constructed = []
-        rebinds = []
+        windows = {}
         analytic = []
         real_init = cluster_module._ReplicaReplay.__init__
-        real_rebind = cluster_module._ReplicaReplay.rebind
-        real_at = cluster_module._ReplicaReplay.at
+        real_sync = cluster_module._ReplicaReplay._sync
 
-        def spy_init(self, replica, bound):
+        def spy_init(self, replica, window):
             constructed.append(replica.index)
-            real_init(self, replica, bound)
+            real_init(self, replica, window)
 
-        def spy_rebind(self, bound):
-            rebinds.append(self.index)
-            real_rebind(self, bound)
-
-        def spy_at(self, time):
+        def spy_sync(self):
+            window = self._window
+            windows.setdefault(self.index, set()).add(window.bound)
             engine = self.replica.engine
             if (
-                time < self._valid
+                window.time < self._valid
                 and engine._prep_version == self._version
             ):
                 analytic.append(self.index)
-            real_at(self, time)
+            real_sync(self)
 
         monkeypatch.setattr(
             cluster_module._ReplicaReplay, "__init__", spy_init
         )
         monkeypatch.setattr(
-            cluster_module._ReplicaReplay, "rebind", spy_rebind
+            cluster_module._ReplicaReplay, "_sync", spy_sync
         )
-        monkeypatch.setattr(cluster_module._ReplicaReplay, "at", spy_at)
 
         def build():
             # An elastic fleet that never actually scales (watermarks
@@ -326,13 +324,100 @@ class TestPersistentViewReuse:
         fast = build().run()
 
         assert constructed, "analytic replay never engaged"
-        # Each replica's view is built once and rebound thereafter.
+        # Each replica's view is built once and reused thereafter.
         assert len(set(constructed)) == len(constructed) <= 3
-        assert rebinds, "no view survived into a second arrival window"
+        assert any(
+            len(bounds) > 1 for bounds in windows.values()
+        ), "no view survived into a second arrival window"
         assert analytic, "no query was answered from a carried predictor"
 
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
         assert fingerprint(fast) == fingerprint(build().run())
+
+
+# ----------------------------------------------------------------------
+# Lazy views: only what the router reads is synced
+# ----------------------------------------------------------------------
+class PairPolicy(RoutingPolicy):
+    """Reads the backlog of two adjacent views only, the pair rotating
+    per request: on a fleet of three or more, every view is observed at
+    some arrivals and skipped at others."""
+
+    name = "pair"
+
+    def __init__(self):
+        self._next = 0
+
+    def select(self, request, replicas):
+        start = self._next % len(replicas)
+        self._next += 1
+        pair = [replicas[start], replicas[(start + 1) % len(replicas)]]
+        return least_loaded(pair)
+
+
+class TestLazyViews:
+    @staticmethod
+    def spy_syncs(monkeypatch):
+        from repro.cluster import engine as cluster_module
+
+        synced = []
+        real_sync = cluster_module._ReplicaReplay._sync
+
+        def spy_sync(self):
+            synced.append((self._window.seq, self.index))
+            real_sync(self)
+
+        monkeypatch.setattr(
+            cluster_module._ReplicaReplay, "_sync", spy_sync
+        )
+        return synced
+
+    @staticmethod
+    def autoscaled(policy):
+        fleet = cluster(
+            2,
+            policy=policy,
+            autoscaler="queue_depth",
+            min_replicas=2,
+            max_replicas=4,
+            scale_decide_interval=0.25,
+            cold_start_seconds=0.5,
+            warmup_seconds=0.25,
+            queue_high_watermark=4_096,
+            queue_low_watermark=0,
+        )
+        fleet.submit(trace(count=48, qps=12.0))
+        return fleet
+
+    def test_partially_read_views_stay_exact(self, monkeypatch):
+        """Views the policy skips at an arrival are synced later (or
+        never); routing must still match per-arrival dispatch."""
+        synced = self.spy_syncs(monkeypatch)
+
+        def build():
+            fleet = self.autoscaled("least_outstanding_tokens")
+            fleet.router = PairPolicy()
+            return fleet
+
+        fast, legacy = run_both(build, monkeypatch)
+        assert fingerprint(fast) == fingerprint(legacy)
+        per_arrival = {}
+        for seq, index in synced:
+            per_arrival.setdefault(seq, set()).add(index)
+        # At most the pair is synced per arrival, while views beyond
+        # the initial two were read too: syncs really were partial.
+        assert per_arrival, "no view was ever read"
+        assert max(len(views) for views in per_arrival.values()) <= 2
+        assert max(index for _, index in synced) >= 2
+
+    def test_round_robin_syncs_no_view(self, monkeypatch):
+        synced = self.spy_syncs(monkeypatch)
+        fast, legacy = run_both(
+            lambda: self.autoscaled("round_robin"), monkeypatch
+        )
+        assert fingerprint(fast) == fingerprint(legacy)
+        assert any(record.replica > 1 for record in fast.records)
+        assert synced == []
 
 
 # ----------------------------------------------------------------------

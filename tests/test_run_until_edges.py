@@ -177,3 +177,56 @@ class TestPartialReportStart:
         assert report.end_time > arrival
         # The 50 idle seconds before the arrival are not in the window.
         assert report.makespan == report.end_time - arrival
+
+
+class TestOutOfOrderSubmit:
+    """Requests submitted across calls, later ones arriving earlier:
+    the pending queue must stay in arrival order, so the engine serves
+    them exactly as if they had been submitted in one call."""
+
+    @staticmethod
+    def timings(batches, fast_forward):
+        engine = make_engine(fast_forward=fast_forward)
+        for index, arrivals in enumerate(batches):
+            engine.submit(
+                fixed_trace(
+                    count=len(arrivals),
+                    prompt_len=1_000,
+                    max_new_tokens=8,
+                    name=f"batch{index}",
+                    arrivals=arrivals,
+                )
+            )
+        report = engine.run()
+        return sorted(
+            (r.arrival_time, repr(r.admitted_time), repr(r.ttft))
+            for r in report.requests
+        )
+
+    @pytest.mark.parametrize("fast_forward", [True, False])
+    def test_two_submits_match_one(self, fast_forward):
+        split = self.timings([[5.0], [1.0, 3.0]], fast_forward)
+        whole = self.timings([[5.0, 1.0, 3.0]], fast_forward)
+        assert split == whole
+        # The t=1 request is admitted on arrival, not behind t=5.
+        assert split[0][1] == repr(1.0)
+
+    def test_equal_arrivals_keep_submission_order(self):
+        engine = make_engine()
+        first = fixed_trace(
+            count=2,
+            prompt_len=64,
+            max_new_tokens=2,
+            name="first",
+            arrivals=[2.0, 4.0],
+        )
+        second = fixed_trace(
+            count=1,
+            prompt_len=64,
+            max_new_tokens=2,
+            name="second",
+            arrivals=[2.0],
+        )
+        engine.submit(first)
+        engine.submit(second)
+        assert list(engine._pending) == [first[0], second[0], first[1]]
