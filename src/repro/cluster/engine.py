@@ -47,7 +47,7 @@ the fixed-fleet engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError, SchedulingError
@@ -56,7 +56,7 @@ from ..metrics.rolling import RollingPercentileTracker
 from ..metrics.telemetry import ClusterTelemetry
 from ..metrics.telemetry import active as active_telemetry
 from ..scheduling import validate_scheduler_policy
-from ..serving.engine import EngineConfig, LLMEngine, _default_fast_forward
+from ..serving.engine import EngineConfig, LLMEngine
 from ..serving.request import Request
 from ..sim.events import EventKind, EventQueue
 from ..sim.fastforward import FleetStretchExecutor, StretchOracle
@@ -124,14 +124,6 @@ class ClusterConfig:
     backlog_guard_tokens: int = 65_536
     #: Rolling window the SLO tracker keeps TTFT completions over.
     slo_window_seconds: float = 30.0
-    #: Run the cluster through the joint-horizon fast loop (skip no-op
-    #: replica sweeps; route whole arrival windows against analytic
-    #: replica views). Request-level results are identical to the
-    #: legacy next-event loop; ``False`` runs that loop byte-for-byte.
-    #: Defaults to the same switch as the per-engine decode
-    #: fast-forwarder (``repro.serving.engine.DEFAULT_FAST_FORWARD``),
-    #: so one flip toggles both layers.
-    fast_forward: bool = field(default_factory=_default_fast_forward)
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -547,7 +539,7 @@ class ClusterEngine:
         #: different global order than whole-window sweeps would.
         self._fleet_exec: Optional[FleetStretchExecutor] = (
             FleetStretchExecutor()
-            if config.fast_forward and self._telemetry is None
+            if config.engine.fast_forward and self._telemetry is None
             else None
         )
 
@@ -598,7 +590,13 @@ class ClusterEngine:
         and ``DRAIN_COMPLETE`` (a draining replica emptied and
         retires). Under the static policy none of these are scheduled
         and the loop below reduces exactly to the fixed-fleet one.
+
+        A cluster runs once: a second call raises
+        :class:`~repro.errors.SchedulingError` instead of re-routing
+        every submitted request.
         """
+        if self._started:
+            raise SchedulingError("cluster already ran; run() is one-shot")
         self._started = True
         if self._telemetry is not None:
             for replica in self.replicas:
@@ -615,7 +613,7 @@ class ClusterEngine:
                 first + self.config.scale_decide_interval,
                 EventKind.SCALE_DECIDE,
             )
-        if self.config.fast_forward:
+        if self.config.engine.fast_forward:
             self._run_fast_loop()
         else:
             self._run_event_loop()
@@ -666,7 +664,7 @@ class ClusterEngine:
             self._dispatch_drain_complete(event.time, event.payload)
 
     def _run_event_loop(self) -> None:
-        """The legacy next-event loop (``fast_forward=False``)."""
+        """The legacy next-event loop (``engine.fast_forward=False``)."""
         while True:
             horizon = self._joint_horizon()
             # Event sources first: every migration born before the next
@@ -686,7 +684,7 @@ class ClusterEngine:
                 self._dispatch_event(event)
 
     def _run_fast_loop(self) -> None:
-        """The joint-horizon loop (``fast_forward=True``).
+        """The joint-horizon loop (``engine.fast_forward=True``).
 
         Request-level identical to :meth:`_run_event_loop`; it drops
         work the legacy loop provably wastes:

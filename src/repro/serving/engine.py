@@ -152,7 +152,11 @@ class EngineConfig:
     #: either way (the horizon contract guarantees it; the golden and
     #: equivalence tests enforce it) — only wall-clock changes. Turn off
     #: to force the legacy per-iteration loop, e.g. for experiments that
-    #: study the per-iteration latency *series* itself.
+    #: study the per-iteration latency *series* itself. A cluster's
+    #: template engine config also switches the fleet layer: on, the
+    #: joint-horizon fast loop (skip no-op replica sweeps, route whole
+    #: arrival windows against analytic replica views); off, the legacy
+    #: next-event loop, byte for byte.
     fast_forward: bool = field(default_factory=_default_fast_forward)
     label: str = ""
 
@@ -367,10 +371,10 @@ class LLMEngine:
             self._outstanding += self._contribution(request)
         self._prep_version += 1
 
-    def run(self, max_iterations: Optional[int] = None) -> RunReport:
+    def run(self) -> RunReport:
         """Serve all submitted requests; returns the run report."""
         start = self.clock.now
-        self._serve(math.inf, max_iterations)
+        self._serve(math.inf)
         report = RunReport(
             requests=list(self._all_requests),
             metrics=self.metrics,
@@ -405,7 +409,7 @@ class LLMEngine:
         next arrival), so requests dispatched later are not penalized.
         Returns the number of iterations executed.
         """
-        return self._serve(deadline, None)
+        return self._serve(deadline)
 
     def begin_steady_stretch(self, deadline: float):
         """Stage this engine's next analytic decode stretch, if provable.
@@ -433,24 +437,19 @@ class LLMEngine:
             return None
         if self.clock.now >= deadline:
             return None
-        return self._fast.prepare(deadline, None)
+        return self._fast.prepare(deadline)
 
-    def _serve(
-        self, deadline: float, max_iterations: Optional[int]
-    ) -> int:
+    def _serve(self, deadline: float) -> int:
         """The scheduler loop behind :meth:`run` and :meth:`run_until`.
 
         With ``fast_forward`` on, every pass first offers the pending
         work to the decode fast-forwarder (:mod:`repro.sim.fastforward`);
         stretches it cannot prove steady — prefills, allocation events,
         preemptions, anything near an arrival or completion — fall
-        through to the per-iteration path below, unchanged. Fast-forwarded
-        iterations count against ``max_iterations`` one for one.
+        through to the per-iteration path below, unchanged.
         """
         iterations = 0
         while self.has_work():
-            if max_iterations is not None and iterations >= max_iterations:
-                break
             self._ingest_arrivals()
             if self._serve_start is None and (self._waiting or self._running):
                 # Serving begins when the first request is in front of
@@ -471,12 +470,7 @@ class LLMEngine:
             if self.clock.now >= deadline:
                 break
             if self.config.fast_forward:
-                budget = (
-                    None
-                    if max_iterations is None
-                    else max_iterations - iterations
-                )
-                done = self._fast.execute(deadline, budget)
+                done = self._fast.execute(deadline)
                 if done:
                     iterations += done
                     continue

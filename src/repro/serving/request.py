@@ -9,6 +9,7 @@ the end-to-end experiments (Figures 9-11).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -94,6 +95,11 @@ class Request:
             raise ConfigError(
                 f"{self.request_id}: max_new_tokens must be positive, "
                 f"got {self.max_new_tokens}"
+            )
+        if not math.isfinite(self.arrival_time):
+            raise ConfigError(
+                f"{self.request_id}: arrival_time must be finite, "
+                f"got {self.arrival_time}"
             )
         if self.prefix is not None and self.prefix.tokens > self.prompt_len:
             raise ConfigError(

@@ -8,9 +8,9 @@ arithmetic whose operands evolve by integer increments. When the next K
 iterations are *provably* such steps, executing them one Python loop at
 a time buys nothing: the outcome is known analytically.
 
-:class:`DecodeFastForwarder` executes those K iterations in one tight
-loop that performs **exactly the same float operations in exactly the
-same order** as the per-iteration path — the clock, every request
+:class:`DecodeFastForwarder` executes those K iterations through one
+series evaluation (:func:`_series`) that performs **exactly the same
+float operations in exactly the same order** as the per-iteration path — the clock, every request
 timestamp, every latency sum and every backend counter come out
 bit-identical (the golden and equivalence tests enforce this). What it
 skips is the per-iteration *machinery*: scheduling-view construction,
@@ -31,15 +31,16 @@ spells out the contract):
 3. **Completion** — tokens until the earliest request in the batch
    finishes (token budget or model context limit).
 4. **Events** — the next pending arrival and the caller's ``run_until``
-   deadline, checked against the live clock inside the loop (an
-   iteration that would *start* past either never runs, matching the
+   deadline, checked against each iteration's start time (an iteration
+   that would *start* at or past either never runs, matching the
    per-iteration loop's semantics exactly).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+import math
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - numpy is part of the baked toolchain
     import numpy as _np
@@ -57,14 +58,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: and the 62-bit headroom keep any real stretch far below it.
 UNBOUNDED_HORIZON = 1 << 62
 
-#: Minimum provable horizon at which the vectorized executor pays for
-#: its array setup; shorter stretches run the scalar loop.
+#: Minimum provable horizon at which the numpy series pays for its
+#: array setup; shorter stretches run the pure-Python series.
 VECTOR_THRESHOLD = 8
 
 #: Minimum summed horizon (iterations across replicas) at which the
 #: fleet executor stacks concurrent stretches into one batched series
-#: evaluation; below it each stretch runs its own (vector or scalar)
-#: path — the stacking bookkeeping would cost more than it saves.
+#: evaluation; below it each stretch runs its own series — the
+#: stacking bookkeeping would cost more than it saves.
 FLEET_VOLUME_THRESHOLD = 64
 
 
@@ -179,6 +180,63 @@ class _StretchPrep:
     )
 
 
+def _series(
+    prep: _StretchPrep, n: int, stop_time: float, attention=None
+) -> Tuple[List[float], List[float]]:
+    """The first ``n`` iterations' compute times and start times.
+
+    Returns ``(compute, starts)``: ``compute[i]`` is iteration ``i``'s
+    latency term and ``starts[i]`` the clock at which it starts, so
+    ``starts[i + 1] = starts[i] + compute[i]`` — the per-iteration
+    loop's ``now += compute`` recurrence, float for float. The numpy
+    form (long stretches, or a caller-supplied ``attention`` series)
+    evaluates all ``n`` iterations; the pure-Python form stops after the
+    first start at or past ``stop_time``, so it never computes an
+    iteration that would not run. Either way ``starts`` is sorted, and
+    every start strictly before ``stop_time`` among the first ``n`` is
+    present.
+    """
+    if _np is not None and (attention is not None or n >= VECTOR_THRESHOLD):
+        if attention is None:
+            totals = prep.total_tokens + prep.batch_size * _np.arange(
+                n, dtype=_np.int64
+            )
+            attention = prep.kernel._decode_time_total_series(
+                prep.shard, totals, prep.batch_size, prep.resolved_block
+            )
+        fw = prep.overhead
+        if fw is None:
+            fw = _np.array(
+                [prep.plan.overhead_at(i) for i in range(n)], dtype=_np.float64
+            )
+        # Elementwise adds in the scalar form's left-to-right order:
+        # ((((linear + attention) + fw) + cpu) + per_seq.
+        compute = prep.linear + attention + fw + prep.cpu + prep.per_seq
+        # np.cumsum accumulates sequentially, so element i is exactly
+        # the float the serial recurrence reaches.
+        starts = _np.cumsum(_np.concatenate(((prep.start,), compute)))
+        return compute.tolist(), starts.tolist()
+    decode_fn = prep.kernel._decode_time_total
+    plan = prep.plan
+    now = prep.start
+    total = prep.total_tokens
+    compute: List[float] = []
+    starts = [now]
+    for i in range(n):
+        if now >= stop_time:
+            break
+        attention = decode_fn(
+            prep.shard, total, prep.batch_size, prep.resolved_block
+        )
+        fw = prep.overhead if prep.overhead is not None else plan.overhead_at(i)
+        step = prep.linear + attention + fw + prep.cpu + prep.per_seq
+        compute.append(step)
+        now = now + step
+        starts.append(now)
+        total += prep.batch_size
+    return compute, starts
+
+
 class StretchOracle:
     """Closed-form ``run_until`` replay over one prepared stretch.
 
@@ -239,54 +297,15 @@ class StretchOracle:
         if cap < 1:
             prep.oracle = False
             return None
-        if _np is not None:
-            totals = prep.total_tokens + prep.batch_size * _np.arange(
-                cap, dtype=_np.int64
-            )
-            attention = prep.kernel._decode_time_total_series(
-                prep.shard, totals, prep.batch_size, prep.resolved_block
-            )
-            if prep.overhead is not None:
-                fw = prep.overhead
-            else:
-                fw = _np.array(
-                    [plan.overhead_at(i) for i in range(cap)],
-                    dtype=_np.float64,
-                )
-            # The executor's expression and association, elementwise.
-            compute = prep.linear + attention + fw + prep.cpu + prep.per_seq
-            starts = _np.cumsum(_np.concatenate(((prep.start,), compute)))
-            edge = float(starts[cap])
-        else:
-            decode_fn = prep.kernel._decode_time_total
-            now = prep.start
-            total = prep.total_tokens
-            starts = [now]
-            for i in range(cap):
-                attention = decode_fn(
-                    prep.shard, total, prep.batch_size, prep.resolved_block
-                )
-                fw = (
-                    prep.overhead
-                    if prep.overhead is not None
-                    else plan.overhead_at(i)
-                )
-                now = now + (
-                    prep.linear + attention + fw + prep.cpu + prep.per_seq
-                )
-                starts.append(now)
-                total += prep.batch_size
-            edge = starts[cap]
+        _, starts = _series(prep, cap, math.inf)
+        edge = starts[cap]
         prep.oracle = (starts, edge)
         return cls(prep.batch_size, min(edge, prep.stop_time), starts)
 
     def iterations_before(self, time: float) -> int:
         """Iterations ``run_until(time)`` would execute (requires
         ``time < valid_until``)."""
-        starts = self._starts
-        if isinstance(starts, list):
-            return bisect.bisect_left(starts, time)
-        return int(_np.searchsorted(starts, time, side="left"))
+        return bisect.bisect_left(self._starts, time)
 
 
 class DecodeFastForwarder:
@@ -294,43 +313,34 @@ class DecodeFastForwarder:
 
     def __init__(self, engine: "LLMEngine") -> None:
         self.engine = engine
-        #: Last staged-but-unexecuted prep, memoized against the state
-        #: pair (clock value, ``engine._prep_version``). Stretch proofs
-        #: are pure functions of engine state, so while neither moves
-        #: the prep is exactly what :meth:`prepare` would rebuild —
+        #: The proof of bounds 1-3 (a staged prep, or ``None`` for "no
+        #: stretch"), memoized against the state pair (``engine.
+        #: _prep_version``, clock value) it was proved at. Stretch
+        #: proofs are pure functions of engine state, so while neither
+        #: moves the proof is exactly what :meth:`prepare` would redo —
         #: only the deadline-dependent ``stop_time`` is recomputed. The
         #: cluster's analytic router replay restages the same stretch
-        #: many times per arrival window (view rebuilds, then the fleet
-        #: sweep), which this turns into O(1) lookups.
+        #: (or re-queries the same unprovable replica) many times per
+        #: arrival window, which this turns into O(1) lookups.
         self._memo: Optional[_StretchPrep] = None
-        self._memo_version = -1
-        #: State pair at which :meth:`prepare` last proved *no* stretch.
-        #: ``None`` results are deadline-independent (the deadline only
-        #: shapes ``stop_time``, never the proof), so while the state
-        #: pair holds, re-proving is pointless — the cluster replay
-        #: queries an unprovable (opaque) replica once per arrival.
-        self._memo_none = (-1, -1.0)
+        self._memo_state = (-1, -1.0)
 
     # ------------------------------------------------------------------
-    def execute(
-        self, deadline: float, budget: Optional[int] = None
-    ) -> int:
+    def execute(self, deadline: float) -> int:
         """Fast-forward as many steady decode iterations as provable.
 
         Returns the number of iterations executed (0 = no stretch was
         provable; the caller falls back to the per-iteration path).
-        ``budget`` caps the stretch (the ``max_iterations`` interplay);
-        ``deadline`` and the next pending arrival bound it dynamically —
-        an iteration only runs if it *starts* strictly before both.
+        ``deadline`` and the next pending arrival bound the stretch
+        dynamically — an iteration only runs if it *starts* strictly
+        before both.
         """
-        prep = self.prepare(deadline, budget)
+        prep = self.prepare(deadline)
         if prep is None:
             return 0
         return self.finish(prep)
 
-    def prepare(
-        self, deadline: float, budget: Optional[int] = None
-    ) -> Optional[_StretchPrep]:
+    def prepare(self, deadline: float) -> Optional[_StretchPrep]:
         """Prove and stage a steady stretch without executing it.
 
         Pure: no engine, clock or backend state changes. ``None`` means
@@ -338,29 +348,38 @@ class DecodeFastForwarder:
         per-iteration path (or an ordinary ``run_until``).
         """
         engine = self.engine
-        memo = self._memo
-        if (
-            budget is None
-            and memo is not None
-            and self._memo_version == engine._prep_version
-            and memo.start == engine.clock.now
-        ):
-            stop_time = deadline
-            if engine._pending and (
-                memo.batch_size < engine.config.max_batch_size
-                or engine.telemetry is not None
-            ):
-                first_arrival = engine._pending[0].arrival_time
-                if first_arrival < stop_time:
-                    stop_time = first_arrival
-            memo.stop_time = stop_time
-            return memo
         state = (engine._prep_version, engine.clock.now)
-        if budget is None and self._memo_none == state:
+        if self._memo_state != state:
+            self._memo = self._prove()
+            self._memo_state = state
+        prep = self._memo
+        if prep is None:
             return None
+        # --- Bound (4): next arrival / caller deadline, checked live.
+        # A *full* batch renders pending arrivals inert: no policy can
+        # observe the queues through plan_iteration's view, admission
+        # is capacity-gated, and a queued-but-unadmitted request holds
+        # no memory — so until a completion frees a slot (bound 3 ends
+        # the stretch there first), the ingestion instant changes no
+        # float. Only telemetry could see the difference (queue-entry
+        # events), so an instrumented engine keeps the arrival bound.
+        stop_time = deadline
+        if engine._pending and (
+            prep.batch_size < engine.config.max_batch_size
+            or engine.telemetry is not None
+        ):
+            first_arrival = engine._pending[0].arrival_time
+            if first_arrival < stop_time:
+                stop_time = first_arrival
+        prep.stop_time = stop_time
+        return prep
+
+    def _prove(self) -> Optional[_StretchPrep]:
+        """Prove bounds 1-3 and stage the stretch's constant terms."""
+        engine = self.engine
         batch: List["Request"] = list(engine._running)
         if not batch:
-            return self._prove_failed(budget, state)
+            return None
         config = engine.config
         shard = config.shard
 
@@ -377,34 +396,16 @@ class DecodeFastForwarder:
             )
             if remaining < horizon:
                 horizon = remaining
-        if budget is not None and budget < horizon:
-            horizon = budget
         if horizon < 2:
-            return self._prove_failed(budget, state)
+            return None
         # --- Bound (1): the memory backend's steady-state promise.
         plan = engine.memory.decode_fast_path(batch)
         if plan is None:
-            return self._prove_failed(budget, state)
+            return None
         if plan.horizon < horizon:
             horizon = plan.horizon
         if horizon < 2:
-            return self._prove_failed(budget, state)
-        # --- Bound (4): next arrival / caller deadline, checked live.
-        # A *full* batch renders pending arrivals inert: no policy can
-        # observe the queues through plan_iteration's view, admission
-        # is capacity-gated, and a queued-but-unadmitted request holds
-        # no memory — so until a completion frees a slot (bound 3 ends
-        # the stretch there first), the ingestion instant changes no
-        # float. Only telemetry could see the difference (queue-entry
-        # events), so an instrumented engine keeps the arrival bound.
-        stop_time = deadline
-        if engine._pending and (
-            len(batch) < config.max_batch_size
-            or engine.telemetry is not None
-        ):
-            first_arrival = engine._pending[0].arrival_time
-            if first_arrival < stop_time:
-                stop_time = first_arrival
+            return None
 
         # Constant terms of the iteration-latency expression, produced
         # by the same calls (and therefore the same floats) as
@@ -414,7 +415,6 @@ class DecodeFastForwarder:
         prep.plan = plan
         prep.batch = batch
         prep.horizon = horizon
-        prep.stop_time = stop_time
         prep.batch_size = len(batch)
         prep.shard = shard
         prep.linear = linear_decode_time(shard, config.gpu, prep.batch_size)
@@ -436,149 +436,64 @@ class DecodeFastForwarder:
             total_tokens += request.context_len
         prep.total_tokens = total_tokens
         prep.oracle = None
-        if budget is None:
-            self._memo = prep
-            self._memo_version = engine._prep_version
         return prep
-
-    def _prove_failed(self, budget: Optional[int], state) -> None:
-        """Record an unbudgeted proof failure against the state pair."""
-        if budget is None:
-            self._memo_none = state
-        return None
 
     def finish(self, prep: _StretchPrep, attention=None) -> int:
         """Execute a prepared stretch and land its state.
 
         ``attention`` — when supplied by the fleet executor — is this
         stretch's attention-series slice of a stacked evaluation, whose
-        elements are bit-identical to the per-stretch call below.
+        elements are bit-identical to the per-stretch evaluation.
         """
         engine = self.engine
         plan = prep.plan
         batch = prep.batch
-        horizon = prep.horizon
-        stop_time = prep.stop_time
         batch_size = prep.batch_size
-        shard = prep.shard
-        linear = prep.linear
-        kernel = prep.kernel
-        resolved_block = prep.resolved_block
-        decode_fn = kernel._decode_time_total
-        cpu = prep.cpu
-        per_seq = prep.per_seq
-        overhead = prep.overhead
-        has_hooks = prep.has_hooks
-        clock = engine.clock
-        start = prep.start
-        total_tokens = prep.total_tokens
-
-        if _np is not None and (
-            attention is not None or horizon >= VECTOR_THRESHOLD
-        ):
-            # Vectorized executor: the whole stretch's float series in a
-            # handful of array ops, bit-identical to the scalar loop
-            # below (see the inline notes on association).
-            if attention is None:
-                totals = total_tokens + batch_size * _np.arange(
-                    horizon, dtype=_np.int64
-                )
-                attention = kernel._decode_time_total_series(
-                    shard, totals, batch_size, resolved_block
-                )
-            if overhead is not None:
-                fw = overhead
-            else:
-                fw = _np.array(
-                    [plan.overhead_at(i) for i in range(horizon)],
-                    dtype=_np.float64,
-                )
-            # Elementwise adds in the scalar path's left-to-right order:
-            # ((((linear + attention) + fw) + cpu) + per_seq.
-            compute = linear + attention + fw + cpu + per_seq
-            # np.cumsum accumulates sequentially, so acc[i] is the exact
-            # float the serial `now += compute` recurrence reaches —
-            # acc[i] is iteration i's start time, acc[i+1] its end.
-            acc = _np.cumsum(_np.concatenate(((start,), compute)))
-            # Iteration i runs iff it *starts* strictly before stop_time.
-            n = int(_np.searchsorted(acc[:horizon], stop_time, side="left"))
-            if has_hooks:
-                # Hooked plans observe every iteration — but a plan can
-                # prove spans of iterations whose hooks would do nothing
-                # and return True, and a provable no-op changes no state
-                # the next hook decision reads, so skipping the calls is
-                # exact. At fleet scale this turns the per-iteration
-                # Python loop into a handful of span jumps.
-                executed = 0
-                i = 0
-                while i < n:
-                    j = plan.quiescent_until(i, n)
-                    if j > i:
-                        executed = j
-                        i = j
-                        continue
-                    executed = i + 1
-                    if not plan.on_iteration(i, float(compute[i])):
-                        break
-                    i += 1
-            else:
-                executed = n
-            if executed == 0:
-                return 0
-            # diff(acc) is (now + compute) - now, the slow path's latency.
-            latency_series = _np.diff(acc[: executed + 1])
-            latencies = latency_series.tolist()
-            # Serial left-to-right sum, via cumsum's sequential pass.
-            latency_sum = float(_np.cumsum(latency_series)[-1])
-            now = float(acc[executed])
-            last_step_now = float(acc[executed - 1])
-        else:
-            now = start
-            last_step_now = start
-            latency_sum = 0.0
-            #: Exact per-iteration latencies: downstream sums must add
-            #: these (not stretch subtotals) to reproduce the
-            #: per-iteration loop's float association bit for bit.
-            latencies = []
-            record_latency = latencies.append
+        horizon = prep.horizon
+        compute, starts = _series(prep, horizon, prep.stop_time, attention)
+        # Iteration i runs iff it *starts* strictly before stop_time.
+        n = bisect.bisect_left(
+            starts, prep.stop_time, 0, min(len(starts), horizon)
+        )
+        executed = n
+        if prep.has_hooks:
+            # Hooked plans observe every iteration — but a plan can
+            # prove spans of iterations whose hooks would do nothing
+            # and return True, and a provable no-op changes no state
+            # the next hook decision reads, so skipping the calls is
+            # exact. At fleet scale this turns the per-iteration
+            # Python loop into a handful of span jumps.
             executed = 0
-            while executed < horizon:
-                if now >= stop_time:
+            i = 0
+            while i < n:
+                j = plan.quiescent_until(i, n)
+                if j > i:
+                    executed = i = j
+                    continue
+                executed = i + 1
+                if not plan.on_iteration(i, compute[i]):
                     break
-                attention = decode_fn(
-                    shard, total_tokens, batch_size, resolved_block
-                )
-                fw = (
-                    overhead
-                    if overhead is not None
-                    else plan.overhead_at(executed)
-                )
-                # Same left-to-right association as _run_decode's sum.
-                compute = linear + attention + fw + cpu + per_seq
-                last_step_now = now
-                new_now = now + compute
-                # The slow path records latency as (now + compute) - now.
-                latency = new_now - now
-                record_latency(latency)
-                latency_sum += latency
-                now = new_now
-                executed += 1
-                total_tokens += batch_size
-                if has_hooks and not plan.on_iteration(executed - 1, compute):
-                    break
+                i += 1
+        if executed == 0:
+            return 0
+        #: Exact per-iteration latencies — the slow path records
+        #: (now + compute) - now — summed serially: downstream sums must
+        #: add these (not stretch subtotals) to reproduce the
+        #: per-iteration loop's float association bit for bit.
+        latencies = [starts[i + 1] - starts[i] for i in range(executed)]
+        latency_sum = 0.0
+        for latency in latencies:
+            latency_sum += latency
 
-            if executed == 0:
-                return 0
-
-        clock.jump_to(now)
+        engine.clock.jump_to(starts[executed])
         for request in batch:
             request.generated += executed
         # The completion bound kept every member's remaining budget at
         # or above the horizon, so each owes exactly ``executed`` fewer.
         engine._outstanding -= executed * batch_size
-        plan.commit(executed, last_step_now)
+        plan.commit(executed, starts[executed - 1])
         record = IterationRecord(
-            start_time=start,
+            start_time=prep.start,
             phase="decode",
             batch_size=batch_size,
             latency=latency_sum,

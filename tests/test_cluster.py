@@ -109,6 +109,16 @@ class TestClusterConfig:
         with pytest.raises(SchedulingError):
             c.submit(trace(count=2))
 
+    def test_second_run_rejected(self):
+        c = cluster(2)
+        c.submit(trace(count=4))
+        report = c.run()
+        assert len(report.records) == 4
+        # A second run would re-route every submitted request.
+        with pytest.raises(SchedulingError):
+            c.run()
+        assert len(report.records) == 4
+
 
 # ----------------------------------------------------------------------
 # Routing policies over fake replicas

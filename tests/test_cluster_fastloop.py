@@ -1,6 +1,6 @@
 """Joint-horizon cluster fast-loop edge cases.
 
-The fast loop (``ClusterConfig.fast_forward``) sweeps replicas to a
+The fast loop (the template ``engine.fast_forward``) sweeps replicas to a
 joint fleet horizon and routes arrival windows against lazy analytic
 replica views. These
 tests pin its boundary behaviour: equal-time event ties dispatch in

@@ -86,15 +86,6 @@ class TestBasicServing:
         assert times == sorted(times)
         assert report.makespan > 0
 
-    def test_max_iterations_cap(self):
-        engine = make_engine()
-        engine.submit(fixed_trace(count=1, prompt_len=500, max_new_tokens=50))
-        report = engine.run(max_iterations=5)
-        # Fast-forwarded stretches count against the cap one iteration
-        # at a time (a record may cover several of them).
-        assert report.metrics.iteration_count() == 5
-        assert sum(r.tokens for r in report.metrics.iterations) == 500 + 4
-
     def test_batch_cap_respected(self):
         engine = make_engine(max_batch_size=2)
         engine.submit(fixed_trace(count=6, prompt_len=500, max_new_tokens=5))

@@ -15,15 +15,21 @@ Two layers of enforcement:
   nothing to sweep; the two that pin ``fast_forward=False`` internally
   (fig12, ext-chunked: their *subject* is the per-iteration series)
   still run to prove the pin holds.
+
+Both layers run once more with numpy masked out (the golden scenarios
+and the cluster sweep), so the pure-Python stretch series an install
+without numpy takes is held to the same bar.
 """
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 import fcfs_golden
 import repro.serving.engine as engine_module
+import repro.sim.fastforward as fastforward_module
 from repro.cluster.autoscaler import AUTOSCALER_POLICIES
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.router import policy_names
@@ -41,33 +47,42 @@ from repro.experiments import (
     fig12_overlap_ablation,
     fig15_max_batch_size,
 )
+from repro.gpu.spec import A100
+from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
+from repro.serving.engine import EngineConfig, LLMEngine
 from repro.units import MB
+from repro.workloads.traces import fixed_trace
 
 
 # ----------------------------------------------------------------------
 # Golden scenarios with the fast path on
 # ----------------------------------------------------------------------
-class TestGoldenEquivalence:
-    @pytest.fixture(scope="class")
-    def golden(self):
-        with open(fcfs_golden.GOLDEN_PATH) as handle:
-            return json.load(handle)
+@pytest.fixture(scope="module")
+def golden():
+    with open(fcfs_golden.GOLDEN_PATH) as handle:
+        return json.load(handle)
 
+
+def assert_matches_golden(golden, scenario):
+    live = fcfs_golden.canonicalize(
+        fcfs_golden.SCENARIOS[scenario](fast_forward=True)
+    )
+    assert fcfs_golden.summarize(live) == fcfs_golden.summarize(
+        golden[scenario]
+    )
+    # Strongest form: the per-iteration latency series (stretches
+    # expanded through their stored values) is byte-identical to the
+    # legacy loop's, entry for entry.
+    assert fcfs_golden.iteration_series(live) == (
+        fcfs_golden.iteration_series(golden[scenario])
+    )
+
+
+class TestGoldenEquivalence:
     @pytest.mark.parametrize("scenario", sorted(fcfs_golden.SCENARIOS))
     def test_fast_forward_matches_golden(self, golden, scenario):
-        live = fcfs_golden.canonicalize(
-            fcfs_golden.SCENARIOS[scenario](fast_forward=True)
-        )
-        assert fcfs_golden.summarize(live) == fcfs_golden.summarize(
-            golden[scenario]
-        )
-        # Strongest form: the per-iteration latency series (stretches
-        # expanded through their stored values) is byte-identical to
-        # the legacy loop's, entry for entry.
-        assert fcfs_golden.iteration_series(live) == (
-            fcfs_golden.iteration_series(golden[scenario])
-        )
+        assert_matches_golden(golden, scenario)
 
     @pytest.mark.parametrize("scenario", sorted(fcfs_golden.SCENARIOS))
     def test_fast_forward_aggregates_records(self, golden, scenario):
@@ -138,9 +153,9 @@ class TestCatalogueSweep:
 # ----------------------------------------------------------------------
 # Every cluster-driven experiment configuration, at test scale: the
 # three routing policies, the disaggregated prefill/decode split, and
-# one fleet per autoscaler policy. ``ClusterConfig.fast_forward``
-# follows the same module default the engines read, so one flip drives
-# both the fleet loop and every replica's decode fast-forwarding.
+# one fleet per autoscaler policy. The template engine config's
+# ``fast_forward`` drives both the fleet loop and every replica's decode
+# fast-forwarding, so one flip of the module default toggles both.
 CLUSTER_COUNT = 24
 CLUSTER_QPS = 8.0
 
@@ -252,14 +267,18 @@ def _cluster_fingerprint(report):
     )
 
 
+def assert_cluster_identical_on_and_off(name, monkeypatch):
+    monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
+    fast = _cluster_fingerprint(CLUSTER_SWEEP[name]())
+    monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
+    legacy = _cluster_fingerprint(CLUSTER_SWEEP[name]())
+    assert fast == legacy
+
+
 class TestClusterSweep:
     @pytest.mark.parametrize("name", sorted(CLUSTER_SWEEP))
     def test_identical_on_and_off(self, name, monkeypatch):
-        monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
-        fast = _cluster_fingerprint(CLUSTER_SWEEP[name]())
-        monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
-        legacy = _cluster_fingerprint(CLUSTER_SWEEP[name]())
-        assert fast == legacy
+        assert_cluster_identical_on_and_off(name, monkeypatch)
 
     def test_covers_every_routing_policy(self):
         swept = {
@@ -315,3 +334,53 @@ class TestClusterSweep:
             if "ClusterEngine(" in path.read_text()
         }
         assert drivers == {"ext_cluster_router", "ext_autoscale"}
+
+
+# ----------------------------------------------------------------------
+# Without numpy: the pure-Python stretch series
+# ----------------------------------------------------------------------
+class TestWithoutNumpy:
+    """numpy is an optional accelerator. With it masked out, every
+    stretch (and the fleet executor) runs the pure-Python series — the
+    path an install without numpy takes — and must stay exact."""
+
+    @pytest.fixture(autouse=True)
+    def no_numpy(self, monkeypatch):
+        monkeypatch.setattr(fastforward_module, "_np", None)
+
+    @pytest.mark.parametrize("scenario", sorted(fcfs_golden.SCENARIOS))
+    def test_fast_forward_matches_golden(self, golden, scenario):
+        assert_matches_golden(golden, scenario)
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_SWEEP))
+    def test_cluster_identical_on_and_off(self, name, monkeypatch):
+        assert_cluster_identical_on_and_off(name, monkeypatch)
+
+    def test_series_forms_agree_and_stop_at_stop_time(self):
+        """The pure-Python series reproduces the numpy one float for
+        float, and computes no iteration that starts at or past the
+        stop time."""
+        numpy = pytest.importorskip("numpy")
+        engine = LLMEngine(
+            EngineConfig(
+                shard=ShardedModel(YI_6B, 1),
+                gpu=A100,
+                memory_backend="vattention",
+                max_batch_size=8,
+            )
+        )
+        engine.submit(fixed_trace(count=4, prompt_len=500, max_new_tokens=64))
+        prep = engine.begin_steady_stretch(math.inf)
+        while prep is None:  # step through the prefills
+            engine.run_until(math.nextafter(engine.clock.now, math.inf))
+            prep = engine.begin_steady_stretch(math.inf)
+        n = prep.horizon
+        assert n >= fastforward_module.VECTOR_THRESHOLD
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fastforward_module, "_np", numpy)
+            compute, starts = fastforward_module._series(prep, n, math.inf)
+        assert len(compute) == n and len(starts) == n + 1
+        # Iteration 3 starts exactly at the stop time, so it never runs.
+        py_compute, py_starts = fastforward_module._series(prep, n, starts[3])
+        assert py_compute == compute[:3]
+        assert py_starts == starts[:4]

@@ -1,5 +1,7 @@
 """Request lifecycle state machine."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError, SchedulingError
@@ -27,6 +29,13 @@ class TestConstruction:
     def test_rejects_zero_decode(self):
         with pytest.raises(ConfigError):
             make_request(max_new_tokens=0)
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_arrival(self, arrival):
+        # A NaN arrival never compares due, so the serve loop would spin
+        # forever; an infinite one would drag the clock to inf.
+        with pytest.raises(ConfigError):
+            make_request(arrival_time=arrival)
 
 
 class TestPrefill:

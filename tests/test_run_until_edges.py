@@ -2,15 +2,13 @@
 
 The deadline contract: an iteration that *starts* before the deadline
 runs to completion (the clock may overshoot by the iteration in
-flight), an idle engine never advances past the deadline, and
-``max_iterations`` counts fast-forwarded iterations one for one.
+flight), and an idle engine never advances past the deadline.
 """
 
 import math
 
 import pytest
 
-import repro.serving.engine as engine_module
 from repro.gpu.spec import A100
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
@@ -110,32 +108,6 @@ class TestOvershoot:
         # The arrival is beyond the deadline: the clock must not run
         # ahead to it (requests dispatched later are not penalized).
         assert engine.clock.now == now
-
-
-class TestMaxIterationsInterplay:
-    @pytest.mark.parametrize("budget", [1, 2, 5, 7])
-    def test_fast_path_counts_against_budget(self, budget, monkeypatch):
-        def tokens_after(ff):
-            monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", ff)
-            engine = make_engine()
-            engine.submit(
-                fixed_trace(count=1, prompt_len=500, max_new_tokens=64)
-            )
-            report = engine.run(max_iterations=budget)
-            return (
-                report.metrics.iteration_count(),
-                [r.generated for r in report.requests],
-                repr(report.end_time),
-            )
-
-        assert tokens_after(True) == tokens_after(False)
-
-    def test_budget_of_one_runs_single_iteration(self):
-        engine = make_engine()
-        engine.submit(fixed_trace(count=1, prompt_len=500, max_new_tokens=64))
-        report = engine.run(max_iterations=1)
-        assert report.metrics.iteration_count() == 1
-        assert report.metrics.iterations[0].phase == "prefill"
 
 
 class TestPartialReportStart:

@@ -137,7 +137,6 @@ class TestClusterFastLoopSpans:
                     ),
                     n_replicas=2,
                     routing_policy="round_robin",
-                    fast_forward=fast_forward,
                 )
             )
             cluster.submit(

@@ -1,5 +1,7 @@
 """Swap-to-host preemption extension (paper S5.3.3 future work)."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError, SchedulingError
@@ -158,7 +160,8 @@ class TestEngineIntegration:
         engine.submit(
             fixed_trace(count=1, prompt_len=16_384, max_new_tokens=300)
         )
-        engine.run(max_iterations=3)  # prefill + a couple of decodes
+        for _ in range(3):  # prefill + a couple of decodes
+            engine.run_until(math.nextafter(engine.clock.now, math.inf))
         (victim,) = engine._running
         assert victim.prefill_done
 
