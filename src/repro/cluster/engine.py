@@ -293,20 +293,30 @@ class _ReplicaReplay(ReplicaView):
     predictor (:class:`~repro.sim.fastforward.StretchOracle`, or a
     constant for idle/parked/overshot replicas) is valid, observations
     cost a ``searchsorted`` (backlog) or a frozen-tree probe (cache) —
-    no sweep. When the predictor expires, or the replica just received
-    a submission it cannot see (the submit bumps ``_prep_version``), the
-    replica is swept to the query instant with a real ``run_until`` —
-    exact by the run-until composition the fast loop is built on — and
-    the predictor rebuilt from a fresh steady-stretch prep. Every answer
-    therefore equals what per-arrival dispatch would have observed.
+    no sweep. When the predictor expires, the replica is swept to the
+    query instant with a real ``run_until`` — exact by the run-until
+    composition the fast loop is built on — and the predictor rebuilt
+    from a fresh steady-stretch prep. Every answer therefore equals
+    what per-arrival dispatch would have observed.
+
+    A submission alone does not expire a predictor. Its tokens join
+    the backlog at once (the view adds the contributions of requests
+    submitted since its last rebuild), and its arrival is bounded by
+    the engine's live arrival cap (:meth:`~repro.serving.engine.
+    LLMEngine._arrival_cap`, the bound a stretch proof applies too): a
+    query at or past the cap sweeps. A full batch has no cap — the
+    queued request cannot be admitted before a completion, and the
+    predictor expires before the first one — so a submission to a busy
+    replica is answered in O(1).
 
     Views persist *across* arrival windows (the cluster loop keeps one
     per replica). Predictor answers stay exact across the intervening
     fleet execution because:
 
-    * every mutation a prediction cannot model bumps the engine's
-      ``_prep_version`` (submission, drain entry, preemption) — checked
-      on every sync;
+    * every mutation a prediction cannot model either bumps the
+      engine's ``_batch_version`` (admission, prefix eviction,
+      preemption, retirement, drain entry) or is a pending arrival
+      under the live cap — both checked on every sync;
     * execution between windows only runs the *modeled* iterations for
       an untouched replica: the fleet executor's stretches are
       deterministic continuations of the prepped stretch, the oracle's
@@ -314,9 +324,8 @@ class _ReplicaReplay(ReplicaView):
       possible hook effect, and queries are monotone past every sweep
       horizon — so any execution beyond the modeled span implies the
       next query time already expired the predictor;
-    * an idle replica cannot change except by submission, and a parked
-      replica cannot change before its next pending arrival (its
-      validity bound) — sweeps to earlier instants are no-ops.
+    * an idle or parked replica cannot change before its next pending
+      arrival (the live cap) — sweeps to earlier instants are no-ops.
     """
 
     __slots__ = (
@@ -329,7 +338,8 @@ class _ReplicaReplay(ReplicaView):
         "_oracle",
         "_valid",
         "_version",
-        "_state",
+        "_clock",
+        "_submitted",
     )
 
     def __init__(self, replica: Replica, window: _Window) -> None:
@@ -342,7 +352,8 @@ class _ReplicaReplay(ReplicaView):
         self._oracle: Optional[StretchOracle] = None
         self._valid = -math.inf
         self._version = -1
-        self._state: Optional[tuple] = None
+        self._clock = -math.inf
+        self._submitted = 0
 
     def _sync(self) -> None:
         """Bind observations to the window's current arrival instant."""
@@ -350,34 +361,41 @@ class _ReplicaReplay(ReplicaView):
         self._seq = window.seq
         time = self._time = window.time
         engine = self.replica.engine
-        if time < self._valid and engine._prep_version == self._version:
-            return
-        clock_now = engine.clock.now
         if (
-            clock_now >= time
-            and (engine._prep_version, clock_now) == self._state
+            engine._batch_version == self._version
+            and time < engine._arrival_cap()
+            and (
+                time < self._valid
+                # The clock already overshot the query instant and has
+                # not moved since the last rebuild: ``run_until(time)``
+                # is a provable no-op (the serve prologue is idempotent
+                # at a fixed state pair), so every answer is the last
+                # rebuild's. Common for opaque replicas queried
+                # repeatedly inside an arrival burst.
+                or time <= engine.clock.now == self._clock
+            )
         ):
-            # The engine's clock already overshot the query instant and
-            # its state pair is unchanged since the last rebuild:
-            # ``run_until(time)`` is a provable no-op (the serve
-            # prologue is idempotent at a fixed state pair), so the
-            # observed state — and every answer derived from it — is
-            # identical to the last rebuild's. Common for opaque
-            # replicas queried repeatedly inside an arrival burst.
+            # Still exact; only the tokens submitted since join.
+            requests = engine._all_requests
+            for request in requests[self._submitted:]:
+                self._base += engine._contribution(request)
+            self._submitted = len(requests)
             return
         engine.run_until(time)
         self._rebuild()
-        self._version = engine._prep_version
-        self._state = (engine._prep_version, engine.clock.now)
+        self._version = engine._batch_version
+        self._clock = engine.clock.now
+        self._submitted = len(engine._all_requests)
 
     def _rebuild(self) -> None:
         engine = self.replica.engine
         self._oracle = None
         self._base = engine.outstanding_tokens
-        if not engine.has_work():
-            # Idle: nothing changes until the next submission (which
-            # bumps the version stamp) — backlog stays 0, the tree
-            # stays frozen.
+        if not engine._running:
+            # Idle or parked (the sweep just ran the serve prologue, so
+            # nothing more is admissible now): nothing changes before
+            # the next pending arrival, which the live arrival cap
+            # bounds — the backlog is constant, the tree frozen.
             self._valid = math.inf
             return
         # An unbounded deadline: the oracle's own validity edge (hook
@@ -397,11 +415,6 @@ class _ReplicaReplay(ReplicaView):
             # provable no-op, so the observed state is constant for the
             # rest of *this* window (later windows must re-prove).
             self._valid = self._window.bound
-        elif not engine._running:
-            # Parked: nothing is admitted and nothing can start before
-            # the next pending arrival; constant until then.
-            pending = engine._pending
-            self._valid = pending[0].arrival_time if pending else math.inf
         else:
             # Running but no provable steady stretch (prefill next,
             # stretch too short, ...): opaque — sweep per query.
@@ -707,9 +720,10 @@ class ClusterEngine:
           syncs lazily on its first observation at an arrival instant:
           its backlog is replayed closed-form from the replica's steady
           decode stretch and its radix tree probed frozen, with a real
-          single-replica sweep exactly where a closed form expires (on
-          submission, at a stretch's hook/completion edge, or past a
-          predictor's ``stop_time``). A view the router never reads is
+          single-replica sweep exactly where a closed form expires (at
+          a batch change, a stretch's hook/completion edge, a
+          predictor's ``stop_time``, or the live arrival cap of a
+          replica with a free slot). A view the router never reads is
           never swept, so ``round_robin`` routes a window as pure
           bookkeeping and each engine then crosses it in analytic
           stretches broken only by its own admissions. The serving set

@@ -23,12 +23,12 @@ into the inserts.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from ..errors import ConfigError
+from .stats import sorted_percentile
 
 
 class RollingPercentileTracker:
@@ -100,17 +100,9 @@ class RollingPercentileTracker:
             return None
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"q must be in [0, 100], got {q}")
-        # Same linear interpolation as :func:`repro.metrics.stats.percentile`
-        # — applied to the incrementally maintained order, skipping the sort.
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1.0 - frac) + ordered[high] * frac
+        # Same interpolation as :func:`repro.metrics.stats.percentile`,
+        # applied to the incrementally maintained order (no sort).
+        return sorted_percentile(ordered, q)
 
     def attainment(
         self, threshold: float, now: Optional[float] = None

@@ -33,7 +33,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(values)
+    return sorted_percentile(sorted(values), q)
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of an already-sorted, non-empty sequence."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -42,7 +46,10 @@ def percentile(values: Sequence[float], q: float) -> float:
     if low == high:
         return ordered[low]
     frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+    value = ordered[low] * (1.0 - frac) + ordered[high] * frac
+    # The blend can round outside its endpoints (two subnormal halves
+    # underflow to 0.0), so pin it between them.
+    return min(max(value, ordered[low]), ordered[high])
 
 
 def median(values: Sequence[float]) -> float:

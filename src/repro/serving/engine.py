@@ -253,13 +253,20 @@ class LLMEngine:
         #: preemption, retirement — applies the exact integer delta, so
         #: the counter always equals the O(n) scan it replaced.
         self._outstanding = 0
-        #: Monotone stamp of scheduling-state changes that do *not*
-        #: move the clock: submissions, drain entry, preemptions. Every
-        #: other mutation an executed iteration makes advances the
-        #: clock, so (clock value, this stamp) together identify an
-        #: engine state exactly — the decode fast-forwarder memoizes
-        #: its staged-but-unexecuted stretch prep against the pair.
-        self._prep_version = 0
+        #: Monotone stamp of the changes a stretch proof reads that do
+        #: *not* move the clock: an admission into the running batch, a
+        #: failed admission check that evicted cached prefixes, a
+        #: preemption, a retirement, drain entry. Every other mutation
+        #: a proof reads comes from an executed iteration, which
+        #: advances the clock, so (this stamp, clock value) identifies
+        #: the proof's inputs exactly — the decode fast-forwarder
+        #: memoizes its stretch prep against the pair. A submission
+        #: does not bump it: a queued request is outside the proof, and
+        #: the arrival bound (:meth:`_arrival_cap`) is applied live.
+        self._batch_version = 0
+        #: Iterations executed one at a time (prefill, mixed, or decode
+        #: the fast-forwarder could not prove steady).
+        self.stepped_iterations = 0
         #: Last :class:`SchedulingView` handed out; reused while the
         #: clock and drain flag are unchanged (views are frozen).
         self._view_cache: Optional[SchedulingView] = None
@@ -369,7 +376,6 @@ class LLMEngine:
             pending.insert(index, request)
             self._all_requests.append(request)
             self._outstanding += self._contribution(request)
-        self._prep_version += 1
 
     def run(self) -> RunReport:
         """Serve all submitted requests; returns the run report."""
@@ -480,6 +486,7 @@ class LLMEngine:
 
     def _run_iteration(self) -> None:
         """Execute the iteration the scheduling policy planned."""
+        self.stepped_iterations += 1
         plan = self.scheduler.plan_iteration(
             self._running, self._scheduling_view()
         )
@@ -531,7 +538,7 @@ class LLMEngine:
         rejected by the cluster layer routing around this replica.
         """
         self.draining = True
-        self._prep_version += 1
+        self._batch_version += 1
         withdrawn: List[Request] = []
         dequeued: List[Request] = []
         for queue in (self._pending, self._waiting):
@@ -577,6 +584,27 @@ class LLMEngine:
         for request in (*self._pending, *self._waiting, *self._running):
             total += self._contribution(request)
         return total
+
+    def _arrival_cap(self) -> float:
+        """The earliest instant a pending arrival can change what a
+        decode stretch over the current batch computes.
+
+        The pending head, while the batch has a free slot (it may be
+        admitted the moment it arrives) or telemetry is on (its
+        ingestion is a queue-entry event). A *full* batch renders
+        pending arrivals inert otherwise: no policy can observe the
+        queues through ``plan_iteration``'s view, admission is
+        capacity-gated, and a queued-but-unadmitted request holds no
+        memory — until a completion frees a slot, and the completion
+        bound ends any stretch there first. ``math.inf`` means no cap.
+        """
+        pending = self._pending
+        if pending and (
+            len(self._running) < self.config.max_batch_size
+            or self.telemetry is not None
+        ):
+            return pending[0].arrival_time
+        return math.inf
 
     def _ingest_arrivals(self) -> None:
         while self._pending and self._pending[0].arrival_time <= self.clock.now:
@@ -653,7 +681,15 @@ class LLMEngine:
             request = self.scheduler.next_admission(
                 waiting, self._scheduling_view()
             )
-            if request is None or not self.memory.can_admit(request):
+            if request is None:
+                break
+            cache = self.memory.cache
+            evictions = cache.stats.evictions if cache is not None else 0
+            if not self.memory.can_admit(request):
+                if cache is not None and cache.stats.evictions != evictions:
+                    # The check evicted cached prefixes to make room —
+                    # memory a stretch proof reads — and still failed.
+                    self._batch_version += 1
                 break
             # The instant the scheduler picked the request: queue wait
             # ends here; backend admission and any swap-in restore
@@ -670,6 +706,7 @@ class LLMEngine:
             request.state = RequestState.RUNNING
             request.admitted_time = self.clock.now
             self._running.append(request)
+            self._batch_version += 1
             if self.telemetry is not None:
                 self.telemetry.on_admit(self, request, picked)
 
@@ -911,7 +948,7 @@ class LLMEngine:
     def _evict(self, victim: Request) -> None:
         """Free ``victim``'s memory under the configured preemption
         policy; charge any device->host transfer to the clock."""
-        self._prep_version += 1
+        self._batch_version += 1
         held = self._contribution(victim)
         outcome = self.memory.evict(victim)
         if outcome.seconds:
@@ -948,3 +985,4 @@ class LLMEngine:
             else:
                 still_running.append(request)
         self._running = still_running
+        self._batch_version += 1

@@ -21,6 +21,7 @@ which the engine adds to iteration latency.
 from __future__ import annotations
 
 import abc
+import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import VAttentionConfig
@@ -187,6 +188,9 @@ class _VattentionDecodePlan(DecodeFastPath):
         self._cross_at: List[float] = []
         self._next_cross: float = float("inf")
         self._batch_rows = sum(len(slot.rows) for slot, _ in slots)
+        #: Iterations already counted into the manager's step stats
+        #: (a resumed stretch commits cumulatively).
+        self._committed = 0
         if overlap:
             self._compute_crossings(-1)
 
@@ -337,7 +341,8 @@ class _VattentionDecodePlan(DecodeFastPath):
             slot.context_len = c0 + executed
             slot.last_used = last_step_now
         stats = self.manager.stats
-        stats.steps += executed
+        stats.steps += executed - self._committed
+        self._committed = executed
         stats.last_step_sync_seconds = 0.0
 
 
@@ -529,7 +534,7 @@ class _PagedDecodePlan(DecodeFastPath):
             blocks.allocation(request.request_id).num_blocks
             for request in batch
         ]
-        #: Stretch-iteration at which each request grows its next block:
+        #: Plan-iteration at which each request grows its next block:
         #: the first i with target c0 + i + 1 > counts * block_size.
         self._grow_at: List[int] = [
             max(0, count * self._block_size - c0)
@@ -538,21 +543,29 @@ class _PagedDecodePlan(DecodeFastPath):
         self._next_grow = min(self._grow_at, default=UNBOUNDED_HORIZON)
         #: The cost only changes when a block grows, so the (bit-exact,
         #: same-function) recomputation runs per growth event, not per
-        #: iteration.
-        self._overhead = self._cost.prepare_seconds(self._counts)
+        #: iteration: ``_costs[k]`` holds from plan-iteration
+        #: ``_changes[k]`` on. Kept, not overwritten, because an index
+        #: may be asked again (an oracle's series, then the stretch's).
+        self._changes: List[int] = [-1]
+        self._costs: List[float] = [self._cost.prepare_seconds(self._counts)]
 
     def overhead_at(self, iteration: int) -> float:
-        if iteration == self._next_grow:
+        while self._next_grow <= iteration:
+            grow = self._next_grow
             block_size = self._block_size
             counts = self._counts
             grow_at = self._grow_at
             for index, (_, c0) in enumerate(self._requests):
-                if grow_at[index] == iteration:
+                if grow_at[index] == grow:
                     counts[index] += 1
                     grow_at[index] = counts[index] * block_size - c0
             self._next_grow = min(grow_at)
-            self._overhead = self._cost.prepare_seconds(counts)
-        return self._overhead
+            self._changes.append(grow)
+            self._costs.append(self._cost.prepare_seconds(counts))
+        changes = self._changes
+        if iteration >= changes[-1]:
+            return self._costs[-1]
+        return self._costs[bisect.bisect_right(changes, iteration) - 1]
 
     def commit(self, executed: int, last_step_now: float) -> None:
         blocks = self._backend.blocks

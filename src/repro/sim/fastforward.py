@@ -73,8 +73,10 @@ class DecodeFastPath:
     """A memory backend's contract for one fast-forwardable stretch.
 
     Built by :meth:`~repro.serving.memory.MemoryBackend.
-    decode_fast_path` against a concrete decode batch. The executor
-    consumes it as follows:
+    decode_fast_path` against a concrete decode batch. Iteration indices
+    count from the plan's build, across every stretch a resumed prep
+    runs over it (:class:`_StretchPrep`). The executor consumes it as
+    follows:
 
     * at most :attr:`horizon` iterations run;
     * each iteration's framework overhead is :attr:`per_iteration_overhead`
@@ -87,7 +89,8 @@ class DecodeFastPath:
       ``False`` ends the stretch *after* that iteration — the next
       iteration would not have been steady;
     * :meth:`commit` lands the aggregate state (contexts, counters) once
-      the executor knows how many iterations actually ran.
+      the executor knows how many iterations actually ran — called again
+      after each resumed stretch, with the cumulative count.
     """
 
     #: Iterations this backend can absorb with no synchronous
@@ -100,7 +103,10 @@ class DecodeFastPath:
     has_hooks: bool = False
 
     def overhead_at(self, iteration: int) -> float:
-        """Framework overhead of stretch-iteration ``iteration`` (0-based)."""
+        """Framework overhead of plan-iteration ``iteration`` (0-based).
+
+        Callers may repeat or revisit an index (an oracle evaluates the
+        series ahead of the stretch that executes it)."""
         raise NotImplementedError  # pragma: no cover - constant-overhead plans
 
     def on_iteration(self, iteration: int, window: float) -> bool:
@@ -121,7 +127,9 @@ class DecodeFastPath:
         return iteration
 
     def commit(self, executed: int, last_step_now: float) -> None:
-        """Apply the aggregate state of ``executed`` iterations.
+        """Apply the aggregate state of the first ``executed`` plan
+        iterations (cumulative: a resumed stretch commits again with the
+        larger count).
 
         ``last_step_now`` is the simulated time at which the final
         iteration's ``step()`` would have run (the clock before its
@@ -157,6 +165,14 @@ class _StretchPrep:
     executor can collect several before executing any. ``attention`` is
     the one term a caller may supply pre-computed (the fleet-stacked
     series evaluation); everything else is per-stretch constants.
+
+    A stretch cut only by its ``stop_time`` *resumes*: the executor
+    advances the prep in place to the first iteration that did not run
+    (``start``, ``total_tokens``, a ``horizon`` shortened by the
+    iterations executed) and keeps it as the proof for the post-stretch
+    state, which is the proof's own continuation. ``base`` counts the
+    plan iterations executed before ``start``, so the plan sees
+    absolute indices (``base + i``) across the resumed stretches.
     """
 
     __slots__ = (
@@ -177,6 +193,7 @@ class _StretchPrep:
         "overhead",
         "has_hooks",
         "oracle",
+        "base",
     )
 
 
@@ -206,8 +223,10 @@ def _series(
             )
         fw = prep.overhead
         if fw is None:
+            base = prep.base
             fw = _np.array(
-                [prep.plan.overhead_at(i) for i in range(n)], dtype=_np.float64
+                [prep.plan.overhead_at(base + i) for i in range(n)],
+                dtype=_np.float64,
             )
         # Elementwise adds in the scalar form's left-to-right order:
         # ((((linear + attention) + fw) + cpu) + per_seq.
@@ -218,6 +237,7 @@ def _series(
         return compute.tolist(), starts.tolist()
     decode_fn = prep.kernel._decode_time_total
     plan = prep.plan
+    base = prep.base
     now = prep.start
     total = prep.total_tokens
     compute: List[float] = []
@@ -228,7 +248,11 @@ def _series(
         attention = decode_fn(
             prep.shard, total, prep.batch_size, prep.resolved_block
         )
-        fw = prep.overhead if prep.overhead is not None else plan.overhead_at(i)
+        fw = (
+            prep.overhead
+            if prep.overhead is not None
+            else plan.overhead_at(base + i)
+        )
         step = prep.linear + attention + fw + prep.cpu + prep.per_seq
         compute.append(step)
         now = now + step
@@ -290,8 +314,11 @@ class StretchOracle:
             return cls(prep.batch_size, min(edge, prep.stop_time), starts)
         plan = prep.plan
         horizon = prep.horizon
+        base = prep.base
         quiet = (
-            plan.quiescent_until(0, horizon) if prep.has_hooks else horizon
+            plan.quiescent_until(base, base + horizon) - base
+            if prep.has_hooks
+            else horizon
         )
         cap = min(quiet, horizon - 1)
         if cap < 1:
@@ -309,21 +336,34 @@ class StretchOracle:
 
 
 class DecodeFastForwarder:
-    """Executes analytic decode stretches for one engine."""
+    """Executes analytic decode stretches for one engine.
+
+    The work counters are plain integers: proofs tried (:meth:`_prove`
+    runs), backend plans built, stretches finished, resumed stretches
+    finished, and iterations executed analytically.
+    """
 
     def __init__(self, engine: "LLMEngine") -> None:
         self.engine = engine
         #: The proof of bounds 1-3 (a staged prep, or ``None`` for "no
         #: stretch"), memoized against the state pair (``engine.
-        #: _prep_version``, clock value) it was proved at. Stretch
-        #: proofs are pure functions of engine state, so while neither
-        #: moves the proof is exactly what :meth:`prepare` would redo —
-        #: only the deadline-dependent ``stop_time`` is recomputed. The
-        #: cluster's analytic router replay restages the same stretch
-        #: (or re-queries the same unprovable replica) many times per
-        #: arrival window, which this turns into O(1) lookups.
+        #: _batch_version``, clock value) it holds for. A proof reads
+        #: only the running batch, its requests and the memory backend,
+        #: and everything that changes those either moves the clock (an
+        #: executed iteration) or bumps the stamp — so while the pair is
+        #: unchanged the proof is exactly what :meth:`prepare` would
+        #: redo, and only the live ``stop_time`` is recomputed. A
+        #: submission moves neither. :meth:`finish` re-keys a stretch
+        #: cut at its ``stop_time`` to the post-stretch pair (the
+        #: resume rule, see :class:`_StretchPrep`), so a stretch cut by
+        #: an arrival or a sweep horizon continues without a re-proof.
         self._memo: Optional[_StretchPrep] = None
         self._memo_state = (-1, -1.0)
+        self.proofs = 0
+        self.plans = 0
+        self.stretches = 0
+        self.resumes = 0
+        self.analytic_iterations = 0
 
     # ------------------------------------------------------------------
     def execute(self, deadline: float) -> int:
@@ -348,34 +388,23 @@ class DecodeFastForwarder:
         per-iteration path (or an ordinary ``run_until``).
         """
         engine = self.engine
-        state = (engine._prep_version, engine.clock.now)
+        state = (engine._batch_version, engine.clock.now)
         if self._memo_state != state:
             self._memo = self._prove()
             self._memo_state = state
         prep = self._memo
         if prep is None:
             return None
-        # --- Bound (4): next arrival / caller deadline, checked live.
-        # A *full* batch renders pending arrivals inert: no policy can
-        # observe the queues through plan_iteration's view, admission
-        # is capacity-gated, and a queued-but-unadmitted request holds
-        # no memory — so until a completion frees a slot (bound 3 ends
-        # the stretch there first), the ingestion instant changes no
-        # float. Only telemetry could see the difference (queue-entry
-        # events), so an instrumented engine keeps the arrival bound.
-        stop_time = deadline
-        if engine._pending and (
-            prep.batch_size < engine.config.max_batch_size
-            or engine.telemetry is not None
-        ):
-            first_arrival = engine._pending[0].arrival_time
-            if first_arrival < stop_time:
-                stop_time = first_arrival
-        prep.stop_time = stop_time
+        # --- Bound (4): next arrival / caller deadline, checked live
+        # (a full batch leaves pending arrivals inert, see
+        # LLMEngine._arrival_cap).
+        cap = engine._arrival_cap()
+        prep.stop_time = cap if cap < deadline else deadline
         return prep
 
     def _prove(self) -> Optional[_StretchPrep]:
         """Prove bounds 1-3 and stage the stretch's constant terms."""
+        self.proofs += 1
         engine = self.engine
         batch: List["Request"] = list(engine._running)
         if not batch:
@@ -402,6 +431,7 @@ class DecodeFastForwarder:
         plan = engine.memory.decode_fast_path(batch)
         if plan is None:
             return None
+        self.plans += 1
         if plan.horizon < horizon:
             horizon = plan.horizon
         if horizon < 2:
@@ -436,6 +466,7 @@ class DecodeFastForwarder:
             total_tokens += request.context_len
         prep.total_tokens = total_tokens
         prep.oracle = None
+        prep.base = 0
         return prep
 
     def finish(self, prep: _StretchPrep, attention=None) -> int:
@@ -450,12 +481,14 @@ class DecodeFastForwarder:
         batch = prep.batch
         batch_size = prep.batch_size
         horizon = prep.horizon
+        base = prep.base
         compute, starts = _series(prep, horizon, prep.stop_time, attention)
         # Iteration i runs iff it *starts* strictly before stop_time.
         n = bisect.bisect_left(
             starts, prep.stop_time, 0, min(len(starts), horizon)
         )
         executed = n
+        resumable = True
         if prep.has_hooks:
             # Hooked plans observe every iteration — but a plan can
             # prove spans of iterations whose hooks would do nothing
@@ -466,16 +499,21 @@ class DecodeFastForwarder:
             executed = 0
             i = 0
             while i < n:
-                j = plan.quiescent_until(i, n)
+                j = plan.quiescent_until(base + i, base + n) - base
                 if j > i:
                     executed = i = j
                     continue
                 executed = i + 1
-                if not plan.on_iteration(i, compute[i]):
+                if not plan.on_iteration(base + i, compute[i]):
+                    resumable = False
                     break
                 i += 1
         if executed == 0:
             return 0
+        self.stretches += 1
+        if base:
+            self.resumes += 1
+        self.analytic_iterations += executed
         #: Exact per-iteration latencies — the slow path records
         #: (now + compute) - now — summed serially: downstream sums must
         #: add these (not stretch subtotals) to reproduce the
@@ -491,7 +529,7 @@ class DecodeFastForwarder:
         # The completion bound kept every member's remaining budget at
         # or above the horizon, so each owes exactly ``executed`` fewer.
         engine._outstanding -= executed * batch_size
-        plan.commit(executed, starts[executed - 1])
+        plan.commit(base + executed, starts[executed - 1])
         record = IterationRecord(
             start_time=prep.start,
             phase="decode",
@@ -514,6 +552,22 @@ class DecodeFastForwarder:
                 engine, record, decodes=batch
             )
             engine.telemetry.on_iteration(engine, record)
+        if resumable and horizon - executed >= 2:
+            # Cut only by stop_time: the post-stretch state is this
+            # proof's continuation — same batch, every member still
+            # owes at least ``horizon - executed`` tokens, the plan's
+            # hooks all returned True — so the prep advanced to the
+            # first iteration that did not run is exactly the proof a
+            # fresh _prove would stage (a paged plan's horizon may be
+            # shorter than a fresh one's, never longer). Below two
+            # iterations a fresh proof would decline; so does this.
+            prep.start = starts[executed]
+            prep.total_tokens += executed * batch_size
+            prep.horizon = horizon - executed
+            prep.base = base + executed
+            prep.oracle = None
+            self._memo = prep
+            self._memo_state = (engine._batch_version, engine.clock.now)
         engine._retire_finished()
         return executed
 

@@ -81,6 +81,12 @@ class TestRollingTracker:
         assert tracker.attainment(5.0) == 0.5
         assert tracker.total_observations == 10
 
+    def test_percentile_stays_within_subnormal_samples(self):
+        tracker = RollingPercentileTracker(None)
+        tracker.observe(0.0, 5e-324)
+        tracker.observe(1.0, 5e-324)
+        assert tracker.percentile(50.0) == 5e-324
+
     def test_window_prunes_old_observations(self):
         tracker = RollingPercentileTracker(5.0)
         tracker.observe(0.0, 100.0)

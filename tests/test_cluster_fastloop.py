@@ -291,7 +291,8 @@ class TestPersistentViewReuse:
             engine = self.replica.engine
             if (
                 window.time < self._valid
-                and engine._prep_version == self._version
+                and window.time < engine._arrival_cap()
+                and engine._batch_version == self._version
             ):
                 analytic.append(self.index)
             real_sync(self)

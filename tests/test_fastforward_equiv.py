@@ -19,6 +19,10 @@ Two layers of enforcement:
 Both layers run once more with numpy masked out (the golden scenarios
 and the cluster sweep), so the pure-Python stretch series an install
 without numpy takes is held to the same bar.
+
+A resumed stretch (a prep advanced in place past a stop-time cut) is
+held to a third bar: at every resume, a fresh proof of the same state
+must stage the same stretch, field by field.
 """
 
 import dataclasses
@@ -48,11 +52,15 @@ from repro.experiments import (
     fig15_max_batch_size,
 )
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
+from repro.serving.memory import _PagedDecodePlan
+from repro.sim.fastforward import DecodeFastForwarder
 from repro.units import MB
-from repro.workloads.traces import fixed_trace
+from repro.workloads.arrival import poisson_arrivals
+from repro.workloads.traces import fixed_trace, shared_prefix_trace
 
 
 # ----------------------------------------------------------------------
@@ -384,3 +392,193 @@ class TestWithoutNumpy:
         py_compute, py_starts = fastforward_module._series(prep, n, starts[3])
         assert py_compute == compute[:3]
         assert py_starts == starts[:4]
+
+
+# ----------------------------------------------------------------------
+# Resumed stretches equal fresh proofs
+# ----------------------------------------------------------------------
+#: Per-stretch constants a resumed prep must share with a fresh proof.
+RESUME_FIELDS = (
+    "start", "total_tokens", "batch_size", "linear", "cpu", "per_seq",
+    "overhead",
+)
+
+
+def _swept_in_steps(engine):
+    """Sweep ``engine`` in short ``run_until`` steps, so deadlines cut
+    its decode stretches over and over (and most cuts resume). Returns
+    every request's timing, plus the clock and vAttention's counters
+    after every step."""
+    manager = getattr(engine.memory.backend, "manager", None)
+    steps = []
+    deadline = engine.clock.now
+    while engine.has_work():
+        deadline += 0.05
+        engine.run_until(deadline)
+        steps.append(
+            (repr(engine.clock.now), repr(manager.stats) if manager else None)
+        )
+    timings = [
+        (r.request_id, repr(r.first_token_time), repr(r.finish_time))
+        for r in engine._all_requests
+    ]
+    return timings, steps
+
+
+def _deadline_driven(**overrides):
+    def case():
+        config = dict(
+            shard=ShardedModel(YI_6B, 1),
+            gpu=A100,
+            memory_backend="vattention",
+            max_batch_size=4,
+        )
+        config.update(overrides)
+        engine = LLMEngine(EngineConfig(**config))
+        engine.submit(
+            fixed_trace(
+                count=8,
+                prompt_len=600,
+                max_new_tokens=160,
+                arrivals=poisson_arrivals(qps=2.0, count=8, seed=13),
+            )
+        )
+        return _swept_in_steps(engine)
+
+    return case
+
+
+def _evicting_admission():
+    """A failed admission check that evicts a cached prefix between a
+    cut and its resume: the freed slot turns inactive with its rows
+    still mapped, which a fresh plan's eager allocation and reclamation
+    would see — so the stretch must not resume across it."""
+    engine = LLMEngine(
+        EngineConfig(
+            shard=ShardedModel(YI_6B, 1),
+            gpu=A100,
+            memory_backend="vattention",
+            max_batch_size=4,
+            kv_budget_bytes=1_536 * MB,
+            memory=MemoryConfig(enable_prefix_cache=True),
+        )
+    )
+    (cached,) = shared_prefix_trace(
+        count=1, sharing_factor=1, prefix_tokens=6_000, seed=3, arrivals=[0.0]
+    )
+    cached.max_new_tokens = 2
+    engine.submit([cached])
+    engine.run_until(math.inf)
+    now = engine.clock.now
+    engine.submit(
+        fixed_trace(
+            count=2, prompt_len=500, max_new_tokens=300, arrivals=[now, now]
+        )
+    )
+    # Does not fit even after evicting the prefix, until the decodes
+    # finish.
+    engine.submit(
+        fixed_trace(
+            count=1,
+            prompt_len=22_000,
+            max_new_tokens=4,
+            name="big",
+            arrivals=[now + 0.5],
+        )
+    )
+    return _swept_in_steps(engine)
+
+
+RESUME_SCENARIOS = {
+    **{
+        f"golden:{name}": (lambda name=name: fcfs_golden.SCENARIOS[name](
+            fast_forward=True
+        ))
+        for name in fcfs_golden.SCENARIOS
+    },
+    **{f"cluster:{name}": case for name, case in CLUSTER_SWEEP.items()},
+    "deadlines:vattention": _deadline_driven(),
+    "deadlines:vattention_no_overlap": _deadline_driven(
+        overlap_allocation=False
+    ),
+    "deadlines:uvm": _deadline_driven(memory_backend="uvm"),
+    "deadlines:static": _deadline_driven(memory_backend="static"),
+    "deadlines:evicting_admission": _evicting_admission,
+    "deadlines:paged": _deadline_driven(
+        memory_backend="paged",
+        prefill_kernel="fa2_paged",
+        decode_kernel="fa2_paged",
+        block_size=64,
+    ),
+}
+
+
+def resumes_checked_against_fresh_proofs(scenario, monkeypatch):
+    """Run ``scenario``; after every stretch that resumes, re-prove the
+    state it left and compare. Returns the number of resumes checked."""
+    monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
+    real_finish = DecodeFastForwarder.finish
+    checked = []
+    staged = {}
+
+    def evictions(engine):
+        cache = engine.memory.cache
+        return cache.stats.evictions if cache is not None else 0
+
+    def finish(self, prep, attention=None):
+        engine = self.engine
+        if prep.base:
+            # Nothing outside the stamp changed memory since the stage.
+            assert staged[id(prep)] == (prep.base, evictions(engine))
+        executed = real_finish(self, prep, attention)
+        if not (
+            executed
+            and self._memo is prep
+            and prep.base
+            and self._memo_state == (engine._batch_version, engine.clock.now)
+        ):
+            return executed
+        staged[id(prep)] = (prep.base, evictions(engine))
+        counters = (self.proofs, self.plans)
+        fresh = self._prove()
+        self.proofs, self.plans = counters
+        assert fresh is not None, "a fresh proof declined a resumed stretch"
+        assert fresh.batch == prep.batch
+        for name in RESUME_FIELDS:
+            assert getattr(fresh, name) == getattr(prep, name), name
+        if isinstance(prep.plan, _PagedDecodePlan):
+            assert prep.horizon <= fresh.horizon
+        else:
+            assert prep.horizon == fresh.horizon
+        checked.append(prep.base)
+        return executed
+
+    monkeypatch.setattr(DecodeFastForwarder, "finish", finish)
+    RESUME_SCENARIOS[scenario]()
+    return len(checked)
+
+
+def assert_deadline_driven_exact(scenario, monkeypatch):
+    """A deadline-driven scenario serves identically with the fast path
+    on (resuming at every cut) and off."""
+    monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
+    fast = RESUME_SCENARIOS[scenario]()
+    monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
+    assert fast == RESUME_SCENARIOS[scenario]()
+
+
+class TestResumeExactness:
+    @pytest.fixture(params=["numpy", "no_numpy"])
+    def series(self, request, monkeypatch):
+        if request.param == "no_numpy":
+            monkeypatch.setattr(fastforward_module, "_np", None)
+        return request.param
+
+    @pytest.mark.parametrize("scenario", sorted(RESUME_SCENARIOS))
+    def test_resume_equals_fresh_proof(self, scenario, series, monkeypatch):
+        resumed = resumes_checked_against_fresh_proofs(scenario, monkeypatch)
+        if scenario.startswith("deadlines:"):
+            # These exist to resume on every backend: they must, and
+            # they must stay exact.
+            assert resumed, f"{scenario} never resumed a stretch"
+            assert_deadline_driven_exact(scenario, monkeypatch)

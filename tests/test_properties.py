@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import VAttentionConfig
@@ -144,6 +144,8 @@ class TestBlockManagerProperties:
 class TestStatsProperties:
     @RELAXED
     @given(values=st.lists(st.floats(0, 1e6), min_size=1, max_size=200))
+    # Halving the smallest subnormal underflows: the blend is 0.0.
+    @example(values=[5e-324, 5e-324])
     def test_percentile_within_range(self, values):
         assert min(values) <= percentile(values, 50) <= max(values)
         assert percentile(values, 0) == min(values)
