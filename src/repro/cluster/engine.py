@@ -183,9 +183,10 @@ class ClusterConfig:
                 raise ConfigError(
                     "the sla autoscaler needs ClusterConfig.slo_ttft"
                 )
-            if self.cold_start_seconds < 0 or self.warmup_seconds < 0:
-                raise ConfigError("boot delays cannot be negative")
-            if self.scale_decide_interval <= 0:
+            # Negated comparisons: NaN fails every ordering test.
+            if not (self.cold_start_seconds >= 0 and self.warmup_seconds >= 0):
+                raise ConfigError("boot delays must be non-negative")
+            if not self.scale_decide_interval > 0:
                 raise ConfigError(
                     "scale_decide_interval must be positive, got "
                     f"{self.scale_decide_interval}"
@@ -318,7 +319,7 @@ class _ReplicaReplay(ReplicaView):
       preemption, retirement, drain entry) or is a pending arrival
       under the live cap — both checked on every sync;
     * execution between windows only runs the *modeled* iterations for
-      an untouched replica: the fleet executor's stretches are
+      an untouched replica: its ``run_until`` stretches are
       deterministic continuations of the prepped stretch, the oracle's
       validity edge precedes the first completion and the first
       possible hook effect, and queries are monotone past every sweep
@@ -340,6 +341,9 @@ class _ReplicaReplay(ReplicaView):
         "_version",
         "_clock",
         "_submitted",
+        "syncs",
+        "answers",
+        "oracle_builds",
     )
 
     def __init__(self, replica: Replica, window: _Window) -> None:
@@ -354,6 +358,11 @@ class _ReplicaReplay(ReplicaView):
         self._version = -1
         self._clock = -math.inf
         self._submitted = 0
+        #: Work counters: full syncs (a real ``run_until`` and a
+        #: rebuild), syncs answered in O(1), ``StretchOracle`` builds.
+        self.syncs = 0
+        self.answers = 0
+        self.oracle_builds = 0
 
     def _sync(self) -> None:
         """Bind observations to the window's current arrival instant."""
@@ -376,11 +385,13 @@ class _ReplicaReplay(ReplicaView):
             )
         ):
             # Still exact; only the tokens submitted since join.
+            self.answers += 1
             requests = engine._all_requests
             for request in requests[self._submitted:]:
                 self._base += engine._contribution(request)
             self._submitted = len(requests)
             return
+        self.syncs += 1
         engine.run_until(time)
         self._rebuild()
         self._version = engine._batch_version
@@ -398,11 +409,14 @@ class _ReplicaReplay(ReplicaView):
             # bounds — the backlog is constant, the tree frozen.
             self._valid = math.inf
             return
-        # An unbounded deadline: the oracle's own validity edge (hook
-        # quiescence, the completion bound) is what limits it, so a
-        # quiet replica's predictor survives into later windows.
-        prep = engine.begin_steady_stretch(math.inf)
+        # ``run_until`` just ran the serve prologue at this clock, so
+        # this is the proof the serve loop would try next. An unbounded
+        # deadline: the oracle's own validity edge (hook quiescence, the
+        # completion bound) is what limits it, so a quiet replica's
+        # predictor survives into later windows.
+        prep = engine._fast.prepare(math.inf)
         if prep is not None:
+            self.oracle_builds += 1
             oracle = StretchOracle.build(prep)
             if oracle is not None:
                 self._oracle = oracle
@@ -546,15 +560,12 @@ class ClusterEngine:
         self._telemetry: Optional[ClusterTelemetry] = (
             registry.cluster_telemetry() if registry is not None else None
         )
-        #: Cross-replica stretch batching (fast loop only). Gated off
-        #: under telemetry: interleaved stretch execution is request-
-        #: level identical but emits per-replica instruments in a
-        #: different global order than whole-window sweeps would.
-        self._fleet_exec: Optional[FleetStretchExecutor] = (
-            FleetStretchExecutor()
-            if config.engine.fast_forward and self._telemetry is None
-            else None
-        )
+        self._sweeper = FleetStretchExecutor()
+        #: Replica-view work, summed when the fast loop ends (see
+        #: :class:`_ReplicaReplay`).
+        self.view_syncs = 0
+        self.view_answers = 0
+        self.oracle_builds = 0
 
     # ------------------------------------------------------------------
     # Submission
@@ -631,13 +642,7 @@ class ClusterEngine:
         else:
             self._run_event_loop()
         # Decode replicas never create events; they drain last.
-        if self._fleet_exec is not None:
-            self._fleet_exec.sweep(
-                [replica.engine for replica in self.replicas], math.inf
-            )
-        else:
-            for replica in self.replicas:
-                replica.engine.run_until(math.inf)
+        self._sweeper.sweep([replica.engine for replica in self.replicas], math.inf)
         if self._elastic:
             self._finalize_drains()
         return self._build_report()
@@ -704,16 +709,19 @@ class ClusterEngine:
 
         * ``run_until`` sweeps of idle replicas (``has_work()`` is
           ``False``: the engine's serve loop would not execute a single
-          pass, and an idle clock never advances).
+          pass, and an idle clock never advances). Every replica
+          advance, observed or not, goes through one
+          :meth:`~repro.sim.fastforward.FleetStretchExecutor.sweep`.
         * The pre-dispatch re-sweep to the event instant. Event sources
           were just swept to ``horizon >= now`` and nothing was
           submitted to them since, so only replicas *outside* the
           run-ahead sweep — the disaggregated decode tier — can lag the
           event about to dispatch.
         * One sweep of the whole fleet per arrival. Unless a telemetry
-          registry is recording per-arrival gauges or the fleet is
-          disaggregated, every arrival up to the next fleet-state event
-          (scale lifecycle; migrations cannot exist un-disagg) is routed
+          registry is recording per-arrival gauges (the one choice
+          telemetry makes here) or the fleet is disaggregated, every
+          arrival up to the next fleet-state event (scale lifecycle;
+          migrations cannot exist un-disagg) is routed
           in one pass against :class:`_ReplicaReplay` views, which the
           router observes only through the
           :class:`~repro.cluster.router.ReplicaView` interface. A view
@@ -735,22 +743,14 @@ class ClusterEngine:
         window_arrivals = (
             self._telemetry is None and not self.config.disaggregated
         )
-        fleet = self._fleet_exec
+        sweep = self._sweeper.sweep
         window = _Window()
         # Persistent analytic views, one per replica index (indices are
         # never reused); see :class:`_ReplicaReplay` for why their
         # predictors survive across windows.
         views: Dict[int, _ReplicaReplay] = {}
         while True:
-            horizon = self._joint_horizon()
-            if fleet is not None:
-                fleet.sweep(
-                    [r.engine for r in self._route_targets], horizon
-                )
-            else:
-                for replica in self._route_targets:
-                    if replica.engine.has_work():
-                        replica.engine.run_until(horizon)
+            sweep([r.engine for r in self._route_targets], self._joint_horizon())
             self._schedule_transfers()
             if self._elastic:
                 self._check_drain_completions()
@@ -758,9 +758,7 @@ class ClusterEngine:
             if head is None:
                 break
             now = head.time
-            for replica in self._decode_targets:
-                if replica.engine.has_work():
-                    replica.engine.run_until(now)
+            sweep([r.engine for r in self._decode_targets], now)
             if window_arrivals and head.kind is EventKind.ARRIVAL:
                 bound = window.bound = events.next_fleet_event()
                 replay = []
@@ -791,6 +789,10 @@ class ClusterEngine:
                 # boundary tie dispatches in the legacy kind order.
             for event in events.pop_due(now):
                 self._dispatch_event(event)
+        for view in views.values():
+            self.view_syncs += view.syncs
+            self.view_answers += view.answers
+            self.oracle_builds += view.oracle_builds
 
     # ------------------------------------------------------------------
     # Routing and KV migration

@@ -172,6 +172,12 @@ class EngineConfig:
         validate_scheduler_policy(self.scheduler_policy)
         if self.sched_token_budget <= 0:
             raise ConfigError("sched_token_budget must be positive")
+        for name in (
+            "iteration_cpu_overhead", "per_seq_cpu_overhead", "sla_ttft_budget"
+        ):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.memory.enable_prefix_cache:
             if self.memory_backend not in ("vattention", "paged"):
                 raise ConfigError(
@@ -416,34 +422,6 @@ class LLMEngine:
         Returns the number of iterations executed.
         """
         return self._serve(deadline)
-
-    def begin_steady_stretch(self, deadline: float):
-        """Stage this engine's next analytic decode stretch, if provable.
-
-        Replays the serve loop's prologue (arrival ingestion, the
-        serving-start stamp, admission) exactly as a
-        ``run_until(deadline)`` pass would — the prologue is idempotent,
-        so a subsequent ``run_until`` composes exactly — then *prepares*
-        the decode stretch the fast-forwarder would execute next,
-        without executing it. Returns a stretch prep for
-        :meth:`repro.sim.fastforward.DecodeFastForwarder.finish`, or
-        ``None`` when the next step is not a provable steady stretch
-        (idle gap, pending prefill, imminent event — the caller falls
-        back to ``run_until``). Preparation is side-effect free, so an
-        unfinished prep may be abandoned. The cluster's fleet executor
-        uses this to stack concurrent stretches across replicas.
-        """
-        if not self.config.fast_forward or not self.has_work():
-            return None
-        self._ingest_arrivals()
-        if self._serve_start is None and (self._waiting or self._running):
-            self._serve_start = self.clock.now
-        self._admit()
-        if not self._running:
-            return None
-        if self.clock.now >= deadline:
-            return None
-        return self._fast.prepare(deadline)
 
     def _serve(self, deadline: float) -> int:
         """The scheduler loop behind :meth:`run` and :meth:`run_until`.

@@ -101,6 +101,13 @@ class Request:
                 f"{self.request_id}: arrival_time must be finite, "
                 f"got {self.arrival_time}"
             )
+        if self.ttft_budget is not None and not (
+            0 <= self.ttft_budget < math.inf
+        ):
+            raise ConfigError(
+                f"{self.request_id}: ttft_budget must be finite and "
+                f"non-negative, got {self.ttft_budget}"
+            )
         if self.prefix is not None and self.prefix.tokens > self.prompt_len:
             raise ConfigError(
                 f"{self.request_id}: prefix descriptor covers "

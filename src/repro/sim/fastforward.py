@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - numpy is part of the baked toolchain
     import numpy as _np
@@ -61,12 +61,6 @@ UNBOUNDED_HORIZON = 1 << 62
 #: Minimum provable horizon at which the numpy series pays for its
 #: array setup; shorter stretches run the pure-Python series.
 VECTOR_THRESHOLD = 8
-
-#: Minimum summed horizon (iterations across replicas) at which the
-#: fleet executor stacks concurrent stretches into one batched series
-#: evaluation; below it each stretch runs its own series — the
-#: stacking bookkeeping would cost more than it saves.
-FLEET_VOLUME_THRESHOLD = 64
 
 
 class DecodeFastPath:
@@ -161,10 +155,9 @@ class _StretchPrep:
 
     :meth:`DecodeFastForwarder.prepare` builds one from pure reads of
     engine state (the memory plans are side-effect free until their
-    hooks or ``commit`` run), so a prep can be abandoned, and the fleet
-    executor can collect several before executing any. ``attention`` is
-    the one term a caller may supply pre-computed (the fleet-stacked
-    series evaluation); everything else is per-stretch constants.
+    hooks or ``commit`` run), so a prep can be abandoned — a cluster
+    replica view builds its closed-form predictor from one it never
+    executes.
 
     A stretch cut only by its ``stop_time`` *resumes*: the executor
     advances the prep in place to the first iteration that did not run
@@ -176,7 +169,6 @@ class _StretchPrep:
     """
 
     __slots__ = (
-        "engine",
         "plan",
         "batch",
         "horizon",
@@ -198,7 +190,7 @@ class _StretchPrep:
 
 
 def _series(
-    prep: _StretchPrep, n: int, stop_time: float, attention=None
+    prep: _StretchPrep, n: int, stop_time: float
 ) -> Tuple[List[float], List[float]]:
     """The first ``n`` iterations' compute times and start times.
 
@@ -206,21 +198,19 @@ def _series(
     latency term and ``starts[i]`` the clock at which it starts, so
     ``starts[i + 1] = starts[i] + compute[i]`` — the per-iteration
     loop's ``now += compute`` recurrence, float for float. The numpy
-    form (long stretches, or a caller-supplied ``attention`` series)
-    evaluates all ``n`` iterations; the pure-Python form stops after the
-    first start at or past ``stop_time``, so it never computes an
-    iteration that would not run. Either way ``starts`` is sorted, and
-    every start strictly before ``stop_time`` among the first ``n`` is
-    present.
+    form (``n >= VECTOR_THRESHOLD``) evaluates all ``n`` iterations;
+    the pure-Python form stops after the first start at or past
+    ``stop_time``, so it never computes an iteration that would not
+    run. Either way ``starts`` is sorted, and every start strictly
+    before ``stop_time`` among the first ``n`` is present.
     """
-    if _np is not None and (attention is not None or n >= VECTOR_THRESHOLD):
-        if attention is None:
-            totals = prep.total_tokens + prep.batch_size * _np.arange(
-                n, dtype=_np.int64
-            )
-            attention = prep.kernel._decode_time_total_series(
-                prep.shard, totals, prep.batch_size, prep.resolved_block
-            )
+    if _np is not None and n >= VECTOR_THRESHOLD:
+        totals = prep.total_tokens + prep.batch_size * _np.arange(
+            n, dtype=_np.int64
+        )
+        attention = prep.kernel._decode_time_total_series(
+            prep.shard, totals, prep.batch_size, prep.resolved_block
+        )
         fw = prep.overhead
         if fw is None:
             base = prep.base
@@ -441,7 +431,6 @@ class DecodeFastForwarder:
         # by the same calls (and therefore the same floats) as
         # LLMEngine._run_decode.
         prep = _StretchPrep()
-        prep.engine = engine
         prep.plan = plan
         prep.batch = batch
         prep.horizon = horizon
@@ -469,20 +458,15 @@ class DecodeFastForwarder:
         prep.base = 0
         return prep
 
-    def finish(self, prep: _StretchPrep, attention=None) -> int:
-        """Execute a prepared stretch and land its state.
-
-        ``attention`` — when supplied by the fleet executor — is this
-        stretch's attention-series slice of a stacked evaluation, whose
-        elements are bit-identical to the per-stretch evaluation.
-        """
+    def finish(self, prep: _StretchPrep) -> int:
+        """Execute a prepared stretch and land its state."""
         engine = self.engine
         plan = prep.plan
         batch = prep.batch
         batch_size = prep.batch_size
         horizon = prep.horizon
         base = prep.base
-        compute, starts = _series(prep, horizon, prep.stop_time, attention)
+        compute, starts = _series(prep, horizon, prep.stop_time)
         # Iteration i runs iff it *starts* strictly before stop_time.
         n = bisect.bisect_left(
             starts, prep.stop_time, 0, min(len(starts), horizon)
@@ -573,97 +557,11 @@ class DecodeFastForwarder:
 
 
 class FleetStretchExecutor:
-    """Cross-replica stretch execution: one batched series per fleet pass.
-
-    The cluster fast loop sweeps every event-source replica to the joint
-    horizon. Replica engines are independent between cluster events, so
-    *when several of them are simultaneously in provably-steady decode
-    stretches*, their attention-series evaluations — elementwise float
-    functions of each stretch's totals sequence — can be stacked into
-    one numpy call and split back, each element bit-identical to the
-    per-replica evaluation (same expression, same scalar operands, one
-    IEEE-754 op per element either way). Everything order-sensitive
-    (per-replica cumsum, hooks, commits) still runs per replica in the
-    identical association the scalar path uses.
-
-    Stretches are grouped by the tuple that parameterizes the series
-    expression — kernel implementation, GPU, shard, batch size, block
-    size — because e.g. FlashInfer's paged decode factor is a
-    batch-size-dependent scalar: mixing batch sizes would change the
-    expression, not just the operands. Below ``volume_threshold``
-    summed iterations (or with a single stretch) the per-replica path
-    runs unchanged: stacking would cost more than it saves.
-    """
-
-    def __init__(self, volume_threshold: int = FLEET_VOLUME_THRESHOLD) -> None:
-        self.volume_threshold = volume_threshold
+    """How the cluster advances its replicas, observed or not."""
 
     def sweep(self, engines: Sequence["LLMEngine"], horizon: float) -> None:
-        """Advance every engine to ``horizon`` (``run_until`` semantics).
-
-        Equivalent to ``for e in engines: e.run_until(horizon)`` — the
-        engines are independent over the window, so interleaving their
-        stretches cannot change any engine's own sequence of states.
-        """
-        active = [engine for engine in engines if engine.has_work()]
-        while active:
-            preps: List[_StretchPrep] = []
-            for engine in active:
-                prep = engine.begin_steady_stretch(horizon)
-                if prep is None:
-                    # Not at a provable steady stretch (prefill pending,
-                    # idle gap, arrival imminent, ...): cross the rest
-                    # of the window through the ordinary serve loop.
-                    engine.run_until(horizon)
-                else:
-                    preps.append(prep)
-            if not preps:
-                break
-            self._finish_batch(preps)
-            active = [
-                prep.engine for prep in preps if prep.engine.has_work()
-            ]
-
-    def _finish_batch(self, preps: List[_StretchPrep]) -> None:
-        if (
-            _np is None
-            or len(preps) < 2
-            or sum(prep.horizon for prep in preps) < self.volume_threshold
-        ):
-            for prep in preps:
-                prep.engine._fast.finish(prep)
-            return
-        groups: Dict[tuple, List[_StretchPrep]] = {}
-        for prep in preps:
-            key = (
-                type(prep.kernel),
-                prep.kernel.gpu,
-                prep.shard,
-                prep.batch_size,
-                prep.resolved_block,
-            )
-            groups.setdefault(key, []).append(prep)
-        for group in groups.values():
-            if len(group) == 1:
-                prep = group[0]
-                prep.engine._fast.finish(prep)
-                continue
-            # Per-stretch totals sequences, stacked. Each element of the
-            # stacked evaluation is the identical IEEE op sequence the
-            # per-stretch call performs on that element, so the split
-            # slices are bit-identical to per-replica evaluations.
-            totals = _np.concatenate(
-                [
-                    prep.total_tokens
-                    + prep.batch_size
-                    * _np.arange(prep.horizon, dtype=_np.int64)
-                    for prep in group
-                ]
-            )
-            lead = group[0]
-            attention = lead.kernel._decode_time_total_series(
-                lead.shard, totals, lead.batch_size, lead.resolved_block
-            )
-            bounds = _np.cumsum([prep.horizon for prep in group])[:-1]
-            for prep, series in zip(group, _np.split(attention, bounds)):
-                prep.engine._fast.finish(prep, attention=series)
+        """``run_until(horizon)`` on every engine with work (an idle
+        engine's serve loop would not run a single pass)."""
+        for engine in engines:
+            if engine.has_work():
+                engine.run_until(horizon)

@@ -272,6 +272,21 @@ class TestAutoscaleConfig:
                 scale_decide_interval=0.0,
             )
 
+    @pytest.mark.parametrize(
+        "field",
+        ["cold_start_seconds", "warmup_seconds", "scale_decide_interval"],
+    )
+    def test_nan_timings_rejected(self, field):
+        # NaN passes the ``< 0`` / ``<= 0`` ordering checks.
+        with pytest.raises(ConfigError):
+            ClusterConfig(
+                engine=engine_config(),
+                n_replicas=1,
+                autoscaler="queue_depth",
+                max_replicas=2,
+                **{field: math.nan},
+            )
+
     def test_static_defaults_keep_fixed_bounds(self):
         config = ClusterConfig(engine=engine_config(), n_replicas=3)
         assert config.resolved_min_replicas == 3

@@ -7,8 +7,9 @@ tests pin its boundary behaviour: equal-time event ties dispatch in
 the legacy kind order, drained replicas retire mid-loop, the
 degenerate single-replica fleet stays exact, a migration landing at an
 arrival instant dispatches exactly once, state-aware arrival windows
-split at SCALE_DECIDE instants and drain-migration landings, and idle
-gaps jump the fleet clock without inventing work.
+split at SCALE_DECIDE instants and drain-migration landings, idle
+gaps jump the fleet clock without inventing work, and an observed run
+advances its replicas through the same sweep as an unobserved one.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig
 from repro.serving.request import Request
 from repro.sim.events import EventKind, EventQueue
+from repro.sim.fastforward import FleetStretchExecutor
 from repro.workloads.arrival import poisson_arrivals, uniform_arrivals
 from repro.workloads.traces import shared_prefix_trace
 
@@ -619,3 +621,35 @@ class TestIdleJumps:
         ]
         assert late, "no requests landed after the idle gap"
         assert all(record.ttft < 60.0 for record in late)
+
+
+# ----------------------------------------------------------------------
+# Telemetry does not choose how replicas are swept
+# ----------------------------------------------------------------------
+class TestObservedSweep:
+    def test_observed_run_sweeps_like_unobserved(self, monkeypatch):
+        """With a registry installed, the fast loop still advances its
+        replicas through :meth:`FleetStretchExecutor.sweep`, and the
+        observed run serves every request exactly as the unobserved one
+        does."""
+        monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
+        sweeps = []
+        real_sweep = FleetStretchExecutor.sweep
+
+        def spy_sweep(self, engines, horizon):
+            sweeps.append(horizon)
+            real_sweep(self, engines, horizon)
+
+        monkeypatch.setattr(FleetStretchExecutor, "sweep", spy_sweep)
+
+        def build():
+            fleet = cluster(3, policy="least_outstanding_tokens")
+            fleet.submit(trace(count=24, qps=6.0))
+            return fleet
+
+        with enabled():
+            observed = build().run()
+        assert sweeps, "the observed run bypassed the fleet sweep"
+        unobserved = build().run()
+        assert fingerprint(observed) == fingerprint(unobserved)
+        assert len(observed.finished_records) == 24

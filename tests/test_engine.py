@@ -1,5 +1,7 @@
 """Continuous-batching engine: Algorithm 1 end to end."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -52,6 +54,19 @@ class TestConfigValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             make_engine(memory_backend="bogus")
+
+    @pytest.mark.parametrize(
+        "field",
+        ["iteration_cpu_overhead", "per_seq_cpu_overhead", "sla_ttft_budget"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_timing_inputs_must_be_finite_and_non_negative(
+        self, field, value
+    ):
+        # A NaN overhead used to finish every request at nan; a
+        # negative one died mid-run moving the clock backwards.
+        with pytest.raises(ConfigError, match=field):
+            make_engine(**{field: value})
 
     def test_weights_must_fit(self):
         from repro.models.zoo import GPT3_175B

@@ -349,8 +349,8 @@ class TestClusterSweep:
 # ----------------------------------------------------------------------
 class TestWithoutNumpy:
     """numpy is an optional accelerator. With it masked out, every
-    stretch (and the fleet executor) runs the pure-Python series — the
-    path an install without numpy takes — and must stay exact."""
+    stretch runs the pure-Python series — the path an install without
+    numpy takes — and must stay exact."""
 
     @pytest.fixture(autouse=True)
     def no_numpy(self, monkeypatch):
@@ -378,10 +378,10 @@ class TestWithoutNumpy:
             )
         )
         engine.submit(fixed_trace(count=4, prompt_len=500, max_new_tokens=64))
-        prep = engine.begin_steady_stretch(math.inf)
+        prep = engine._fast.prepare(math.inf)
         while prep is None:  # step through the prefills
             engine.run_until(math.nextafter(engine.clock.now, math.inf))
-            prep = engine.begin_steady_stretch(math.inf)
+            prep = engine._fast.prepare(math.inf)
         n = prep.horizon
         assert n >= fastforward_module.VECTOR_THRESHOLD
         with pytest.MonkeyPatch.context() as patch:
@@ -525,12 +525,12 @@ def resumes_checked_against_fresh_proofs(scenario, monkeypatch):
         cache = engine.memory.cache
         return cache.stats.evictions if cache is not None else 0
 
-    def finish(self, prep, attention=None):
+    def finish(self, prep):
         engine = self.engine
         if prep.base:
             # Nothing outside the stamp changed memory since the stage.
             assert staged[id(prep)] == (prep.base, evictions(engine))
-        executed = real_finish(self, prep, attention)
+        executed = real_finish(self, prep)
         if not (
             executed
             and self._memo is prep

@@ -37,6 +37,16 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             make_request(arrival_time=arrival)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_ttft_budget(self, budget):
+        # A NaN deadline compares false both ways, so the SLA order
+        # among requests would be arbitrary.
+        with pytest.raises(ConfigError):
+            make_request(ttft_budget=budget)
+
+    def test_accepts_zero_ttft_budget(self):
+        assert make_request(ttft_budget=0.0).ttft_budget == 0.0
+
 
 class TestPrefill:
     def test_prefill_produces_first_token(self):

@@ -2,8 +2,10 @@
 
 ``DecodeFastForwarder`` counts its work in plain integers (proofs tried,
 backend plans built, stretches finished, resumed stretches, analytic
-iterations) and ``LLMEngine`` counts the iterations it steps one at a
-time. The counts are exact, so they gate with zero noise: these tests
+iterations), ``LLMEngine`` counts the iterations it steps one at a
+time, and ``ClusterEngine`` counts its replica views' full syncs, O(1)
+answers and ``StretchOracle`` builds. The counts are exact, so they
+gate with zero noise: these tests
 pin that a submission to a full batch costs no proof and no view
 sweep, and that a fixed cluster day does no more work than it did when
 the counts were pinned.
@@ -34,7 +36,7 @@ def steady_full_engine() -> LLMEngine:
         )
     )
     engine.submit(fixed_trace(count=4, prompt_len=500, max_new_tokens=400))
-    while engine.begin_steady_stretch(math.inf) is None:
+    while engine._fast.prepare(math.inf) is None:
         engine.run_until(math.nextafter(engine.clock.now, math.inf))
     return engine
 
@@ -105,6 +107,7 @@ class TestSubmitToFullBatch:
         before = work(engine)
         answer = view.outstanding_tokens
         assert work(engine) == before
+        assert (view.syncs, view.answers, view.oracle_builds) == (1, 1, 1)
 
         # What per-arrival dispatch would have observed there.
         twin = steady_full_engine()
@@ -123,7 +126,14 @@ CEILINGS = {
     "plans": 148,
     "stretches": 238,
     "stepped_iterations": 175,
+    "view_syncs": 150,
+    "oracle_builds": 61,
 }
+
+#: View observations answered in O(1) from a carried predictor on the
+#: same day. The router's observations are fixed by the trace, so an
+#: answer lost is a full sync gained: this one is a floor.
+ANSWERS_FLOOR = 373
 
 
 class TestPinnedWork:
@@ -145,6 +155,8 @@ class TestPinnedWork:
             "plans": sum(e._fast.plans for e in engines),
             "stretches": sum(e._fast.stretches for e in engines),
             "stepped_iterations": sum(e.stepped_iterations for e in engines),
+            "view_syncs": cluster.view_syncs,
+            "oracle_builds": cluster.oracle_builds,
         }
         over = {
             name: (counts[name], ceiling)
@@ -152,6 +164,7 @@ class TestPinnedWork:
             if counts[name] > ceiling
         }
         assert not over, f"work grew (count, ceiling): {over}"
+        assert cluster.view_answers >= ANSWERS_FLOOR
         # Every iteration ran exactly one way, and some stretches
         # resumed.
         analytic = sum(e._fast.analytic_iterations for e in engines)
