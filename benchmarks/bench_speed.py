@@ -14,6 +14,14 @@ Cases (the decode-heavy end of the catalogue):
 * ``ext_cluster_router_4x`` — a 4-replica cache-aware fleet (2 in
   ``--quick``) on the decode-heavy variant of the cluster trace; this
   is the case the joint-horizon cluster loop is measured on.
+* ``tiered_pressure`` — an OpenChat batch queued at t=0 under a tight
+  KV budget with tiered preemption (the shape of perfbench's
+  ``offline_tiered``): the free pool sits below vAttention's
+  reclamation threshold, so this case covers the stretch hooks that
+  the idle-reclamation proof skips.
+
+Every row also prints the fast side's backend hook calls
+(``DecodeFastForwarder.hook_calls``, summed over a fleet's replicas).
 
 Usage::
 
@@ -41,9 +49,19 @@ from typing import Callable, Dict, List
 import repro.serving.engine as engine_module
 from repro.experiments.common import paper_engine
 from repro.experiments.ext_cluster_router import build_cluster, cluster_trace
+from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
+from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
+from repro.serving.engine import EngineConfig, LLMEngine
+from repro.units import GB
 from repro.workloads.arrival import poisson_arrivals
-from repro.workloads.traces import TraceSpec, arxiv_offline_trace, fixed_trace
+from repro.workloads.traces import (
+    TraceSpec,
+    arxiv_offline_trace,
+    fixed_trace,
+    openchat_trace,
+)
 
 FIG09_SYSTEMS = ("FA2_Paged", "FI_Paged", "FA2_vAttention")
 
@@ -74,6 +92,26 @@ def _fig10_engine(count: int):
     return engine
 
 
+def _tiered_engine(count: int):
+    shard = ShardedModel(YI_6B, 1)
+    engine = LLMEngine(
+        EngineConfig(
+            shard=shard,
+            gpu=A100,
+            memory_backend="vattention",
+            max_batch_size=96,
+            kv_budget_bytes=6 * GB,
+            memory=MemoryConfig(preemption_mode="tiered"),
+        )
+    )
+    engine.submit(
+        openchat_trace(
+            arrivals=[0.0] * count, seed=2405, max_context=shard.max_context
+        )
+    )
+    return engine
+
+
 def _run_engine(build: Callable[[], object], fast_forward: bool):
     engine_module.DEFAULT_FAST_FORWARD = fast_forward
     engine = build()
@@ -85,7 +123,7 @@ def _run_engine(build: Callable[[], object], fast_forward: bool):
         len(report.finished_requests),
         report.metrics.iteration_count(),
     )
-    return elapsed, fingerprint, report
+    return elapsed, fingerprint, engine._fast.hook_calls
 
 
 def _run_cluster(build: Callable[[], object], fast_forward: bool):
@@ -99,7 +137,8 @@ def _run_cluster(build: Callable[[], object], fast_forward: bool):
         len(report.finished_records),
         tuple(repr(latency) for latency in sorted(report.e2e_latencies())),
     )
-    return elapsed, fingerprint, report
+    hook_calls = sum(r.engine._fast.hook_calls for r in cluster.replicas)
+    return elapsed, fingerprint, hook_calls
 
 
 def measure(
@@ -113,7 +152,7 @@ def measure(
     slow_times: List[float] = []
     fast_state = slow_state = None
     for _ in range(repeats):
-        elapsed, fast_state, _ = runner(build, True)
+        elapsed, fast_state, hook_calls = runner(build, True)
         fast_times.append(elapsed)
         elapsed, slow_state, _ = runner(build, False)
         slow_times.append(elapsed)
@@ -129,10 +168,12 @@ def measure(
         "fast_seconds": round(fast, 6),
         "slow_seconds": round(slow, 6),
         "speedup": round(slow / fast, 3),
+        "hook_calls": hook_calls,
     }
     print(
         f"  {name:<28} fast {fast * 1e3:8.1f}ms   "
-        f"slow {slow * 1e3:8.1f}ms   {slow / fast:5.2f}x"
+        f"slow {slow * 1e3:8.1f}ms   {slow / fast:5.2f}x   "
+        f"hooks {hook_calls}"
     )
     return row
 
@@ -153,6 +194,7 @@ def main(argv=None) -> int:
     fig10_count = 32 if args.quick else 96
     cluster_replicas = 2 if args.quick else 4
     cluster_count = 24 if args.quick else 96
+    tiered_count = 300 if args.quick else 750
     repeats = 1 if args.quick else 2
 
     print(
@@ -197,6 +239,14 @@ def main(argv=None) -> int:
         repeats,
     )
     rows.append(cluster_row)
+    rows.append(
+        measure(
+            "tiered_pressure",
+            lambda: _tiered_engine(tiered_count),
+            _run_engine,
+            repeats,
+        )
+    )
 
     fig09_rows = [r for r in rows if r["case"].startswith("fig09")]
     fig09_fast = sum(r["fast_seconds"] for r in fig09_rows)

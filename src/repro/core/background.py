@@ -19,6 +19,7 @@ Work comes in two priorities:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -44,6 +45,8 @@ class BackgroundWorker:
 
     def submit(self, seconds: float, critical: bool = True) -> None:
         """Queue ``seconds`` of allocation work to run in the background."""
+        if not math.isfinite(seconds):
+            raise ValueError(f"cannot submit non-finite work: {seconds}")
         if seconds < 0:
             raise ValueError(f"cannot submit negative work: {seconds}")
         if critical:
@@ -58,6 +61,8 @@ class BackgroundWorker:
         Critical work runs first: the thread prioritizes mappings the
         next iteration needs over opportunistic preparation.
         """
+        if not math.isfinite(window_seconds):
+            raise ValueError(f"non-finite window: {window_seconds}")
         if window_seconds < 0:
             raise ValueError(f"negative window: {window_seconds}")
         done_critical = min(self.critical_pending, window_seconds)

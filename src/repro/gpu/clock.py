@@ -12,6 +12,7 @@ happens concurrently with compute to be credited correctly.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List
 
 Observer = Callable[[float, float], None]
@@ -40,8 +41,11 @@ class SimClock:
     def advance(self, duration: float) -> float:
         """Move time forward by ``duration`` seconds and return the new time.
 
-        Negative durations are rejected: simulated time never runs backwards.
+        Negative and NaN durations are rejected: simulated time never
+        runs backwards, and a NaN would poison every later timestamp.
         """
+        if math.isnan(duration):
+            raise ValueError("cannot advance clock by NaN seconds")
         if duration < 0:
             raise ValueError(f"cannot advance clock by {duration}s")
         previous = self._now
@@ -72,6 +76,8 @@ class SimClock:
         uses this to land the clock on the bit-identical result.
         Observers are notified once over the whole jump.
         """
+        if math.isnan(timestamp):
+            raise ValueError("cannot jump clock to NaN")
         if timestamp < self._now:
             raise ValueError(
                 f"cannot jump clock backwards ({self._now} -> {timestamp})"

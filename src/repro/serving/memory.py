@@ -134,7 +134,8 @@ class _VattentionDecodePlan(DecodeFastPath):
       so its no-op case is a couple of comparisons;
     * threshold reclamation is invoked (with slot contexts synced)
       only when the free-row fraction is actually below the threshold —
-      the method's own first early-exit;
+      the method's own first early-exit; a pass that freed nothing
+      stays idle, so it does not keep the executor from skipping hooks;
     * the worker's window consumption runs only while work is queued.
 
     The stretch ends the moment steady-state is no longer provable:
@@ -188,6 +189,10 @@ class _VattentionDecodePlan(DecodeFastPath):
         self._cross_at: List[float] = []
         self._next_cross: float = float("inf")
         self._batch_rows = sum(len(slot.rows) for slot, _ in slots)
+        #: Whether the last hook's reclamation pass freed nothing. An
+        #: idle pass stays idle until the next hook: see
+        #: :meth:`quiescent_until`.
+        self._reclaim_idle = False
         #: Iterations already counted into the manager's step stats
         #: (a resumed stretch commits cumulatively).
         self._committed = 0
@@ -262,6 +267,7 @@ class _VattentionDecodePlan(DecodeFastPath):
                     target, deficit, background=True, critical=False
                 )
             self._eager_target_rows = len(target.rows)
+        self._reclaim_idle = False
         if self._deferred and len(manager._free_rows) < self._minimum_free:
             # Reclamation may trim *active* slots' excess, which reads
             # their contexts — sync first, then let the manager do
@@ -273,7 +279,9 @@ class _VattentionDecodePlan(DecodeFastPath):
                 victims = self._victims = sorted(
                     self._inactive, key=lambda s: s.last_used
                 )
+            unmapped = manager.stats.rows_unmapped
             manager._maintain_free_threshold(victims)
+            self._reclaim_idle = manager.stats.rows_unmapped == unmapped
             batch_rows = sum(len(slot.rows) for slot, _ in self._slots)
             if batch_rows != self._batch_rows:
                 self._batch_rows = batch_rows
@@ -304,7 +312,15 @@ class _VattentionDecodePlan(DecodeFastPath):
 
     def quiescent_until(self, iteration: int, n: int) -> int:
         """Provable no-op hook span: no crossing due, eager converged,
-        free pool above the reclamation threshold, worker drained.
+        reclamation idle, worker drained.
+
+        Reclamation is idle when the free pool is at or above the
+        reclamation threshold, or when the last hook's pass ran below it
+        and unmapped nothing. Such a pass found every inactive slot empty
+        and no active slot holding rows beyond its context plus one token
+        of lookahead. Inside the span the free pool and the non-batch
+        slots stay as they are, and batch contexts only grow, which
+        shrinks their excess; so every later pass would be idle too.
 
         Between no-op hooks nothing touches the manager (crossings are
         the only batch-slot growth, eager the only inactive-slot growth,
@@ -326,8 +342,12 @@ class _VattentionDecodePlan(DecodeFastPath):
                 )
             ):
                 return iteration  # eager would rescan or map
-        if self._deferred and len(manager._free_rows) < self._minimum_free:
-            return iteration  # reclamation would run
+        if (
+            self._deferred
+            and len(manager._free_rows) < self._minimum_free
+            and not self._reclaim_idle
+        ):
+            return iteration  # reclamation would run and may free rows
         if self._overlap:
             worker = manager.background
             if worker.critical_pending or worker.opportunistic_pending:

@@ -114,9 +114,12 @@ class DecodeFastPath:
         A hook iteration is a *no-op* when :meth:`on_iteration` would
         mutate nothing and return ``True`` — the executor may then skip
         the calls wholesale, which is exact because a no-op changes no
-        state the next hook decision reads. Plans that cannot prove a
-        span return ``iteration`` (skip nothing), the conservative
-        default.
+        state the next hook decision reads. The proof may use what the
+        plan's own last executed hook observed (vAttention: a
+        reclamation pass that freed nothing); a plan whose hooks have
+        not run yet must prove the span from the manager state alone.
+        Plans that cannot prove a span return ``iteration`` (skip
+        nothing), the conservative default.
         """
         return iteration
 
@@ -330,7 +333,8 @@ class DecodeFastForwarder:
 
     The work counters are plain integers: proofs tried (:meth:`_prove`
     runs), backend plans built, stretches finished, resumed stretches
-    finished, and iterations executed analytically.
+    finished, iterations executed analytically, and backend hooks
+    called (``on_iteration`` calls the quiescence proof did not skip).
     """
 
     def __init__(self, engine: "LLMEngine") -> None:
@@ -354,6 +358,7 @@ class DecodeFastForwarder:
         self.stretches = 0
         self.resumes = 0
         self.analytic_iterations = 0
+        self.hook_calls = 0
 
     # ------------------------------------------------------------------
     def execute(self, deadline: float) -> int:
@@ -488,6 +493,7 @@ class DecodeFastForwarder:
                     executed = i = j
                     continue
                 executed = i + 1
+                self.hook_calls += 1
                 if not plan.on_iteration(base + i, compute[i]):
                     resumable = False
                     break

@@ -1,5 +1,7 @@
 """Background allocation worker: overlap, spill and priorities."""
 
+import math
+
 import pytest
 
 from repro.core.background import BackgroundWorker
@@ -31,6 +33,27 @@ class TestSubmitAndRun:
             worker.submit(-1)
         with pytest.raises(ValueError):
             worker.run_for(-1)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("critical", [True, False])
+    def test_submit_rejects_non_finite(self, seconds, critical):
+        worker = BackgroundWorker()
+        worker.submit(0.002, critical=critical)
+        with pytest.raises(ValueError):
+            worker.submit(seconds, critical=critical)
+        assert worker.pending_seconds == 0.002
+        assert worker.submitted_seconds == 0.002
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf])
+    def test_run_for_rejects_non_finite(self, window):
+        worker = BackgroundWorker()
+        worker.submit(0.002)
+        worker.submit(0.003, critical=False)
+        with pytest.raises(ValueError):
+            worker.run_for(window)
+        assert worker.critical_pending == 0.002
+        assert worker.opportunistic_pending == 0.003
+        assert worker.overlapped_seconds == 0.0
 
 
 class TestPriorities:

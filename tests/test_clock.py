@@ -1,5 +1,7 @@
 """Simulated clock behaviour."""
 
+import math
+
 import pytest
 
 from repro.gpu.clock import SimClock
@@ -35,6 +37,16 @@ class TestAdvance:
         clock = SimClock()
         clock.advance(0.0)
         assert clock.now == 0.0
+
+    @pytest.mark.parametrize("move", ["advance", "jump_to"])
+    def test_rejects_nan(self, move):
+        clock = SimClock(start=1.0)
+        seen = []
+        clock.subscribe(lambda old, new: seen.append(new))
+        with pytest.raises(ValueError):
+            getattr(clock, move)(math.nan)
+        assert clock.now == 1.0
+        assert seen == []
 
 
 class TestAdvanceTo:

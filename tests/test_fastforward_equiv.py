@@ -57,8 +57,9 @@ from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
 from repro.serving.memory import _PagedDecodePlan
+from repro.serving.request import Request
 from repro.sim.fastforward import DecodeFastForwarder
-from repro.units import MB
+from repro.units import GB, MB
 from repro.workloads.arrival import poisson_arrivals
 from repro.workloads.traces import fixed_trace, shared_prefix_trace
 
@@ -489,6 +490,40 @@ def _evicting_admission():
     return _swept_in_steps(engine)
 
 
+def _reclaim_idle():
+    """Eight decodes of staggered lengths fill a 16-row pool, so the
+    free pool sits below vAttention's reclamation threshold. A
+    completion leaves its slot's rows mapped for a later reclamation
+    pass to drain; after that, passes reclaim nothing, and an idle pass
+    lets a stretch skip its hooks up to the next crossing, across every
+    deadline cut. Without eager allocation nothing else forces the
+    reclaiming hooks to run."""
+    engine = LLMEngine(
+        EngineConfig(
+            shard=ShardedModel(YI_6B, 1),
+            gpu=A100,
+            memory_backend="vattention",
+            max_batch_size=8,
+            kv_budget_bytes=2 * GB,
+            eager_allocation=False,
+        )
+    )
+    engine.submit(
+        [
+            Request(
+                request_id=f"r{index}",
+                prompt_len=2_000,
+                max_new_tokens=max_new_tokens,
+                arrival_time=0.0,
+            )
+            for index, max_new_tokens in enumerate(
+                (300, 1_200, 600, 1_500, 900, 1_800, 450, 2_100)
+            )
+        ]
+    )
+    return _swept_in_steps(engine)
+
+
 RESUME_SCENARIOS = {
     **{
         f"golden:{name}": (lambda name=name: fcfs_golden.SCENARIOS[name](
@@ -504,6 +539,7 @@ RESUME_SCENARIOS = {
     "deadlines:uvm": _deadline_driven(memory_backend="uvm"),
     "deadlines:static": _deadline_driven(memory_backend="static"),
     "deadlines:evicting_admission": _evicting_admission,
+    "deadlines:reclaim_idle": _reclaim_idle,
     "deadlines:paged": _deadline_driven(
         memory_backend="paged",
         prefill_kernel="fa2_paged",

@@ -3,14 +3,21 @@
 import pytest
 
 from repro.core.config import VAttentionConfig
+from repro.core.vattention import VAttention
 from repro.errors import ConfigError, SchedulingError
 from repro.gpu.device import Device
 from repro.gpu.spec import A100
 from repro.kernels.base import KvLayout
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
-from repro.serving.memory import PagedMemory, StaticMemory, VAttentionMemory
+from repro.serving.memory import (
+    PagedMemory,
+    StaticMemory,
+    VAttentionMemory,
+    _VattentionDecodePlan,
+)
 from repro.serving.request import Request, RequestState
+from repro.sim.fastforward import UNBOUNDED_HORIZON
 from repro.units import GB, MB
 
 
@@ -203,3 +210,87 @@ class TestStaticBackend:
             admitted += 1
         assert static_slots == 1
         assert admitted >= 32
+
+
+class TestVattentionPlanQuiescence:
+    """Which hook spans the vAttention decode plan proves to be no-ops.
+
+    The manager below holds 32 rows of 2048 tokens; the reclamation
+    threshold keeps at least 3 of them free. Three batch slots decode
+    10 tokens short of a page-group edge, so the first crossing falls
+    at plan iteration 9.
+    """
+
+    def manager(self, eager: bool = False, cached_rows: int = 0):
+        device = Device(A100, reserved_bytes=80 * GB - 4 * GB)
+        config = VAttentionConfig(
+            shard=ShardedModel(YI_6B, 1),
+            max_batch_size=4,
+            page_group_size=2 * MB,
+            eager_allocation=eager,
+        )
+        manager = VAttention(device, config)
+        assert (manager.total_rows, manager._minimum_free_rows) == (32, 3)
+        seq_lens = [0] * 4
+        if cached_rows:
+            # A finished request whose rows deferred reclamation kept.
+            cached = manager.alloc_reqid()
+            seq_lens[cached] = cached_rows * config.tokens_per_page_group
+            assert manager.step(seq_lens) == 0
+            seq_lens[cached] = 0
+        batch = [manager.alloc_reqid() for _ in range(3)]
+        if cached_rows:
+            manager.free_reqid(cached)
+        context = 10 * config.tokens_per_page_group - 10
+        for req_id in batch:
+            seq_lens[req_id] = context
+        assert manager.step(seq_lens) == 0
+        manager.background.opportunistic_pending = 0.0
+        return manager, [(manager.slots[r], context) for r in batch]
+
+    def plan(self, manager, slots):
+        return _VattentionDecodePlan(manager, slots, UNBOUNDED_HORIZON, True)
+
+    def test_idle_reclamation_runs_to_the_next_crossing(self):
+        manager, slots = self.manager()
+        assert manager.free_rows < manager._minimum_free_rows
+        plan = self.plan(manager, slots)
+        # Before any hook ran, nothing is known about reclamation.
+        assert plan.quiescent_until(0, 100) == 0
+        unmapped = manager.stats.rows_unmapped
+        assert plan.on_iteration(0, 0.02)
+        assert manager.stats.rows_unmapped == unmapped
+        # The pass freed nothing, and nothing in the span can change
+        # that: skip to the crossing, or to the end if it comes first.
+        assert plan.quiescent_until(1, 100) == 9
+        assert plan.quiescent_until(1, 5) == 5
+        assert plan.quiescent_until(9, 100) == 9
+
+    def test_inactive_slot_holding_rows_runs_the_hook(self):
+        manager, slots = self.manager(cached_rows=2)
+        (cached,) = [s for s in manager.slots if not s.active]
+        assert len(cached.rows) == 2 and manager.free_rows == 0
+        plan = self.plan(manager, slots)
+        # The next pass would reclaim the cached rows.
+        assert plan.quiescent_until(0, 100) == 0
+        # It drains the cached slot and stays below the threshold; once
+        # a pass frees nothing, the span runs to the crossing.
+        assert plan.on_iteration(0, 0.02)
+        assert not cached.rows and manager.free_rows == 2
+        assert plan.on_iteration(1, 0.02)
+        assert plan.quiescent_until(2, 100) == 9
+
+    def test_pending_eager_mapping_runs_the_hook(self):
+        manager, slots = self.manager(eager=True)
+        plan = self.plan(manager, slots)
+        assert plan.on_iteration(0, 0.02)
+        target = [s for s in manager.slots if not s.active][0]
+        assert plan._eager_target is target
+        # Eager allocation maps the free rows into the next reqId every
+        # hook, and reclamation takes them back: nothing is idle.
+        assert manager.free_rows == 2 and not target.rows
+        assert plan.quiescent_until(1, 100) == 1
+        # Even a reclamation pass known to be idle cannot hide a mapping
+        # that eager allocation would make.
+        plan._reclaim_idle = True
+        assert plan.quiescent_until(1, 100) == 1

@@ -2,13 +2,13 @@
 
 ``DecodeFastForwarder`` counts its work in plain integers (proofs tried,
 backend plans built, stretches finished, resumed stretches, analytic
-iterations), ``LLMEngine`` counts the iterations it steps one at a
-time, and ``ClusterEngine`` counts its replica views' full syncs, O(1)
-answers and ``StretchOracle`` builds. The counts are exact, so they
-gate with zero noise: these tests
-pin that a submission to a full batch costs no proof and no view
-sweep, and that a fixed cluster day does no more work than it did when
-the counts were pinned.
+iterations, backend hook calls), ``LLMEngine`` counts the iterations it
+steps one at a time, and ``ClusterEngine`` counts its replica views'
+full syncs, O(1) answers and ``StretchOracle`` builds. The counts are
+exact, so they gate with zero noise: these tests pin that a submission
+to a full batch costs no proof and no view sweep, and that a fixed
+cluster day and a fixed offline batch do no more work than they did
+when the counts were pinned.
 """
 
 import math
@@ -17,11 +17,13 @@ from repro.cluster.engine import Replica, _ReplicaReplay, _Window
 from repro.experiments import ext_autoscale
 from repro.experiments.ext_cluster_router import cluster_trace
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
 from repro.serving.request import Request
-from repro.workloads.traces import fixed_trace
+from repro.units import GB
+from repro.workloads.traces import fixed_trace, openchat_trace
 
 
 def steady_full_engine() -> LLMEngine:
@@ -173,3 +175,42 @@ class TestPinnedWork:
         )
         resumed = sum(e._fast.resumes for e in engines)
         assert 0 < resumed <= counts["stretches"]
+
+
+#: Backend hook calls on the offline batch below. Under KV pressure the
+#: free pool sits below vAttention's reclamation threshold with nothing
+#: left to reclaim; once a pass proves that, the hooks up to the next
+#: page-group crossing are skipped. Any increase fails; a decrease is an
+#: improvement to re-pin here.
+HOOK_CALLS_CEILING = 337
+#: Skipping a hook never changes how many iterations run analytically.
+ANALYTIC_ITERATIONS = 2_187
+
+
+class TestPinnedHooks:
+    def test_offline_batch_under_kv_pressure(self):
+        engine = LLMEngine(
+            EngineConfig(
+                shard=ShardedModel(YI_6B, 1),
+                gpu=A100,
+                memory_backend="vattention",
+                max_batch_size=32,
+                kv_budget_bytes=2 * GB,
+                memory=MemoryConfig(preemption_mode="tiered"),
+            )
+        )
+        engine.submit(
+            openchat_trace(
+                arrivals=[0.0] * 64,
+                seed=7,
+                max_context=engine.config.shard.max_context,
+            )
+        )
+        report = engine.run()
+        assert len(report.finished_requests) == 64
+        assert sum(r.preemptions for r in engine._all_requests) > 0
+        fast = engine._fast
+        assert fast.analytic_iterations == ANALYTIC_ITERATIONS
+        assert fast.hook_calls <= HOOK_CALLS_CEILING, (
+            f"hook calls grew: {fast.hook_calls} > {HOOK_CALLS_CEILING}"
+        )
