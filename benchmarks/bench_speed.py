@@ -21,7 +21,9 @@ Cases (the decode-heavy end of the catalogue):
   the idle-reclamation proof skips.
 
 Every row also prints the fast side's backend hook calls
-(``DecodeFastForwarder.hook_calls``, summed over a fleet's replicas).
+(``DecodeFastForwarder.hook_calls``, summed over a fleet's replicas);
+the cluster row adds the fast side's radix-tree edge comparisons
+(``RadixTreeStats.edge_compares``, summed over the replicas' trees).
 
 Usage::
 
@@ -123,7 +125,7 @@ def _run_engine(build: Callable[[], object], fast_forward: bool):
         len(report.finished_requests),
         report.metrics.iteration_count(),
     )
-    return elapsed, fingerprint, engine._fast.hook_calls
+    return elapsed, fingerprint, {"hook_calls": engine._fast.hook_calls}
 
 
 def _run_cluster(build: Callable[[], object], fast_forward: bool):
@@ -137,8 +139,14 @@ def _run_cluster(build: Callable[[], object], fast_forward: bool):
         len(report.finished_records),
         tuple(repr(latency) for latency in sorted(report.e2e_latencies())),
     )
-    hook_calls = sum(r.engine._fast.hook_calls for r in cluster.replicas)
-    return elapsed, fingerprint, hook_calls
+    engines = [r.engine for r in cluster.replicas]
+    counters = {
+        "hook_calls": sum(e._fast.hook_calls for e in engines),
+        "edge_compares": sum(
+            e.memory.cache.tree.stats.edge_compares for e in engines
+        ),
+    }
+    return elapsed, fingerprint, counters
 
 
 def measure(
@@ -152,7 +160,7 @@ def measure(
     slow_times: List[float] = []
     fast_state = slow_state = None
     for _ in range(repeats):
-        elapsed, fast_state, hook_calls = runner(build, True)
+        elapsed, fast_state, counters = runner(build, True)
         fast_times.append(elapsed)
         elapsed, slow_state, _ = runner(build, False)
         slow_times.append(elapsed)
@@ -168,12 +176,12 @@ def measure(
         "fast_seconds": round(fast, 6),
         "slow_seconds": round(slow, 6),
         "speedup": round(slow / fast, 3),
-        "hook_calls": hook_calls,
+        **counters,
     }
     print(
         f"  {name:<28} fast {fast * 1e3:8.1f}ms   "
         f"slow {slow * 1e3:8.1f}ms   {slow / fast:5.2f}x   "
-        f"hooks {hook_calls}"
+        + "   ".join(f"{key} {value}" for key, value in counters.items())
     )
     return row
 

@@ -7,8 +7,11 @@ Each cached prefix is one :class:`PrefixEntry`: an opaque backend slot
 tree never interprets slots — backend mechanics live in the adapters —
 so the index works over any sharing-capable allocator. The tree is
 path-compressed (edges carry token runs, split lazily on divergence),
-so lookups cost one comparison per matched token and entries sharing a
-prompt prefix share their path.
+so entries sharing a prompt prefix share their path, and lookups cost
+one comparison per matched token per (edge, prompt): each node
+memoises its last comparison, so the router's probes, the admission
+match and the prefill-end insert of one prompt compare it against an
+edge once.
 
 Entries come in two flavours the :class:`~repro.cache.manager.
 PrefixCacheManager` distinguishes by ownership:
@@ -81,6 +84,9 @@ class RadixTreeStats:
     duplicate_insertions: int = 0
     evictions: int = 0
     removals: int = 0
+    #: Edge-vs-prompt token-run comparisons actually computed (walk
+    #: steps the per-node memo could not answer).
+    edge_compares: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -90,15 +96,27 @@ class RadixTreeStats:
 
 class _Node:
     """One path-compressed tree node; ``edge`` labels the link from its
-    parent (empty for the root)."""
+    parent (empty for the root).
 
-    __slots__ = ("edge", "parent", "children", "entries")
+    The ``seen_*`` slots memoise the node's last edge comparison: the
+    query and edge tuples it compared, the query offset, and the common
+    run found (see :meth:`RadixTree._run`).
+    """
+
+    __slots__ = (
+        "edge", "parent", "children", "entries",
+        "seen_query", "seen_edge", "seen_offset", "seen_run",
+    )
 
     def __init__(self, edge: Tuple[int, ...], parent: Optional["_Node"]):
         self.edge = edge
         self.parent = parent
         self.children: Dict[int, _Node] = {}
         self.entries: List[PrefixEntry] = []
+        self.seen_query: Optional[Tuple[int, ...]] = None
+        self.seen_edge: Optional[Tuple[int, ...]] = None
+        self.seen_offset = 0
+        self.seen_run = 0
 
     def subtree_entries(self) -> Iterator[PrefixEntry]:
         stack = [self]
@@ -114,18 +132,20 @@ class RadixTree:
     def __init__(self) -> None:
         self._root = _Node((), None)
         self._nodes: Dict[int, _Node] = {}  # entry_id -> terminal node
+        self._entries: Dict[int, PrefixEntry] = {}  # entry_id -> entry
         self._next_entry_id = 0
         self.stats = RadixTreeStats()
 
     # ------------------------------------------------------------------
     @property
     def entries(self) -> List[PrefixEntry]:
-        """All registered entries (live and cache-owned)."""
-        return list(self._root.subtree_entries())
+        """All registered entries (live and cache-owned), in insertion
+        order."""
+        return list(self._entries.values())
 
     @property
     def entry_count(self) -> int:
-        return len(self._nodes)
+        return len(self._entries)
 
     @property
     def cached_tokens(self) -> int:
@@ -134,13 +154,10 @@ class RadixTree:
 
     def get(self, entry_id: int) -> PrefixEntry:
         """Look an entry up by id."""
-        node = self._nodes.get(entry_id)
-        if node is None:
+        entry = self._entries.get(entry_id)
+        if entry is None:
             raise SchedulingError(f"no cache entry {entry_id}")
-        for entry in node.entries:
-            if entry.entry_id == entry_id:
-                return entry
-        raise SchedulingError(f"no cache entry {entry_id}")  # pragma: no cover
+        return entry
 
     # ------------------------------------------------------------------
     # Lookup
@@ -234,7 +251,7 @@ class RadixTree:
                             below, depth, best, best_len
                         )
                 break
-            run = self._common_run(child.edge, query, depth)
+            run = self._run(child, query, depth)
             if run < len(child.edge):
                 # Diverged mid-edge: the whole subtree below shares
                 # exactly `depth + run` tokens with the query.
@@ -247,6 +264,31 @@ class RadixTree:
             node = child
         return best, best_len
 
+    def _run(self, node: _Node, query: Tuple[int, ...], offset: int) -> int:
+        """Common token run of ``node``'s edge and ``query[offset:]``,
+        memoised per node.
+
+        Exact: :meth:`_common_run` is a pure function of two immutable
+        tuples and an offset, and the node holds strong references to
+        the tuples it compared, so their identities cannot be reused by
+        other objects. A split or prune merge assigns the node a new
+        edge object, so a stale memo misses by construction. Identity
+        tests keep a miss O(1) — ``==`` would compare contents.
+        """
+        if (
+            node.seen_query is query
+            and node.seen_edge is node.edge
+            and node.seen_offset == offset
+        ):
+            return node.seen_run
+        self.stats.edge_compares += 1
+        run = self._common_run(node.edge, query, offset)
+        node.seen_query = query
+        node.seen_edge = node.edge
+        node.seen_offset = offset
+        node.seen_run = run
+        return run
+
     @staticmethod
     def _common_run(
         edge: Tuple[int, ...], query: Tuple[int, ...], offset: int
@@ -258,12 +300,17 @@ class RadixTree:
         costs a handful of slice compares instead of one Python-level
         compare per token (~6x on the 4K prefixes the cluster router
         probes per routing decision), and an immediate divergence still
-        costs only the one-element check.
+        costs only the one-element check. A differing last token proves
+        the whole-window compare would fail, so it skips that slice.
         """
         limit = min(len(edge), len(query) - offset)
         if limit <= 0 or edge[0] != query[offset]:
             return 0
-        if edge[:limit] == query[offset:offset + limit]:
+        last = limit - 1
+        if (
+            edge[last] == query[offset + last]
+            and edge[:limit] == query[offset:offset + limit]
+        ):
             return limit
         # Gallop to a doubling window containing the first mismatch,
         # then bisect inside it; every compare is a C-level slice.
@@ -304,24 +351,6 @@ class RadixTree:
     # ------------------------------------------------------------------
     # Insertion / removal
     # ------------------------------------------------------------------
-    def covers(self, token_ids: Sequence[int]) -> bool:
-        """Whether an existing entry already holds all of ``token_ids``."""
-        query = tuple(token_ids)
-        node = self._root
-        depth = 0
-        while depth < len(query):
-            child = node.children.get(query[depth])
-            if child is None:
-                return False
-            run = self._common_run(child.edge, query, depth)
-            if run < len(child.edge):
-                return run == len(query) - depth and any(
-                    True for _ in child.subtree_entries()
-                )
-            depth += run
-            node = child
-        return any(True for _ in node.subtree_entries())
-
     def insert(
         self,
         token_ids: Sequence[int],
@@ -339,26 +368,29 @@ class RadixTree:
         ids = tuple(token_ids)
         if not ids:
             return None
-        if self.covers(ids):
-            self.stats.duplicate_insertions += 1
-            return None
         node = self._root
         depth = 0
         while depth < len(ids):
             child = node.children.get(ids[depth])
             if child is None:
-                child = _Node(ids[depth:], node)
-                node.children[ids[depth]] = child
-                node = child
-                depth = len(ids)
                 break
-            run = self._common_run(child.edge, ids, depth)
+            run = self._run(child, ids, depth)
+            depth += run
             if run < len(child.edge):
-                node = self._split(child, run)
-                depth += run
-            else:
-                node = child
-                depth += run
+                # Split only once the walk has proven `ids` diverge
+                # from the edge: the tree is never changed for a
+                # duplicate.
+                if depth < len(ids):
+                    node = self._split(child, run)
+                break
+            node = child
+        if depth == len(ids):
+            # `ids` end on or inside an edge, and every non-root node
+            # has an entry below it: that entry holds all of `ids`.
+            self.stats.duplicate_insertions += 1
+            return None
+        leaf = _Node(ids[depth:], node)
+        node.children[ids[depth]] = leaf
         entry = PrefixEntry(
             entry_id=self._next_entry_id,
             slot=slot,
@@ -368,8 +400,9 @@ class RadixTree:
             last_access=now,
         )
         self._next_entry_id += 1
-        node.entries.append(entry)
-        self._nodes[entry.entry_id] = node
+        leaf.entries.append(entry)
+        self._nodes[entry.entry_id] = leaf
+        self._entries[entry.entry_id] = entry
         self.stats.insertions += 1
         return entry
 
@@ -392,6 +425,7 @@ class RadixTree:
             raise SchedulingError(
                 f"cache entry {entry.entry_id} is not registered"
             )
+        del self._entries[entry.entry_id]
         node.entries.remove(entry)
         self.stats.removals += 1
         self._prune(node)
@@ -420,11 +454,14 @@ class RadixTree:
     # Eviction
     # ------------------------------------------------------------------
     def lru_victim(self) -> Optional[PrefixEntry]:
-        """Oldest evictable entry, or ``None`` if nothing can go."""
-        victims = [e for e in self.entries if e.evictable]
-        if not victims:
-            return None
-        return min(victims, key=lambda e: (e.last_access, e.entry_id))
+        """Oldest evictable entry, or ``None`` if nothing can go (the
+        ``(last_access, entry_id)`` key is unique, so the choice does
+        not depend on iteration order)."""
+        return min(
+            (e for e in self._entries.values() if e.evictable),
+            key=lambda e: (e.last_access, e.entry_id),
+            default=None,
+        )
 
     def evict(self, entry: PrefixEntry) -> None:
         """Remove an entry, counting it as an eviction (not a removal)."""

@@ -25,13 +25,16 @@ class PrefixDescriptor:
     prompt); the radix-tree prefix cache indexes resident KV under them
     and matches arriving requests against the index. ``group`` is a
     workload-level label (shared system prompt, chat session) used in
-    statistics — sharing is decided purely by token ids.
+    statistics — sharing is decided purely by token ids. The ids are
+    frozen into a tuple at construction (O(1) when a tuple is given), so
+    a caller mutating its list afterwards cannot change the descriptor.
     """
 
     group: str
     token_ids: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "token_ids", tuple(self.token_ids))
         if not self.token_ids:
             raise ConfigError(f"prefix group {self.group!r} has no tokens")
 

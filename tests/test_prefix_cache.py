@@ -99,6 +99,30 @@ class TestPrefixDescriptor:
         with pytest.raises(ConfigError):
             PrefixDescriptor(group="g", token_ids=())
 
+    def test_descriptor_ignores_later_list_mutation(self):
+        # A descriptor validated against a 4-token prompt must not grow
+        # when the caller reuses the list it was built from.
+        ids = [1, 2, 3, 4]
+        descriptor = PrefixDescriptor(group="g", token_ids=ids)
+        request = Request(
+            request_id="r", prompt_len=4, max_new_tokens=4,
+            prefix=descriptor,
+        )
+        ids.extend([5, 6, 7])
+        assert request.prefix.tokens == 4
+        assert descriptor.token_ids == (1, 2, 3, 4)
+
+    def test_descriptor_is_hashable(self):
+        a = PrefixDescriptor(group="g", token_ids=[1, 2, 3])
+        b = PrefixDescriptor(group="g", token_ids=(1, 2, 3))
+        assert a == b and hash(a) == hash(b)
+
+    def test_tuple_descriptor_keeps_the_callers_tuple(self):
+        # Freezing must not copy a tuple: trace generators hand over
+        # multi-thousand-token tuples, one per request.
+        ids = tuple(range(16))
+        assert PrefixDescriptor(group="g", token_ids=ids).token_ids is ids
+
     def test_preemption_resets_cached_prefix(self):
         request = Request(request_id="r", prompt_len=10, max_new_tokens=4)
         from repro.serving.request import RequestState

@@ -1,9 +1,25 @@
 """Radix-tree prefix index: matching, splitting, refcounts, LRU."""
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.cache.radix import RadixTree
+from repro.cluster.engine import ClusterConfig, ClusterEngine
 from repro.errors import SchedulingError
+from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
+from repro.models.shard import ShardedModel
+from repro.models.zoo import YI_6B
+from repro.serving.engine import EngineConfig
+from repro.workloads.arrival import poisson_arrivals
+from repro.workloads.traces import TraceSpec, shared_prefix_trace
+
+RELAXED = settings(
+    deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=30
+)
 
 
 def ids(*runs):
@@ -216,3 +232,313 @@ class TestStats:
         tree.insert(ids((1, 8)), slot=0, group="g", live=False)
         tree.insert(ids((2, 6)), slot=1, group="g", live=True)
         assert tree.cached_tokens == 8
+
+
+def lcp(a, b):
+    """Brute-force longest common prefix length."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+class TestEdgeMemo:
+    def test_same_query_compares_each_edge_once(self):
+        # Probe, match and insert of one prompt walk the same edge: only
+        # the first walk compares it.
+        tree = RadixTree()
+        tree.insert(ids((1, 8)), slot=0, group="g", live=False)
+        query = ids((1, 8), (2, 4))
+        before = tree.stats.edge_compares
+        assert tree.probe(query)[1] == 8
+        assert tree.stats.edge_compares == before + 1
+        assert tree.probe(query)[1] == 8
+        assert tree.match_prefix(query)[1] == 8
+        assert tree.insert(query, slot=1, group="g", live=True)
+        assert tree.stats.edge_compares == before + 1
+
+    def test_equal_but_distinct_query_recomputes(self):
+        tree = RadixTree()
+        tree.insert(ids((1, 8)), slot=0, group="g", live=False)
+        tree.probe(ids((1, 8)))
+        before = tree.stats.edge_compares
+        tree.probe(ids((1, 8)))  # a new tuple with the same contents
+        assert tree.stats.edge_compares == before + 1
+
+    def test_split_between_walks_recomputes(self):
+        tree = RadixTree()
+        tree.insert(ids((1, 8)), slot=0, group="g", live=False)
+        query = ids((1, 8), (2, 4))
+        tree.probe(query)
+        # Splits the (1, 8) edge after 4 tokens: the old node keeps the
+        # tail under a new edge object and a new node takes the head.
+        tree.insert(ids((1, 4), (3, 4)), slot=1, group="g", live=False)
+        before = tree.stats.edge_compares
+        entry, matched = tree.probe(query)
+        assert matched == 8 and entry.token_ids == ids((1, 8))
+        assert tree.stats.edge_compares == before + 2
+
+    def test_split_at_the_same_offset_recomputes(self):
+        # Inserting the query itself walks the edge, then splits it: the
+        # node keeps its memo for (query, 0) but holds a new edge.
+        tree = RadixTree()
+        tree.insert((1, 2, 3, 4), slot=0, group="g", live=False)
+        (node,) = tree._root.children.values()
+        query = (1, 2, 9)
+        tree.insert(query, slot=1, group="g", live=False)
+        assert node.edge == (3, 4)
+        assert tree._run(node, query, 0) == 0
+
+    def test_prune_merge_recomputes(self):
+        tree = RadixTree()
+        tree.insert((1, 2, 3), slot=0, group="g", live=False)
+        other = tree.insert((1, 2, 5), slot=1, group="g", live=False)
+        (mid,) = tree._root.children.values()
+        node = mid.children[3]
+        query = (3, 9)
+        assert tree._run(node, query, 0) == 1
+        tree.remove(other)  # merges `mid` back into `node`
+        assert node.edge == (1, 2, 3)
+        assert tree._run(node, query, 0) == 0
+
+    def test_new_offset_recomputes(self):
+        tree = RadixTree()
+        tree.insert((5, 5, 6), slot=0, group="g", live=False)
+        (node,) = tree._root.children.values()
+        query = (5, 5, 6, 9)
+        assert tree._run(node, query, 0) == 3
+        before = tree.stats.edge_compares
+        assert tree._run(node, query, 1) == 1
+        assert tree._run(node, query, 1) == 1
+        assert tree.stats.edge_compares == before + 1
+
+
+#: Tree work on the small fleet below, summed over both replicas. The
+#: per-node memo answers the router probe, the admission match and the
+#: prefill-end insert of a prompt with one compare per edge (the tree
+#: computed 195 before it); any increase fails, a decrease is an
+#: improvement to re-pin here. The cache's decisions are fixed by the
+#: trace, so its lookup, hit, insertion and eviction counts are exact.
+EDGE_COMPARES_CEILING = 55
+TREE_COUNTS = {
+    "lookups": 64,
+    "hits": 48,
+    "misses": 16,
+    "insertions": 64,
+    "duplicate_insertions": 0,
+    "evictions": 44,
+}
+
+
+class TestPinnedCompares:
+    def test_cache_aware_fleet(self):
+        cluster = ClusterEngine(
+            ClusterConfig(
+                engine=EngineConfig(
+                    shard=ShardedModel(YI_6B, 1),
+                    gpu=A100,
+                    memory_backend="vattention",
+                    max_batch_size=8,
+                    memory=MemoryConfig(
+                        enable_prefix_cache=True, prefix_cache_slots=2
+                    ),
+                ),
+                n_replicas=2,
+                routing_policy="cache_aware",
+            )
+        )
+        requests = shared_prefix_trace(
+            count=64,
+            sharing_factor=8,
+            prefix_tokens=1_024,
+            suffix_spec=TraceSpec(low=16, high=256, mean=64),
+            decode_spec=TraceSpec(low=4, high=32, mean=8),
+            seed=11,
+        )
+        random.Random(5).shuffle(requests)
+        arrivals = poisson_arrivals(qps=8.0, count=len(requests), seed=3)
+        for request, arrival in zip(requests, arrivals):
+            request.arrival_time = arrival
+        cluster.submit(requests)
+        assert len(cluster.run().finished_records) == 64
+        stats = [r.engine.memory.cache.tree.stats for r in cluster.replicas]
+        counts = {
+            name: sum(getattr(s, name) for s in stats) for name in TREE_COUNTS
+        }
+        assert counts == TREE_COUNTS
+        compares = sum(s.edge_compares for s in stats)
+        assert compares <= EDGE_COMPARES_CEILING, (
+            f"edge compares grew: {compares} > {EDGE_COMPARES_CEILING}"
+        )
+
+
+def tree_nodes(tree):
+    """Every non-root node."""
+    nodes, stack = [], list(tree._root.children.values())
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children.values())
+    return nodes
+
+
+#: Prompts over a 3-token alphabet: short random runs share stems
+#: often, so inserts split edges mid-way and removals merge them back.
+PROMPTS = st.lists(
+    st.lists(st.integers(0, 2), min_size=1, max_size=10).map(tuple),
+    min_size=1,
+    max_size=8,
+)
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert", "remove", "evict", "match", "probe", "touch"]
+        ),
+        st.integers(0, 63),
+        st.integers(0, 11),
+        st.booleans(),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+class TestAgainstFlatReference:
+    """Random operation sequences replayed against a flat entry list
+    with brute-force longest-common-prefix matching."""
+
+    @RELAXED
+    @given(prompts=PROMPTS, ops=OPS, offset=st.integers(0, 2))
+    # A step at offset 1 leaves a memo a later walk at offset 0 must
+    # not take.
+    @example(
+        prompts=[(0, 1, 2)],
+        ops=[("insert", 0, 0, False), ("probe", 0, 0, False)],
+        offset=1,
+    )
+    # Removing (0, 1, 0) merges the (0, 1) node into the (2,) node,
+    # whose memo from the previous step must not survive its new edge.
+    @example(
+        prompts=[(0, 1, 2), (0, 1, 0)],
+        ops=[
+            ("insert", 0, 0, False),
+            ("insert", 1, 0, False),
+            ("remove", 1, 0, False),
+        ],
+        offset=0,
+    )
+    def test_tree_matches_reference(self, prompts, ops, offset):
+        tree = RadixTree()
+        entries = []  # the reference: every registered entry
+        expected = dict(
+            lookups=0, hits=0, misses=0, hit_tokens=0, insertions=0,
+            duplicate_insertions=0, evictions=0, removals=0,
+        )
+
+        def best(query, limit):
+            shared = {e.entry_id: lcp(e.token_ids, query) for e in entries}
+            top = max(shared.values(), default=0)
+            matched = top if limit is None else min(top, limit)
+            candidates = [e for e in entries if shared[e.entry_id] == top]
+            return top, matched, candidates
+
+        def check_match(result, query, limit):
+            found, matched = result
+            top, want, candidates = best(query, limit)
+            if want <= 0:
+                assert (found, matched) == (None, 0)
+                return False
+            assert matched == want
+            assert found in candidates
+            # Of the longest matches, the most recently used (as of
+            # before the operation).
+            assert before[found.entry_id][0] == max(
+                before[c.entry_id][0] for c in candidates
+            )
+            assert lcp(found.token_ids, query) == top
+            return True
+
+        for kind, a, b, flag in ops:
+            query = prompts[a % len(prompts)]
+            before = {e.entry_id: (e.last_access, e.hits) for e in entries}
+            named = None  # the one entry the operation may refresh
+            if kind == "insert":
+                covered = any(e.token_ids[:len(query)] == query for e in entries)
+                entry = tree.insert(query, slot=a, group="g", live=flag, now=b)
+                assert (entry is None) == covered
+                if covered:
+                    expected["duplicate_insertions"] += 1
+                else:
+                    assert entry.token_ids == query and entry.last_access == b
+                    entries.append(entry)
+                    expected["insertions"] += 1
+            elif kind in ("remove", "touch") and entries:
+                entry = entries[a % len(entries)]
+                if kind == "remove":
+                    tree.remove(entry)
+                    entries.remove(entry)
+                    expected["removals"] += 1
+                else:
+                    tree.touch(entry, b)
+                    assert entry.last_access == b
+                    named = entry.entry_id
+            elif kind == "evict":
+                evictable = [e for e in entries if e.evictable]
+                want = min(
+                    evictable,
+                    key=lambda e: (e.last_access, e.entry_id),
+                    default=None,
+                )
+                assert tree.lru_victim() is want
+                assert tree.evict_lru() is want
+                if want is not None:
+                    entries.remove(want)
+                    expected["evictions"] += 1
+            elif kind == "match":
+                limit = b % 4 if flag else None
+                result = tree.match_prefix(query, now=b, limit=limit)
+                expected["lookups"] += 1
+                if check_match(result, query, limit):
+                    found, matched = result
+                    assert found.last_access == b
+                    expected["hits"] += 1
+                    expected["hit_tokens"] += matched
+                    named = found.entry_id
+                else:
+                    expected["misses"] += 1
+            elif kind == "probe":
+                limit = b % 4 if flag else None
+                check_match(tree.probe(query, limit=limit), query, limit)
+                compares = tree.stats.edge_compares
+                check_match(tree.probe(query, limit=limit), query, limit)
+                assert tree.stats.edge_compares == compares
+            # No operation refreshes an entry it does not name.
+            after = {e.entry_id: (e.last_access, e.hits) for e in entries}
+            assert {
+                k: v for k, v in after.items() if k in before and k != named
+            } == {
+                k: v for k, v in before.items() if k in after and k != named
+            }
+            assert {e.entry_id for e in tree.entries} == {
+                e.entry_id for e in entries
+            }
+            assert tree.entry_count == len(entries)
+            assert tree.cached_tokens == sum(
+                e.tokens for e in entries if not e.live
+            )
+            stats = tree.stats
+            assert {k: getattr(stats, k) for k in expected} == expected
+            # The walk-step contract off the walks' path: one memoised
+            # step per node with a fixed query at a fixed offset,
+            # against the brute-force run of the node's current edge.
+            # Walks reach a node only at the offset its edge starts at,
+            # and a split or merge moves that start, so only these
+            # steps tell a memo ignoring the offset or the edge from
+            # one keyed on both.
+            sweep = prompts[0]
+            for node in tree_nodes(tree):
+                assert tree._run(node, sweep, offset) == lcp(
+                    node.edge, sweep[offset:]
+                )
