@@ -21,8 +21,9 @@ Cases (the decode-heavy end of the catalogue):
   the idle-reclamation proof skips.
 
 Every row also prints the fast side's backend hook calls
-(``DecodeFastForwarder.hook_calls``, summed over a fleet's replicas);
-the cluster row adds the fast side's radix-tree edge comparisons
+(``DecodeFastForwarder.hook_calls``) and iteration series evaluated
+(``DecodeFastForwarder.series_evaluations``, at most one per backend
+plan), each summed over a fleet's replicas; the cluster row adds the fast side's radix-tree edge comparisons
 (``RadixTreeStats.edge_compares``, summed over the replicas' trees).
 
 Usage::
@@ -125,7 +126,11 @@ def _run_engine(build: Callable[[], object], fast_forward: bool):
         len(report.finished_requests),
         report.metrics.iteration_count(),
     )
-    return elapsed, fingerprint, {"hook_calls": engine._fast.hook_calls}
+    counters = {
+        "hook_calls": engine._fast.hook_calls,
+        "series_evaluations": engine._fast.series_evaluations,
+    }
+    return elapsed, fingerprint, counters
 
 
 def _run_cluster(build: Callable[[], object], fast_forward: bool):
@@ -142,6 +147,9 @@ def _run_cluster(build: Callable[[], object], fast_forward: bool):
     engines = [r.engine for r in cluster.replicas]
     counters = {
         "hook_calls": sum(e._fast.hook_calls for e in engines),
+        "series_evaluations": sum(
+            e._fast.series_evaluations for e in engines
+        ),
         "edge_compares": sum(
             e.memory.cache.tree.stats.edge_compares for e in engines
         ),

@@ -202,7 +202,7 @@ class QueueDepthPolicy(AutoscalerPolicy):
         high_watermark: int = 16_384,
         low_watermark: int = 2_048,
     ) -> None:
-        if high_watermark <= 0 or low_watermark < 0:
+        if not (high_watermark > 0 and low_watermark >= 0):
             raise ConfigError(
                 f"watermarks must be positive, got high={high_watermark} "
                 f"low={low_watermark}"
@@ -260,13 +260,13 @@ class SlaPolicy(AutoscalerPolicy):
         drain_margin: float = 0.5,
         backlog_guard_tokens: int = 65_536,
     ) -> None:
-        if slo_ttft <= 0:
+        if not slo_ttft > 0:
             raise ConfigError(f"slo_ttft must be positive, got {slo_ttft}")
         if not 0.0 < drain_margin < 1.0:
             raise ConfigError(
                 f"drain_margin must be in (0, 1), got {drain_margin}"
             )
-        if backlog_guard_tokens <= 0:
+        if not backlog_guard_tokens > 0:
             raise ConfigError(
                 f"backlog_guard_tokens must be positive, "
                 f"got {backlog_guard_tokens}"

@@ -270,15 +270,14 @@ class _Window:
 
     The loop bumps ``seq`` once per routed arrival; a view whose last
     sync carries an older ``seq`` is stale and syncs on its next
-    observation. ``bound`` is the window's fleet-event bound.
+    observation.
     """
 
-    __slots__ = ("time", "seq", "bound")
+    __slots__ = ("time", "seq")
 
     def __init__(self) -> None:
         self.time = 0.0
         self.seq = 0
-        self.bound = math.inf
 
 
 class _ReplicaReplay(ReplicaView):
@@ -291,10 +290,13 @@ class _ReplicaReplay(ReplicaView):
     so a router that observes nothing routes a window as pure
     bookkeeping. Skipping a sync is exact: the next sync's ``run_until``
     composes with the ones skipped. While a replica's closed-form
-    predictor (:class:`~repro.sim.fastforward.StretchOracle`, or a
-    constant for idle/parked/overshot replicas) is valid, observations
-    cost a ``searchsorted`` (backlog) or a frozen-tree probe (cache) —
-    no sweep. When the predictor expires, the replica is swept to the
+    predictor (:class:`~repro.sim.fastforward.StretchOracle`, reading
+    the proof's cached start series, or a constant for idle/parked
+    replicas) is valid, observations cost a bisect (backlog) or a
+    frozen-tree probe (cache) — no sweep. A replica whose clock already
+    overshot the query instant, unmoved since the last rebuild, answers
+    the same way under the one rule :meth:`_sync` applies in every
+    window. When the predictor expires, the replica is swept to the
     query instant with a real ``run_until`` — exact by the run-until
     composition the fast loop is built on — and the predictor rebuilt
     from a fresh steady-stretch prep. Every answer therefore equals
@@ -424,14 +426,10 @@ class _ReplicaReplay(ReplicaView):
             else:
                 # Hooks may fire at once: opaque — sweep per query.
                 self._valid = -math.inf
-        elif engine.clock.now >= self._window.bound:
-            # Overshot the whole window: ``run_until(t < bound)`` is a
-            # provable no-op, so the observed state is constant for the
-            # rest of *this* window (later windows must re-prove).
-            self._valid = self._window.bound
         else:
             # Running but no provable steady stretch (prefill next,
-            # stretch too short, ...): opaque — sweep per query.
+            # stretch too short, ...): opaque — sweep per query, unless
+            # the clock already passed the query instant (see _sync).
             self._valid = -math.inf
 
     @property
@@ -760,7 +758,7 @@ class ClusterEngine:
             now = head.time
             sweep([r.engine for r in self._decode_targets], now)
             if window_arrivals and head.kind is EventKind.ARRIVAL:
-                bound = window.bound = events.next_fleet_event()
+                bound = events.next_fleet_event()
                 replay = []
                 for r in self._route_targets:
                     if r.is_serving:

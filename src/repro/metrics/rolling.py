@@ -40,7 +40,7 @@ class RollingPercentileTracker:
     """
 
     def __init__(self, window_seconds: Optional[float] = None) -> None:
-        if window_seconds is not None and window_seconds <= 0:
+        if window_seconds is not None and not window_seconds > 0:
             raise ConfigError(
                 f"window_seconds must be positive, got {window_seconds}"
             )

@@ -29,7 +29,7 @@ from .base import (
     SchedulerPolicy,
     SchedulingView,
 )
-from .fcfs import FcfsPolicy, FcfsScheduler, peak_batch_size
+from .fcfs import FcfsPolicy
 from .hybrid import DEFAULT_TOKEN_BUDGET, HybridBatchPolicy
 from .sla import SlaAwarePolicy
 
@@ -83,7 +83,6 @@ def scheduler_policy_names() -> List[str]:
 __all__ = [
     "DEFAULT_TOKEN_BUDGET",
     "FcfsPolicy",
-    "FcfsScheduler",
     "HybridBatchPolicy",
     "IterationPlan",
     "PlanKind",
@@ -92,7 +91,6 @@ __all__ = [
     "SchedulingView",
     "SlaAwarePolicy",
     "make_scheduler_policy",
-    "peak_batch_size",
     "scheduler_policy_names",
     "validate_scheduler_policy",
 ]

@@ -21,7 +21,6 @@ which the engine adds to iteration latency.
 from __future__ import annotations
 
 import abc
-import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import VAttentionConfig
@@ -563,11 +562,8 @@ class _PagedDecodePlan(DecodeFastPath):
         self._next_grow = min(self._grow_at, default=UNBOUNDED_HORIZON)
         #: The cost only changes when a block grows, so the (bit-exact,
         #: same-function) recomputation runs per growth event, not per
-        #: iteration: ``_costs[k]`` holds from plan-iteration
-        #: ``_changes[k]`` on. Kept, not overwritten, because an index
-        #: may be asked again (an oracle's series, then the stretch's).
-        self._changes: List[int] = [-1]
-        self._costs: List[float] = [self._cost.prepare_seconds(self._counts)]
+        #: iteration; indices arrive once each, in ascending order.
+        self._cost_now = self._cost.prepare_seconds(self._counts)
 
     def overhead_at(self, iteration: int) -> float:
         while self._next_grow <= iteration:
@@ -580,12 +576,8 @@ class _PagedDecodePlan(DecodeFastPath):
                     counts[index] += 1
                     grow_at[index] = counts[index] * block_size - c0
             self._next_grow = min(grow_at)
-            self._changes.append(grow)
-            self._costs.append(self._cost.prepare_seconds(counts))
-        changes = self._changes
-        if iteration >= changes[-1]:
-            return self._costs[-1]
-        return self._costs[bisect.bisect_right(changes, iteration) - 1]
+            self._cost_now = self._cost.prepare_seconds(counts)
+        return self._cost_now
 
     def commit(self, executed: int, last_step_now: float) -> None:
         blocks = self._backend.blocks

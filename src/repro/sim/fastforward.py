@@ -39,7 +39,6 @@ spells out the contract):
 from __future__ import annotations
 
 import bisect
-import math
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - numpy is part of the baked toolchain
@@ -99,8 +98,8 @@ class DecodeFastPath:
     def overhead_at(self, iteration: int) -> float:
         """Framework overhead of plan-iteration ``iteration`` (0-based).
 
-        Callers may repeat or revisit an index (an oracle evaluates the
-        series ahead of the stretch that executes it)."""
+        Asked once per index, in ascending order: the proof's series
+        evaluates the whole horizon once (:class:`_StretchPrep`)."""
         raise NotImplementedError  # pragma: no cover - constant-overhead plans
 
     def on_iteration(self, iteration: int, window: float) -> bool:
@@ -162,13 +161,16 @@ class _StretchPrep:
     replica view builds its closed-form predictor from one it never
     executes.
 
-    A stretch cut only by its ``stop_time`` *resumes*: the executor
-    advances the prep in place to the first iteration that did not run
-    (``start``, ``total_tokens``, a ``horizon`` shortened by the
-    iterations executed) and keeps it as the proof for the post-stretch
-    state, which is the proof's own continuation. ``base`` counts the
-    plan iterations executed before ``start``, so the plan sees
-    absolute indices (``base + i``) across the resumed stretches.
+    The iteration series is a property of the proof: :meth:`series`
+    evaluates it over the whole ``horizon`` from ``start`` once, on
+    first use, and every reader — the view's oracle, the stretch, each
+    resumed stretch — indexes into that one pair of lists. ``base``
+    counts the plan iterations already executed, so the next stretch
+    runs ``[base, horizon)``. A stretch cut only by its ``stop_time``
+    *resumes*: the executor sets ``base`` to the cumulative count and
+    keeps the prep as the proof for the post-stretch state, which is the
+    proof's own continuation (``starts[base]`` is the clock,
+    ``total_tokens + base * batch_size`` the batch's tokens).
     """
 
     __slots__ = (
@@ -187,26 +189,32 @@ class _StretchPrep:
         "per_seq",
         "overhead",
         "has_hooks",
-        "oracle",
         "base",
+        "owner",
+        "compute",
+        "starts",
     )
 
+    def series(self) -> Tuple[List[float], List[float]]:
+        """``(compute, starts)`` over the whole horizon (see
+        :func:`_series`), evaluated once and cached."""
+        if self.starts is None:
+            self.compute, self.starts = _series(self)
+            self.owner.series_evaluations += 1
+        return self.compute, self.starts
 
-def _series(
-    prep: _StretchPrep, n: int, stop_time: float
-) -> Tuple[List[float], List[float]]:
-    """The first ``n`` iterations' compute times and start times.
 
-    Returns ``(compute, starts)``: ``compute[i]`` is iteration ``i``'s
-    latency term and ``starts[i]`` the clock at which it starts, so
-    ``starts[i + 1] = starts[i] + compute[i]`` — the per-iteration
-    loop's ``now += compute`` recurrence, float for float. The numpy
-    form (``n >= VECTOR_THRESHOLD``) evaluates all ``n`` iterations;
-    the pure-Python form stops after the first start at or past
-    ``stop_time``, so it never computes an iteration that would not
-    run. Either way ``starts`` is sorted, and every start strictly
-    before ``stop_time`` among the first ``n`` is present.
+def _series(prep: _StretchPrep) -> Tuple[List[float], List[float]]:
+    """Every iteration's compute time and start time over the horizon.
+
+    Returns ``(compute, starts)``: ``compute[i]`` is plan-iteration
+    ``i``'s latency term and ``starts[i]`` the clock at which it starts,
+    so ``starts[i + 1] = starts[i] + compute[i]`` — the per-iteration
+    loop's ``now += compute`` recurrence, float for float, with
+    ``starts[0] = prep.start``. The numpy form (``horizon >=
+    VECTOR_THRESHOLD``) and the pure-Python form give identical floats.
     """
+    n = prep.horizon
     if _np is not None and n >= VECTOR_THRESHOLD:
         totals = prep.total_tokens + prep.batch_size * _np.arange(
             n, dtype=_np.int64
@@ -216,9 +224,8 @@ def _series(
         )
         fw = prep.overhead
         if fw is None:
-            base = prep.base
             fw = _np.array(
-                [prep.plan.overhead_at(base + i) for i in range(n)],
+                [prep.plan.overhead_at(i) for i in range(n)],
                 dtype=_np.float64,
             )
         # Elementwise adds in the scalar form's left-to-right order:
@@ -230,21 +237,16 @@ def _series(
         return compute.tolist(), starts.tolist()
     decode_fn = prep.kernel._decode_time_total
     plan = prep.plan
-    base = prep.base
     now = prep.start
     total = prep.total_tokens
     compute: List[float] = []
     starts = [now]
     for i in range(n):
-        if now >= stop_time:
-            break
         attention = decode_fn(
             prep.shard, total, prep.batch_size, prep.resolved_block
         )
         fw = (
-            prep.overhead
-            if prep.overhead is not None
-            else plan.overhead_at(base + i)
+            prep.overhead if prep.overhead is not None else plan.overhead_at(i)
         )
         step = prep.linear + attention + fw + prep.cpu + prep.per_seq
         compute.append(step)
@@ -260,10 +262,12 @@ class StretchOracle:
     Answers — without touching the engine — how many stretch iterations
     ``engine.run_until(t)`` would execute, for any ``t`` strictly below
     :attr:`valid_until`. Built from a pure :class:`_StretchPrep`, it
-    reproduces the executor's iteration-start series bit for bit (same
-    expressions, same association), so the count is exactly
-    ``run_until``'s: an iteration runs iff it *starts* strictly before
-    ``t``. The cluster's analytic router-state replay sits on top:
+    reads the prep's cached iteration-start series from ``base`` on —
+    the very list the executor's stretch will bisect — so the count is
+    exactly ``run_until``'s: an iteration runs iff it *starts* strictly
+    before ``t``. The oracle keeps nothing on the prep; building another
+    for the same prep re-derives the validity edge and reuses the
+    series. The cluster's analytic router-state replay sits on top:
     outstanding tokens during a steady stretch are the build-time
     backlog minus ``batch_size`` per counted iteration, and the
     replica's radix tree is provably frozen inside the validity span
@@ -285,47 +289,41 @@ class StretchOracle:
     always exact.
     """
 
-    __slots__ = ("batch_size", "valid_until", "_starts")
+    __slots__ = ("batch_size", "valid_until", "_starts", "_base")
 
-    def __init__(self, batch_size: int, valid_until: float, starts) -> None:
+    def __init__(
+        self, batch_size: int, valid_until: float, starts, base: int
+    ) -> None:
         self.batch_size = batch_size
         self.valid_until = valid_until
+        #: The prep's cached start series; iterations count from
+        #: ``starts[base]``, the prep's next unexecuted iteration.
         self._starts = starts
+        self._base = base
 
     @classmethod
     def build(cls, prep: _StretchPrep) -> Optional["StretchOracle"]:
         """The oracle for ``prep``, or ``None`` if no iteration is
         provably predictable (hooks fire immediately)."""
-        cached = prep.oracle
-        if cached is not None:
-            # The starts series and its quiescence edge depend only on
-            # the prep's deadline-independent fields; a memoized prep
-            # (same engine state) re-binds them to the fresh stop_time.
-            if cached is False:
-                return None
-            starts, edge = cached
-            return cls(prep.batch_size, min(edge, prep.stop_time), starts)
-        plan = prep.plan
         horizon = prep.horizon
         base = prep.base
         quiet = (
-            plan.quiescent_until(base, base + horizon) - base
+            prep.plan.quiescent_until(base, horizon)
             if prep.has_hooks
             else horizon
         )
-        cap = min(quiet, horizon - 1)
-        if cap < 1:
-            prep.oracle = False
+        edge = min(quiet, horizon - 1)
+        if edge <= base:
             return None
-        _, starts = _series(prep, cap, math.inf)
-        edge = starts[cap]
-        prep.oracle = (starts, edge)
-        return cls(prep.batch_size, min(edge, prep.stop_time), starts)
+        _, starts = prep.series()
+        return cls(
+            prep.batch_size, min(starts[edge], prep.stop_time), starts, base
+        )
 
     def iterations_before(self, time: float) -> int:
         """Iterations ``run_until(time)`` would execute (requires
         ``time < valid_until``)."""
-        return bisect.bisect_left(self._starts, time)
+        return bisect.bisect_left(self._starts, time, self._base) - self._base
 
 
 class DecodeFastForwarder:
@@ -333,8 +331,9 @@ class DecodeFastForwarder:
 
     The work counters are plain integers: proofs tried (:meth:`_prove`
     runs), backend plans built, stretches finished, resumed stretches
-    finished, iterations executed analytically, and backend hooks
-    called (``on_iteration`` calls the quiescence proof did not skip).
+    finished, iterations executed analytically, backend hooks called
+    (``on_iteration`` calls the quiescence proof did not skip), and
+    iteration series evaluated (at most one per plan).
     """
 
     def __init__(self, engine: "LLMEngine") -> None:
@@ -359,6 +358,7 @@ class DecodeFastForwarder:
         self.resumes = 0
         self.analytic_iterations = 0
         self.hook_calls = 0
+        self.series_evaluations = 0
 
     # ------------------------------------------------------------------
     def execute(self, deadline: float) -> int:
@@ -459,8 +459,9 @@ class DecodeFastForwarder:
         for request in batch:
             total_tokens += request.context_len
         prep.total_tokens = total_tokens
-        prep.oracle = None
         prep.base = 0
+        prep.owner = self
+        prep.starts = None
         return prep
 
     def finish(self, prep: _StretchPrep) -> int:
@@ -471,12 +472,9 @@ class DecodeFastForwarder:
         batch_size = prep.batch_size
         horizon = prep.horizon
         base = prep.base
-        compute, starts = _series(prep, horizon, prep.stop_time)
+        compute, starts = prep.series()
         # Iteration i runs iff it *starts* strictly before stop_time.
-        n = bisect.bisect_left(
-            starts, prep.stop_time, 0, min(len(starts), horizon)
-        )
-        executed = n
+        end = done = bisect.bisect_left(starts, prep.stop_time, base, horizon)
         resumable = True
         if prep.has_hooks:
             # Hooked plans observe every iteration — but a plan can
@@ -485,19 +483,19 @@ class DecodeFastForwarder:
             # the next hook decision reads, so skipping the calls is
             # exact. At fleet scale this turns the per-iteration
             # Python loop into a handful of span jumps.
-            executed = 0
-            i = 0
-            while i < n:
-                j = plan.quiescent_until(base + i, base + n) - base
+            done = i = base
+            while i < end:
+                j = plan.quiescent_until(i, end)
                 if j > i:
-                    executed = i = j
+                    done = i = j
                     continue
-                executed = i + 1
+                done = i + 1
                 self.hook_calls += 1
-                if not plan.on_iteration(base + i, compute[i]):
+                if not plan.on_iteration(i, compute[i]):
                     resumable = False
                     break
                 i += 1
+        executed = done - base
         if executed == 0:
             return 0
         self.stretches += 1
@@ -508,20 +506,20 @@ class DecodeFastForwarder:
         #: (now + compute) - now — summed serially: downstream sums must
         #: add these (not stretch subtotals) to reproduce the
         #: per-iteration loop's float association bit for bit.
-        latencies = [starts[i + 1] - starts[i] for i in range(executed)]
+        latencies = [starts[i + 1] - starts[i] for i in range(base, done)]
         latency_sum = 0.0
         for latency in latencies:
             latency_sum += latency
 
-        engine.clock.jump_to(starts[executed])
+        engine.clock.jump_to(starts[done])
         for request in batch:
             request.generated += executed
         # The completion bound kept every member's remaining budget at
         # or above the horizon, so each owes exactly ``executed`` fewer.
         engine._outstanding -= executed * batch_size
-        plan.commit(base + executed, starts[executed - 1])
+        plan.commit(done, starts[done - 1])
         record = IterationRecord(
-            start_time=prep.start,
+            start_time=starts[base],
             phase="decode",
             batch_size=batch_size,
             latency=latency_sum,
@@ -542,20 +540,16 @@ class DecodeFastForwarder:
                 engine, record, decodes=batch
             )
             engine.telemetry.on_iteration(engine, record)
-        if resumable and horizon - executed >= 2:
+        if resumable and horizon - done >= 2:
             # Cut only by stop_time: the post-stretch state is this
             # proof's continuation — same batch, every member still
-            # owes at least ``horizon - executed`` tokens, the plan's
-            # hooks all returned True — so the prep advanced to the
-            # first iteration that did not run is exactly the proof a
-            # fresh _prove would stage (a paged plan's horizon may be
+            # owes at least ``horizon - done`` tokens, the plan's hooks
+            # all returned True — so the prep with ``base`` advanced to
+            # the first iteration that did not run is exactly the proof
+            # a fresh _prove would stage (a paged plan's horizon may be
             # shorter than a fresh one's, never longer). Below two
             # iterations a fresh proof would decline; so does this.
-            prep.start = starts[executed]
-            prep.total_tokens += executed * batch_size
-            prep.horizon = horizon - executed
-            prep.base = base + executed
-            prep.oracle = None
+            prep.base = done
             self._memo = prep
             self._memo_state = (engine._batch_version, engine.clock.now)
         engine._retire_finished()

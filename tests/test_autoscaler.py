@@ -113,6 +113,19 @@ class TestRollingTracker:
         with pytest.raises(ConfigError):
             RollingPercentileTracker(0.0)
 
+    @pytest.mark.parametrize("window", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_window(self, window):
+        # NaN passes the ``<= 0`` check and would never prune.
+        with pytest.raises(ConfigError):
+            RollingPercentileTracker(window)
+
+    def test_cluster_rejects_nan_slo_window(self):
+        config = ClusterConfig(
+            engine=engine_config(), n_replicas=1, slo_window_seconds=math.nan
+        )
+        with pytest.raises(ConfigError):
+            ClusterEngine(config)
+
 
 # ----------------------------------------------------------------------
 # Policy decisions over synthetic fleet views
@@ -187,6 +200,25 @@ class TestPolicies:
             SlaPolicy(slo_ttft=1.0, drain_margin=1.5)
         with pytest.raises(ConfigError):
             SlaPolicy(slo_ttft=1.0, backlog_guard_tokens=0)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(slo_ttft=math.nan),
+            dict(slo_ttft=1.0, backlog_guard_tokens=math.nan),
+            dict(high_watermark=math.nan),
+            dict(high_watermark=1_000, low_watermark=math.nan),
+        ],
+        ids=[
+            "slo_ttft", "backlog_guard_tokens", "high_watermark",
+            "low_watermark",
+        ],
+    )
+    def test_nan_knobs_rejected(self, knobs):
+        # NaN passes the ``<= 0`` / ``< 0`` / ``>=`` ordering checks.
+        policy = SlaPolicy if "slo_ttft" in knobs else QueueDepthPolicy
+        with pytest.raises(ConfigError):
+            policy(**knobs)
 
     def test_make_autoscaler_filters_kwargs(self):
         policy = make_autoscaler(

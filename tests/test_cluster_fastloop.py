@@ -280,16 +280,24 @@ class TestPersistentViewReuse:
         constructed = []
         windows = {}
         analytic = []
+        bounds = []
         real_init = cluster_module._ReplicaReplay.__init__
         real_sync = cluster_module._ReplicaReplay._sync
+        real_bound = EventQueue.next_fleet_event
 
         def spy_init(self, replica, window):
             constructed.append(replica.index)
             real_init(self, replica, window)
 
+        def spy_bound(self):
+            # The fast loop asks for the bound once per arrival window.
+            bound = real_bound(self)
+            bounds.append(bound)
+            return bound
+
         def spy_sync(self):
             window = self._window
-            windows.setdefault(self.index, set()).add(window.bound)
+            windows.setdefault(self.index, set()).add(bounds[-1])
             engine = self.replica.engine
             if (
                 window.time < self._valid
@@ -305,6 +313,7 @@ class TestPersistentViewReuse:
         monkeypatch.setattr(
             cluster_module._ReplicaReplay, "_sync", spy_sync
         )
+        monkeypatch.setattr(EventQueue, "next_fleet_event", spy_bound)
 
         def build():
             # An elastic fleet that never actually scales (watermarks

@@ -20,9 +20,10 @@ Both layers run once more with numpy masked out (the golden scenarios
 and the cluster sweep), so the pure-Python stretch series an install
 without numpy takes is held to the same bar.
 
-A resumed stretch (a prep advanced in place past a stop-time cut) is
-held to a third bar: at every resume, a fresh proof of the same state
-must stage the same stretch, field by field.
+A resumed stretch (a prep whose ``base`` advanced past a stop-time cut)
+is held to a third bar: at every resume, a fresh proof of the same
+state must stage the same stretch, field by field, and its series must
+equal the resumed prep's cached suffix float for float.
 """
 
 import dataclasses
@@ -365,10 +366,9 @@ class TestWithoutNumpy:
     def test_cluster_identical_on_and_off(self, name, monkeypatch):
         assert_cluster_identical_on_and_off(name, monkeypatch)
 
-    def test_series_forms_agree_and_stop_at_stop_time(self):
+    def test_series_forms_agree(self):
         """The pure-Python series reproduces the numpy one float for
-        float, and computes no iteration that starts at or past the
-        stop time."""
+        float over the proof's whole horizon."""
         numpy = pytest.importorskip("numpy")
         engine = LLMEngine(
             EngineConfig(
@@ -387,22 +387,17 @@ class TestWithoutNumpy:
         assert n >= fastforward_module.VECTOR_THRESHOLD
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fastforward_module, "_np", numpy)
-            compute, starts = fastforward_module._series(prep, n, math.inf)
+            compute, starts = fastforward_module._series(prep)
         assert len(compute) == n and len(starts) == n + 1
-        # Iteration 3 starts exactly at the stop time, so it never runs.
-        py_compute, py_starts = fastforward_module._series(prep, n, starts[3])
-        assert py_compute == compute[:3]
-        assert py_starts == starts[:4]
+        assert starts[0] == prep.start
+        assert fastforward_module._series(prep) == (compute, starts)
 
 
 # ----------------------------------------------------------------------
 # Resumed stretches equal fresh proofs
 # ----------------------------------------------------------------------
 #: Per-stretch constants a resumed prep must share with a fresh proof.
-RESUME_FIELDS = (
-    "start", "total_tokens", "batch_size", "linear", "cpu", "per_seq",
-    "overhead",
-)
+RESUME_FIELDS = ("batch_size", "linear", "cpu", "per_seq", "overhead")
 
 
 def _swept_in_steps(engine):
@@ -582,11 +577,23 @@ def resumes_checked_against_fresh_proofs(scenario, monkeypatch):
         assert fresh.batch == prep.batch
         for name in RESUME_FIELDS:
             assert getattr(fresh, name) == getattr(prep, name), name
+        base = prep.base
+        compute, starts = prep.series()
+        assert fresh.start == starts[base]
+        assert fresh.total_tokens == (
+            prep.total_tokens + base * prep.batch_size
+        )
+        remaining = prep.horizon - base
         if isinstance(prep.plan, _PagedDecodePlan):
-            assert prep.horizon <= fresh.horizon
+            assert remaining <= fresh.horizon
         else:
-            assert prep.horizon == fresh.horizon
-        checked.append(prep.base)
+            assert remaining == fresh.horizon
+        # The fresh proof's series is the cached suffix, float for
+        # float (a paged resume may cover fewer iterations).
+        fresh_compute, fresh_starts = fastforward_module._series(fresh)
+        assert fresh_compute[:remaining] == compute[base:]
+        assert fresh_starts[: remaining + 1] == starts[base:]
+        checked.append(base)
         return executed
 
     monkeypatch.setattr(DecodeFastForwarder, "finish", finish)

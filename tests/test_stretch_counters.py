@@ -2,13 +2,14 @@
 
 ``DecodeFastForwarder`` counts its work in plain integers (proofs tried,
 backend plans built, stretches finished, resumed stretches, analytic
-iterations, backend hook calls), ``LLMEngine`` counts the iterations it
-steps one at a time, and ``ClusterEngine`` counts its replica views'
-full syncs, O(1) answers and ``StretchOracle`` builds. The counts are
-exact, so they gate with zero noise: these tests pin that a submission
-to a full batch costs no proof and no view sweep, and that a fixed
-cluster day and a fixed offline batch do no more work than they did
-when the counts were pinned.
+iterations, backend hook calls, iteration series evaluated),
+``LLMEngine`` counts the iterations it steps one at a time, and
+``ClusterEngine`` counts its replica views' full syncs, O(1) answers
+and ``StretchOracle`` builds. The counts are exact, so they gate with
+zero noise: these tests pin that a submission to a full batch costs no
+proof and no view sweep, that one proof's series is evaluated once, and
+that a fixed cluster day and a fixed offline batch do no more work than
+they did when the counts were pinned.
 """
 
 import math
@@ -22,6 +23,7 @@ from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
 from repro.serving.request import Request
+from repro.sim.fastforward import StretchOracle
 from repro.units import GB
 from repro.workloads.traces import fixed_trace, openchat_trace
 
@@ -119,10 +121,32 @@ class TestSubmitToFullBatch:
         assert answer == twin.outstanding_tokens
 
 
+class TestOneSeriesPerProof:
+    def test_oracle_stretch_and_resumes_share_one_series(self):
+        engine = steady_full_engine()
+        fast = engine._fast
+        prep = fast.prepare(math.inf)
+        plans, evaluations = fast.plans, fast.series_evaluations
+        assert StretchOracle.build(prep) is not None
+        assert fast.series_evaluations == evaluations + 1
+        resumes = fast.resumes
+        for _ in range(3):
+            # Each deadline cuts the stretch; the cut resumes the same
+            # proof, which a second oracle then reads again.
+            engine.run_until(engine.clock.now + 0.2)
+            assert fast.prepare(math.inf) is prep
+            assert StretchOracle.build(prep) is not None
+        assert fast.resumes - resumes >= 2
+        assert prep.base > 0
+        assert fast.plans == plans
+        assert fast.series_evaluations == evaluations + 1
+
+
 #: Work on the fixed day below, summed over the fleet. Any increase
 #: fails; a decrease is an improvement to re-pin here. (Before stretches
 #: resumed and submissions kept proofs: 636 proofs, 360 plans, 302
-#: stretches, 180 stepped iterations.)
+#: stretches, 180 stepped iterations. Before each proof cached its
+#: series: 270 series evaluations.)
 CEILINGS = {
     "proofs": 361,
     "plans": 148,
@@ -130,6 +154,7 @@ CEILINGS = {
     "stepped_iterations": 175,
     "view_syncs": 150,
     "oracle_builds": 61,
+    "series_evaluations": 144,
 }
 
 #: View observations answered in O(1) from a carried predictor on the
@@ -157,6 +182,9 @@ class TestPinnedWork:
             "plans": sum(e._fast.plans for e in engines),
             "stretches": sum(e._fast.stretches for e in engines),
             "stepped_iterations": sum(e.stepped_iterations for e in engines),
+            "series_evaluations": sum(
+                e._fast.series_evaluations for e in engines
+            ),
             "view_syncs": cluster.view_syncs,
             "oracle_builds": cluster.oracle_builds,
         }
@@ -175,6 +203,8 @@ class TestPinnedWork:
         )
         resumed = sum(e._fast.resumes for e in engines)
         assert 0 < resumed <= counts["stretches"]
+        # Each backend plan's series is evaluated at most once.
+        assert counts["series_evaluations"] <= counts["plans"]
 
 
 #: Backend hook calls on the offline batch below. Under KV pressure the
