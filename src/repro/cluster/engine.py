@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, SchedulingError
 from ..metrics import attribution
@@ -696,6 +696,8 @@ class ClusterEngine:
             now = head.time
             for replica in self.replicas:
                 replica.engine.run_until(now)
+            if head.kind is EventKind.ARRIVAL and self._telemetry is not None:
+                self._sample_fleet(now)
             for event in self._events.pop_due(now):
                 self._dispatch_event(event)
 
@@ -715,11 +717,9 @@ class ClusterEngine:
           submitted to them since, so only replicas *outside* the
           run-ahead sweep — the disaggregated decode tier — can lag the
           event about to dispatch.
-        * One sweep of the whole fleet per arrival. Unless a telemetry
-          registry is recording per-arrival gauges (the one choice
-          telemetry makes here) or the fleet is disaggregated, every
-          arrival up to the next fleet-state event (scale lifecycle;
-          migrations cannot exist un-disagg) is routed
+        * One sweep of the whole fleet per arrival. Unless the fleet is
+          disaggregated, every arrival up to the next fleet-state event
+          (scale lifecycle; migrations cannot exist un-disagg) is routed
           in one pass against :class:`_ReplicaReplay` views, which the
           router observes only through the
           :class:`~repro.cluster.router.ReplicaView` interface. A view
@@ -735,12 +735,11 @@ class ClusterEngine:
           stretches broken only by its own admissions. The serving set
           cannot change inside the window (lifecycle transitions bound
           it), and every observation equals per-arrival dispatch's, so
-          the routing sequence is the one the legacy loop produces.
+          the routing sequence is the one the legacy loop produces. A
+          draining replica receives nothing, so it is swept to the bound
+          first: a drain that completes inside the window bounds it.
         """
         events = self._events
-        window_arrivals = (
-            self._telemetry is None and not self.config.disaggregated
-        )
         sweep = self._sweeper.sweep
         window = _Window()
         # Persistent analytic views, one per replica index (indices are
@@ -757,8 +756,19 @@ class ClusterEngine:
                 break
             now = head.time
             sweep([r.engine for r in self._decode_targets], now)
-            if window_arrivals and head.kind is EventKind.ARRIVAL:
+            arrival = head.kind is EventKind.ARRIVAL
+            if arrival and self._telemetry is not None:
+                self._sample_fleet(now)
+            if arrival and not self.config.disaggregated:
                 bound = events.next_fleet_event()
+                if self._elastic:
+                    sweep(
+                        [r.engine for r in self.replicas
+                         if r.state is ReplicaState.DRAINING],
+                        bound,
+                    )
+                    self._check_drain_completions()
+                    bound = events.next_fleet_event()
                 replay = []
                 for r in self._route_targets:
                     if r.is_serving:
@@ -776,6 +786,8 @@ class ClusterEngine:
                     ):
                         break
                     events.pop()
+                    if self._telemetry is not None:
+                        self._telemetry.on_sim_event(head)
                     window.time = head.time
                     window.seq += 1
                     choice = self.router.select(head.payload, replay)
@@ -845,7 +857,6 @@ class ClusterEngine:
                     replica.index,
                     migration[3],
                 )
-            self._sample_fleet(request.arrival_time)
         if self.config.disaggregated:
             # The prefill tier runs the prompt and produces exactly the
             # first token; the rest of the decode happens post-handoff.
@@ -989,23 +1000,22 @@ class ClusterEngine:
                 reason,
             )
 
+    def _lifecycle_counts(self) -> Tuple[int, int]:
+        """(booting, draining) replica counts."""
+        states = [r.state for r in self.replicas]
+        booting = states.count(ReplicaState.PROVISIONING) + states.count(
+            ReplicaState.WARMING
+        )
+        return booting, states.count(ReplicaState.DRAINING)
+
     def _sample_fleet(
         self, now: float, p99_ttft: Optional[float] = None
     ) -> None:
-        """Sample the fleet gauges (routing and scale-decide instants)."""
-        n_warming = sum(
-            1
-            for r in self.replicas
-            if r.state in (ReplicaState.PROVISIONING, ReplicaState.WARMING)
-        )
-        n_draining = sum(
-            1 for r in self.replicas if r.state is ReplicaState.DRAINING
-        )
+        """Sample the fleet gauges (routing passes, scale decides)."""
         self._telemetry.sample_fleet(
             now,
             self.n_serving,
-            n_warming,
-            n_draining,
+            *self._lifecycle_counts(),
             [(r.index, r.engine.outstanding_tokens) for r in self.replicas],
             p99_ttft,
         )
@@ -1030,15 +1040,7 @@ class ClusterEngine:
 
     def _fleet_view(self, now: float) -> FleetView:
         serving = [r for r in self.replicas if r.is_serving]
-        n_booting = sum(
-            1
-            for r in self.replicas
-            if r.state
-            in (ReplicaState.PROVISIONING, ReplicaState.WARMING)
-        )
-        n_draining = sum(
-            1 for r in self.replicas if r.state is ReplicaState.DRAINING
-        )
+        n_booting, n_draining = self._lifecycle_counts()
         slo = self.config.slo_ttft
         return FleetView(
             now=now,

@@ -803,7 +803,7 @@ class ClusterTelemetry:
                      n_draining: int,
                      per_replica: List[Tuple[int, int]],
                      p99_ttft: Optional[float] = None) -> None:
-        """Sample fleet gauges (at routing and scale-decide instants)."""
+        """Sample fleet gauges (per routing pass and scale decide)."""
         self.serving.set(now, float(n_serving))
         self.warming.set(now, float(n_warming))
         self.draining.set(now, float(n_draining))

@@ -568,19 +568,17 @@ class LLMEngine:
         decode stretch over the current batch computes.
 
         The pending head, while the batch has a free slot (it may be
-        admitted the moment it arrives) or telemetry is on (its
-        ingestion is a queue-entry event). A *full* batch renders
-        pending arrivals inert otherwise: no policy can observe the
-        queues through ``plan_iteration``'s view, admission is
-        capacity-gated, and a queued-but-unadmitted request holds no
-        memory — until a completion frees a slot, and the completion
-        bound ends any stretch there first. ``math.inf`` means no cap.
+        admitted the moment it arrives). A *full* batch renders pending
+        arrivals inert: no policy can observe the queues through
+        ``plan_iteration``'s view, admission is capacity-gated, and a
+        queued-but-unadmitted request holds no memory — until a
+        completion frees a slot, and the completion bound ends any
+        stretch there first. The request is ingested (and its
+        ``request_queued`` record stamped) when the stretch ends.
+        ``math.inf`` means no cap.
         """
         pending = self._pending
-        if pending and (
-            len(self._running) < self.config.max_batch_size
-            or self.telemetry is not None
-        ):
+        if pending and len(self._running) < self.config.max_batch_size:
             return pending[0].arrival_time
         return math.inf
 

@@ -4,13 +4,16 @@ The fast loop (the template ``engine.fast_forward``) sweeps replicas to a
 joint fleet horizon and routes arrival windows against lazy analytic
 replica views. These
 tests pin its boundary behaviour: equal-time event ties dispatch in
-the legacy kind order, drained replicas retire mid-loop, the
-degenerate single-replica fleet stays exact, a migration landing at an
-arrival instant dispatches exactly once, state-aware arrival windows
-split at SCALE_DECIDE instants and drain-migration landings, idle
-gaps jump the fleet clock without inventing work, and an observed run
-advances its replicas through the same sweep as an unobserved one.
+the legacy kind order, drained replicas retire mid-loop, a drain that
+completes inside an arrival window bounds it, the degenerate
+single-replica fleet stays exact, a migration landing at an arrival
+instant dispatches exactly once, state-aware arrival windows split at
+SCALE_DECIDE instants and drain-migration landings, full-batch
+stretches cross arrival instants, and idle gaps jump the fleet clock
+without inventing work. Observed runs take the same paths.
 """
+
+import contextlib
 
 import pytest
 
@@ -20,13 +23,13 @@ from repro.cluster.autoscaler import AutoscalerPolicy, ScaleDecision
 from repro.cluster.router import RoutingPolicy, least_loaded
 from repro.gpu.spec import A100
 from repro.memory import MemoryConfig
-from repro.metrics.telemetry import enabled
+from repro.metrics import tracecheck
+from repro.metrics.telemetry import TelemetryRegistry, enabled
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig
 from repro.serving.request import Request
 from repro.sim.events import EventKind, EventQueue
-from repro.sim.fastforward import FleetStretchExecutor
 from repro.workloads.arrival import poisson_arrivals, uniform_arrivals
 from repro.workloads.traces import shared_prefix_trace
 
@@ -219,12 +222,17 @@ class TestOutstandingOracle:
 # Full batch: stretches cross pending arrivals
 # ----------------------------------------------------------------------
 class TestFullBatchArrivalCrossing:
-    def test_stretch_spans_arrival_instants(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "observed", [False, True], ids=["unobserved", "observed"]
+    )
+    def test_stretch_spans_arrival_instants(self, observed, monkeypatch):
         """With the batch full, a pending arrival cannot change the
         next iteration (admission is capacity-blocked), so a decode
         stretch may run straight through arrival instants. Pin that the
         fast run actually produces such a stretch AND that results stay
-        request-exact against the legacy loop."""
+        request-exact against the legacy loop. Observed, the stretch
+        still crosses: the crossed arrivals are queued when it ends,
+        and the queue gauges still reconstruct from the events."""
 
         def build():
             fleet = ClusterEngine(
@@ -240,24 +248,32 @@ class TestFullBatchArrivalCrossing:
             return fleet
 
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
-        fleet = build()
-        fast = fleet.run()
+        observing = (
+            enabled(TelemetryRegistry(record_spans=True))
+            if observed
+            else contextlib.nullcontext()
+        )
+        with observing as registry:
+            fleet = build()
+            fast = fleet.run()
+        if observed:
+            tracecheck.assert_clean(registry.trace_records())
         arrivals = sorted(
             record.arrival_time for record in fast.records
         )
-        crossing = [
-            record
-            for record in fleet.replicas[0].engine.metrics.iterations
-            if record.iterations > 1
-            and record.batch_size == 2
-            and any(
-                record.start_time
-                < at
-                < record.start_time + record.latency
+        crossed = [
+            sum(
+                record.start_time < at < record.start_time + record.latency
                 for at in arrivals
             )
+            for record in fleet.replicas[0].engine.metrics.iterations
+            if record.iterations > 1 and record.batch_size == 2
         ]
-        assert crossing, "no full-batch stretch crossed an arrival"
+        # A stretch cut at every arrival instant still straddles one
+        # with its last iteration; crossing two proves it was not cut.
+        assert max(crossed, default=0) >= 2, (
+            "no full-batch stretch crossed two arrivals"
+        )
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
         legacy = build().run()
         assert fingerprint(fast) == fingerprint(legacy)
@@ -435,6 +451,20 @@ class TestLazyViews:
 # ----------------------------------------------------------------------
 # Lifecycle edges: drains and the degenerate fleet
 # ----------------------------------------------------------------------
+class DrainAtSecondDecide(AutoscalerPolicy):
+    """Drains one replica at the second decide and holds otherwise."""
+
+    name = "scripted_drain"
+
+    def __init__(self):
+        self.calls = 0
+
+    def decide(self, view) -> ScaleDecision:
+        delta = -1 if self.calls == 1 else 0
+        self.calls += 1
+        return ScaleDecision(delta, "scripted")
+
+
 class TestLifecycleEdges:
     def test_single_replica_fleet(self, monkeypatch):
         def build():
@@ -474,6 +504,83 @@ class TestLifecycleEdges:
         assert fingerprint(fast) == fingerprint(legacy)
         assert fast.drain_count >= 1
         assert len(fast.finished_records) == 24
+
+    def test_drain_completing_inside_a_window(self, monkeypatch):
+        """A draining replica receives nothing, so its drain runs out
+        on its own clock. When it completes between two arrivals that
+        no other fleet event separates, the window must stop at the
+        completion: DRAIN_COMPLETE dispatches between the two arrivals,
+        and the observed trace keeps every stream clock monotone."""
+        dispatched = []
+        real_route = ClusterEngine._dispatch_to
+        real_retire = ClusterEngine._dispatch_drain_complete
+
+        def spy_route(self, request, replica):
+            dispatched.append((request.arrival_time, "arrival"))
+            real_route(self, request, replica)
+
+        def spy_retire(self, now, replica):
+            dispatched.append((now, "retire"))
+            real_retire(self, now, replica)
+
+        monkeypatch.setattr(ClusterEngine, "_dispatch_to", spy_route)
+        monkeypatch.setattr(
+            ClusterEngine, "_dispatch_drain_complete", spy_retire
+        )
+
+        def build():
+            # No prefix cache: the drain re-routes its queue without a
+            # KV migration, whose landing would bound the window too.
+            fleet = ClusterEngine(
+                ClusterConfig(
+                    engine=engine_config(cache=False, max_batch=4),
+                    n_replicas=2,
+                    routing_policy="least_outstanding_tokens",
+                    autoscaler="queue_depth",
+                    min_replicas=1,
+                    max_replicas=2,
+                    scale_decide_interval=2.0,
+                )
+            )
+            fleet.autoscaler = DrainAtSecondDecide()
+            fleet.submit(
+                shared_prefix_trace(
+                    count=24,
+                    sharing_factor=4,
+                    prefix_tokens=512,
+                    arrivals=poisson_arrivals(qps=4.0, count=24, seed=1),
+                )
+            )
+            return fleet
+
+        monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
+        with enabled(TelemetryRegistry()) as registry:
+            fast = build().run()
+
+        # The case occurs: a retirement falls strictly between two
+        # arrivals with no decide or other lifecycle event between
+        # them, so the two share one arrival window.
+        fleet_events = [sample.time for sample in fast.slo_samples] + [
+            event.time for event in fast.scale_events
+            if event.action != "retire"
+        ]
+        arrivals = [time for time, kind in dispatched if kind == "arrival"]
+        inside = []
+        for time, kind in dispatched:
+            before = [a for a in arrivals if a < time]
+            after = [a for a in arrivals if a > time]
+            if kind == "retire" and before and after:
+                span = (max(before), min(after))
+                if not any(span[0] <= t <= span[1] for t in fleet_events):
+                    inside.append(time)
+        assert inside, "no drain completed inside an arrival window"
+        assert dispatched == sorted(dispatched)
+        times = [event.time for event in fast.scale_events]
+        assert times == sorted(times)
+        tracecheck.assert_clean(registry.trace_records())
+
+        monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
+        assert fingerprint(fast) == fingerprint(build().run())
 
 
 # ----------------------------------------------------------------------
@@ -538,17 +645,6 @@ class TestMigrationBoundary:
         arrival pinned binary-exactly at the landing instant must see
         the post-landing fleet, identically under either loop."""
 
-        class _DrainEarly(AutoscalerPolicy):
-            name = "scripted_drain"
-
-            def __init__(self):
-                self.calls = 0
-
-            def decide(self, view) -> ScaleDecision:
-                delta = -1 if self.calls == 1 else 0
-                self.calls += 1
-                return ScaleDecision(delta, "scripted")
-
         def build(extra=None):
             # max_batch 1 keeps the victim's queue deep at drain time,
             # so re-routed work carries warm prefix KV over the link.
@@ -565,7 +661,7 @@ class TestMigrationBoundary:
                     scale_decide_interval=0.5,
                 )
             )
-            fleet.autoscaler = _DrainEarly()
+            fleet.autoscaler = DrainAtSecondDecide()
             requests = shared_prefix_trace(
                 count=8,
                 sharing_factor=8,
@@ -577,8 +673,8 @@ class TestMigrationBoundary:
             fleet.submit(requests)
             return fleet
 
-        # Probe with telemetry on (identical event times, windowing
-        # off) to learn where the drain legs land.
+        # Probe with telemetry on (identical event times) to learn
+        # where the drain legs land.
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
         with enabled() as registry:
             build().run()
@@ -630,35 +726,3 @@ class TestIdleJumps:
         ]
         assert late, "no requests landed after the idle gap"
         assert all(record.ttft < 60.0 for record in late)
-
-
-# ----------------------------------------------------------------------
-# Telemetry does not choose how replicas are swept
-# ----------------------------------------------------------------------
-class TestObservedSweep:
-    def test_observed_run_sweeps_like_unobserved(self, monkeypatch):
-        """With a registry installed, the fast loop still advances its
-        replicas through :meth:`FleetStretchExecutor.sweep`, and the
-        observed run serves every request exactly as the unobserved one
-        does."""
-        monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
-        sweeps = []
-        real_sweep = FleetStretchExecutor.sweep
-
-        def spy_sweep(self, engines, horizon):
-            sweeps.append(horizon)
-            real_sweep(self, engines, horizon)
-
-        monkeypatch.setattr(FleetStretchExecutor, "sweep", spy_sweep)
-
-        def build():
-            fleet = cluster(3, policy="least_outstanding_tokens")
-            fleet.submit(trace(count=24, qps=6.0))
-            return fleet
-
-        with enabled():
-            observed = build().run()
-        assert sweeps, "the observed run bypassed the fleet sweep"
-        unobserved = build().run()
-        assert fingerprint(observed) == fingerprint(unobserved)
-        assert len(observed.finished_records) == 24

@@ -179,7 +179,9 @@ def _router_case(policy):
     return case
 
 
-def _disagg_case(interconnect):
+def _disagg_case(
+    interconnect, count=CLUSTER_COUNT, sharing_factor=4, qps=CLUSTER_QPS
+):
     def case():
         cluster = ext_cluster_router.build_cluster(
             4,
@@ -190,7 +192,7 @@ def _disagg_case(interconnect):
         )
         cluster.submit(
             ext_cluster_router.cluster_trace(
-                count=CLUSTER_COUNT, sharing_factor=4, qps=CLUSTER_QPS
+                count=count, sharing_factor=sharing_factor, qps=qps
             )
         )
         return cluster.run()
@@ -238,6 +240,19 @@ CLUSTER_SWEEP = {
     },
     "disagg:nvlink": _disagg_case("nvlink"),
     "disagg:pcie": _disagg_case("pcie"),
+    # The catalogue's disaggregation cells. Their KV transfers contend
+    # for the link, so the transfer order depends on how finely the
+    # prefill tier is swept: routing their arrivals in windows changes
+    # the results, which the 24-request cells above do not show.
+    **{
+        f"disagg:{interconnect}:catalogue": _disagg_case(
+            interconnect,
+            count=ext_cluster_router.REQUESTS,
+            sharing_factor=8,
+            qps=ext_cluster_router.QPS,
+        )
+        for interconnect in ("nvlink", "pcie")
+    },
     "autoscale:static_min": _autoscale_case("static_min"),
     "autoscale:queue_depth": _autoscale_case("queue_depth"),
     "autoscale:sla": _autoscale_case("sla"),

@@ -7,18 +7,24 @@ iterations, backend hook calls, iteration series evaluated),
 ``ClusterEngine`` counts its replica views' full syncs, O(1) answers
 and ``StretchOracle`` builds. The counts are exact, so they gate with
 zero noise: these tests pin that a submission to a full batch costs no
-proof and no view sweep, that one proof's series is evaluated once, and
+proof and no view sweep, that one proof's series is evaluated once,
 that a fixed cluster day and a fixed offline batch do no more work than
-they did when the counts were pinned.
+they did when the counts were pinned, and that observing the day with
+span-recording telemetry changes none of its work.
 """
 
+import contextlib
 import math
+
+import pytest
 
 from repro.cluster.engine import Replica, _ReplicaReplay, _Window
 from repro.experiments import ext_autoscale
 from repro.experiments.ext_cluster_router import cluster_trace
 from repro.gpu.spec import A100
 from repro.memory import MemoryConfig
+from repro.metrics import tracecheck
+from repro.metrics.telemetry import TelemetryRegistry, enabled
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
@@ -163,8 +169,10 @@ CEILINGS = {
 ANSWERS_FLOOR = 373
 
 
-class TestPinnedWork:
-    def test_least_outstanding_tokens_day(self):
+def pinned_day(registry=None):
+    """Serve the fixed day (observed when ``registry`` is given) and
+    return its work counters, request timings and report."""
+    with enabled(registry) if registry else contextlib.nullcontext():
         cluster = ext_autoscale.build_fleet("queue_depth")
         cluster.submit(
             cluster_trace(
@@ -175,36 +183,68 @@ class TestPinnedWork:
             )
         )
         report = cluster.run()
+    engines = [replica.engine for replica in cluster.replicas]
+    counts = {
+        "proofs": sum(e._fast.proofs for e in engines),
+        "plans": sum(e._fast.plans for e in engines),
+        "stretches": sum(e._fast.stretches for e in engines),
+        "resumes": sum(e._fast.resumes for e in engines),
+        "analytic_iterations": sum(
+            e._fast.analytic_iterations for e in engines
+        ),
+        "stepped_iterations": sum(e.stepped_iterations for e in engines),
+        "series_evaluations": sum(
+            e._fast.series_evaluations for e in engines
+        ),
+        "view_syncs": cluster.view_syncs,
+        "view_answers": cluster.view_answers,
+        "oracle_builds": cluster.oracle_builds,
+    }
+    timings = sorted(
+        (
+            record.request_id,
+            record.replica,
+            repr(record.ttft),
+            repr(record.e2e_latency),
+        )
+        for record in report.records
+    )
+    iterations = sum(e.metrics.iteration_count() for e in engines)
+    return counts, timings, iterations, report
+
+
+class TestPinnedWork:
+    @pytest.mark.parametrize(
+        "observed", [False, True], ids=["unobserved", "observed"]
+    )
+    def test_least_outstanding_tokens_day(self, observed):
+        registry = TelemetryRegistry(record_spans=True) if observed else None
+        counts, timings, iterations, report = pinned_day(registry)
         assert len(report.finished_records) == 160
-        engines = [replica.engine for replica in cluster.replicas]
-        counts = {
-            "proofs": sum(e._fast.proofs for e in engines),
-            "plans": sum(e._fast.plans for e in engines),
-            "stretches": sum(e._fast.stretches for e in engines),
-            "stepped_iterations": sum(e.stepped_iterations for e in engines),
-            "series_evaluations": sum(
-                e._fast.series_evaluations for e in engines
-            ),
-            "view_syncs": cluster.view_syncs,
-            "oracle_builds": cluster.oracle_builds,
-        }
         over = {
             name: (counts[name], ceiling)
             for name, ceiling in CEILINGS.items()
             if counts[name] > ceiling
         }
         assert not over, f"work grew (count, ceiling): {over}"
-        assert cluster.view_answers >= ANSWERS_FLOOR
+        assert counts["view_answers"] >= ANSWERS_FLOOR
         # Every iteration ran exactly one way, and some stretches
         # resumed.
-        analytic = sum(e._fast.analytic_iterations for e in engines)
-        assert analytic + counts["stepped_iterations"] == sum(
-            e.metrics.iteration_count() for e in engines
+        assert (
+            counts["analytic_iterations"] + counts["stepped_iterations"]
+            == iterations
         )
-        resumed = sum(e._fast.resumes for e in engines)
-        assert 0 < resumed <= counts["stretches"]
+        assert 0 < counts["resumes"] <= counts["stretches"]
         # Each backend plan's series is evaluated at most once.
         assert counts["series_evaluations"] <= counts["plans"]
+        if observed:
+            # Telemetry chooses no path: the observed day routes the
+            # same arrival windows, sweeps and proves exactly as the
+            # unobserved one, and its trace replays clean.
+            unobserved = pinned_day()
+            assert counts == unobserved[0]
+            assert timings == unobserved[1]
+            tracecheck.assert_clean(registry.trace_records())
 
 
 #: Backend hook calls on the offline batch below. Under KV pressure the
