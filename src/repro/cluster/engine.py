@@ -46,6 +46,7 @@ the fixed-fleet engine.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -509,7 +510,8 @@ class ClusterEngine:
         #: Arrival and migration-completion events on the shared
         #: timeline (populated by :meth:`run`).
         self._events: EventQueue = EventQueue()
-        #: Finished prefills whose KV has not been put on the link yet.
+        #: Finished prefills whose KV is not on the link yet, as a heap
+        #: in (finish time, request id) order.
         self._pending_transfers: List[tuple] = []
         self._records: List[RequestRecord] = []
         #: prefill-clone id -> record, for the retire-time handoff hook.
@@ -590,9 +592,9 @@ class ClusterEngine:
            discrete-event simulation: their prefill completions are the
            only thing that can spawn new (migration) events, so every
            event earlier than that horizon is on the queue before
-           anything commits to it. Harvested completions go onto the
-           serialized link in simulated-time order and their landings
-           are pushed as MIGRATION events.
+           anything commits to it. Harvested completions up to the
+           horizon go onto the serialized link in simulated-time order
+           and their landings are pushed as MIGRATION events.
         2. The earliest event is popped; replicas whose state the
            dispatch decision can observe (queue depths, cache content,
            outstanding tokens) advance to the event time first, so the
@@ -717,27 +719,18 @@ class ClusterEngine:
           submitted to them since, so only replicas *outside* the
           run-ahead sweep — the disaggregated decode tier — can lag the
           event about to dispatch.
-        * One sweep of the whole fleet per arrival. Unless the fleet is
-          disaggregated, every arrival up to the next fleet-state event
-          (scale lifecycle; migrations cannot exist un-disagg) is routed
-          in one pass against :class:`_ReplicaReplay` views, which the
-          router observes only through the
-          :class:`~repro.cluster.router.ReplicaView` interface. A view
-          syncs lazily on its first observation at an arrival instant:
-          its backlog is replayed closed-form from the replica's steady
-          decode stretch and its radix tree probed frozen, with a real
-          single-replica sweep exactly where a closed form expires (at
-          a batch change, a stretch's hook/completion edge, a
-          predictor's ``stop_time``, or the live arrival cap of a
-          replica with a free slot). A view the router never reads is
-          never swept, so ``round_robin`` routes a window as pure
-          bookkeeping and each engine then crosses it in analytic
-          stretches broken only by its own admissions. The serving set
-          cannot change inside the window (lifecycle transitions bound
-          it), and every observation equals per-arrival dispatch's, so
-          the routing sequence is the one the legacy loop produces. A
-          draining replica receives nothing, so it is swept to the bound
-          first: a drain that completes inside the window bounds it.
+        * One sweep of the whole fleet per arrival. Every arrival up to
+          the next non-arrival event — in the queue's (time, kind)
+          order, so ties route as in the legacy loop — is routed in one
+          pass against lazily synced :class:`_ReplicaReplay` views; a
+          view the router never reads is never swept, so each engine
+          crosses the window in analytic stretches broken only by its
+          own admissions. Every observation equals per-arrival
+          dispatch's, so the routing sequence is the legacy loop's. A
+          draining replica receives nothing, so it is swept to the next
+          fleet event first: a drain that completes inside the window
+          bounds it. A migration landing reads only the decode tier,
+          which is swept to its instant before it lands.
         """
         events = self._events
         sweep = self._sweeper.sweep
@@ -756,49 +749,35 @@ class ClusterEngine:
                 break
             now = head.time
             sweep([r.engine for r in self._decode_targets], now)
-            arrival = head.kind is EventKind.ARRIVAL
-            if arrival and self._telemetry is not None:
+            if head.kind is not EventKind.ARRIVAL:
+                for event in events.pop_due(now):
+                    self._dispatch_event(event)
+                continue
+            if self._telemetry is not None:
                 self._sample_fleet(now)
-            if arrival and not self.config.disaggregated:
-                bound = events.next_fleet_event()
-                if self._elastic:
-                    sweep(
-                        [r.engine for r in self.replicas
-                         if r.state is ReplicaState.DRAINING],
-                        bound,
-                    )
-                    self._check_drain_completions()
-                    bound = events.next_fleet_event()
-                replay = []
-                for r in self._route_targets:
-                    if r.is_serving:
-                        view = views.get(r.index)
-                        if view is None:
-                            view = views[r.index] = _ReplicaReplay(r, window)
-                        replay.append(view)
-                routed = False
-                while True:
-                    head = events.peek()
-                    if (
-                        head is None
-                        or head.kind is not EventKind.ARRIVAL
-                        or head.time >= bound
-                    ):
-                        break
-                    events.pop()
-                    if self._telemetry is not None:
-                        self._telemetry.on_sim_event(head)
-                    window.time = head.time
-                    window.seq += 1
-                    choice = self.router.select(head.payload, replay)
-                    self._dispatch_to(head.payload, choice.replica)
-                    routed = True
-                if routed:
-                    continue
-                # Arrival exactly at the bound: fall through so the
-                # boundary tie dispatches in the legacy kind order.
-            for event in events.pop_due(now):
-                self._dispatch_event(event)
+            if self._elastic:
+                sweep(
+                    [r.engine for r in self.replicas
+                     if r.state is ReplicaState.DRAINING],
+                    events.next_fleet_event(),
+                )
+                self._check_drain_completions()
+            replay = []
+            for r in self._route_targets:
+                if r.is_serving:
+                    view = views.get(r.index)
+                    if view is None:
+                        view = views[r.index] = _ReplicaReplay(r, window)
+                    replay.append(view)
+            while head is not None and head.kind is EventKind.ARRIVAL:
+                events.pop()
+                if self._telemetry is not None:
+                    self._telemetry.on_sim_event(head)
+                window.time = head.time
+                window.seq += 1
+                choice = self.router.select(head.payload, replay)
+                self._dispatch_to(head.payload, choice.replica)
+                head = events.peek()
         for view in views.values():
             self.view_syncs += view.syncs
             self.view_answers += view.answers
@@ -882,7 +861,8 @@ class ClusterEngine:
         KV for migration (any non-clone retirement is ignored)."""
         record = self._awaiting.pop(request.request_id, None)
         if record is not None:
-            self._pending_transfers.append((record, request))
+            key = (request.finish_time, request.request_id)
+            heapq.heappush(self._pending_transfers, (*key, record, request))
 
     def _schedule_transfers(self) -> None:
         """Feed harvested prefill completions to the link in simulated-
@@ -892,17 +872,15 @@ class ClusterEngine:
         in replica order, while the link must serve transfers in the
         order they were *requested* on the shared timeline — otherwise a
         replica that happened to be swept first would cut the queue.
-        Harvesting first and sorting per event-loop pass restores time
-        order (up to the one-iteration overshoot replicas already have).
+        Every event source was just swept to the joint horizon, so no
+        earlier completion can still appear: those start, in time
+        order. A later one waits for the pass whose horizon covers it
+        (its landing lies past the horizon, after the next event), so
+        the link order never depends on how finely replicas sweep.
         """
-        if not self._pending_transfers:
-            return
-        pending = sorted(
-            self._pending_transfers,
-            key=lambda item: (item[1].finish_time, item[1].request_id),
-        )
-        self._pending_transfers = []
-        for record, prefill in pending:
+        pending = self._pending_transfers
+        while pending and pending[0][0] <= self._joint_horizon():
+            _, _, record, prefill = heapq.heappop(pending)
             self._start_migration(record, prefill)
 
     def _start_migration(
@@ -1016,7 +994,8 @@ class ClusterEngine:
             now,
             self.n_serving,
             *self._lifecycle_counts(),
-            [(r.index, r.engine.outstanding_tokens) for r in self.replicas],
+            [(r.index, r.engine.outstanding_tokens) for r in self.replicas
+             if r.state is not ReplicaState.RETIRED],
             p99_ttft,
         )
 

@@ -781,6 +781,9 @@ class ClusterTelemetry:
 
     def replica_state(self, time: float, action: str, replica: int,
                       n_serving: int, reason: str = "") -> None:
+        if action == "retired":
+            # Fleet samples skip retired replicas: end the series at 0.
+            self._replica_backlog(replica).set(time, 0.0)
         self.scale_events.inc()
         self.registry.emit(
             time, "replica_state", cluster=self.scope,
@@ -810,13 +813,15 @@ class ClusterTelemetry:
         total = 0
         for index, outstanding in per_replica:
             total += outstanding
-            self.registry.gauge(
-                "replica_outstanding_tokens",
-                f"{self.scope}.r{index}", "cluster", "tok",
-            ).set(now, float(outstanding))
+            self._replica_backlog(index).set(now, float(outstanding))
         self.outstanding.set(now, float(total))
         if p99_ttft is not None:
             self.slo_p99.set(now, p99_ttft)
+
+    def _replica_backlog(self, index: int) -> Gauge:
+        return self.registry.gauge(
+            "replica_outstanding_tokens", f"{self.scope}.r{index}",
+            "cluster", "tok")
 
     def migration_start(self, requested: float, request_id: str, kind: str,
                         nbytes: int, start: float, done: float,

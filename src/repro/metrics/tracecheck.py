@@ -16,6 +16,10 @@ properties the simulator is supposed to guarantee by construction:
 * **KV conservation across migration and drain re-routing** — every
   transfer that enters the migration link lands exactly once, with the
   same byte count, at exactly the transfer's computed arrival time.
+* **Link FIFO** — per cluster, the serialized link serves transfers
+  in request order: ``migration_start`` records in emission order carry
+  non-decreasing ``time``, each starting at or after the previous
+  ``done``.
 * **KV conservation across tier transfers** — a request swapped out
   to the CPU KV tier is restored exactly once, with the same byte
   count, before it can be swapped out again; no request's KV is left
@@ -130,6 +134,8 @@ def check_trace(records: Iterable[Dict[str, Any]]) -> List[TraceViolation]:
     spans: List[Dict[str, Any]] = []
     # stream (scope or cluster) -> latest replayed record time.
     clocks: Dict[str, float] = {}
+    # cluster -> the previous migration_start record.
+    link_tail: Dict[str, Dict[str, Any]] = {}
 
     # Reconstruction inputs that only newer traces carry; without them
     # the corresponding gauge checks degrade to a pass.
@@ -148,9 +154,9 @@ def check_trace(records: Iterable[Dict[str, Any]]) -> List[TraceViolation]:
         # migration records and the migration_link_* gauges carry the
         # serialized link's schedule — start at max(prefill finish,
         # link free), landing at the computed arrival (both pinned
-        # exactly by kv-conservation) — but are emitted when a
-        # sweep-ahead harvests or absorbs the transfer, so a batched
-        # harvest interleaves link instants out of order; and the
+        # exactly by kv-conservation, their order by link-fifo) — but
+        # are emitted when a later pass starts or lands the transfer,
+        # behind routing records the stream already carries; and the
         # terminal cluster_report carries the fleet's last finish
         # time, which a final autoscaler tick may outrun.
         stream = record.get("scope") or record.get("cluster")
@@ -298,6 +304,17 @@ def check_trace(records: Iterable[Dict[str, Any]]) -> List[TraceViolation]:
             if key in transfers:
                 flag("kv-conservation", seq,
                      f"transfer {key[1]} started twice")
+            else:
+                previous = link_tail.get(key[0])
+                if previous is not None and (
+                    record["time"] < previous["time"]
+                    or record["start"] < previous["done"]
+                ):
+                    flag("link-fifo", seq,
+                         f"transfer {key[1]} (requested {record['time']}, "
+                         f"start {record['start']}) is out of link order "
+                         f"after transfer {previous['transfer']}")
+                link_tail[key[0]] = record
             transfers[key] = record
 
         elif event == "migration_land":

@@ -120,10 +120,8 @@ class EventQueue:
     def next_fleet_event(self) -> float:
         """Earliest scheduled *non-arrival* event (inf if none).
 
-        The bound an arrival window must not cross: every other kind —
-        boot transitions, migrations landing, scale decisions, drain
-        completions — can change the fleet state a routing decision
-        observes, while an arrival only adds the work being routed.
+        Where an arrival window ends unless a drain completes first:
+        the cluster sweeps its draining replicas to this instant.
         """
         return min(
             self.next_time(kind)

@@ -124,8 +124,9 @@ class TestEventTies:
 
     def test_arrivals_at_scale_decide_instants(self, monkeypatch):
         """Arrival times exactly on the SCALE_DECIDE grid: the batched
-        arrival window must stop at the boundary and fall back to the
-        legacy tie order, not swallow the tied arrival early."""
+        arrival window routes each tied arrival in the queue's kind
+        order (before the decide, as the legacy loop does) and stops at
+        the decide, not after it."""
         interval = 0.5
 
         def build():
@@ -158,9 +159,10 @@ class TestEventTies:
         self, policy, monkeypatch
     ):
         """The state-aware (analytic-replay) window path under the same
-        binary-exact arrival/SCALE_DECIDE ties: the window bound must
-        cut the arrival batch at the decide instant, and the persistent
-        views must re-prove their predictors across the split."""
+        binary-exact arrival/SCALE_DECIDE ties: the window routes the
+        tied arrival, then ends at the decide it precedes in kind
+        order, and the persistent views must re-prove their predictors
+        across the split."""
         interval = 0.5
 
         def build():
@@ -510,7 +512,8 @@ class TestLifecycleEdges:
         on its own clock. When it completes between two arrivals that
         no other fleet event separates, the window must stop at the
         completion: DRAIN_COMPLETE dispatches between the two arrivals,
-        and the observed trace keeps every stream clock monotone."""
+        the observed trace keeps every stream clock monotone, and the
+        retired replica's backlog gauge ends at 0 with its retirement."""
         dispatched = []
         real_route = ClusterEngine._dispatch_to
         real_retire = ClusterEngine._dispatch_drain_complete
@@ -577,7 +580,25 @@ class TestLifecycleEdges:
         assert dispatched == sorted(dispatched)
         times = [event.time for event in fast.scale_events]
         assert times == sorted(times)
-        tracecheck.assert_clean(registry.trace_records())
+        records = registry.trace_records()
+        tracecheck.assert_clean(records)
+        # The retired replica's backlog series ends at 0, and no fleet
+        # sample reads it after its retire record.
+        (retired,) = [
+            record for record in records
+            if record["event"] == "replica_state"
+            and record["action"] == "retired"
+        ]
+        scope = f"{retired['cluster']}.r{retired['replica']}"
+        series = [
+            record for record in records
+            if record["event"] == "sample"
+            and record["metric"] == "replica_outstanding_tokens"
+            and record["scope"] == scope
+        ]
+        assert series[-1]["value"] == 0.0
+        assert series[-1]["time"] == retired["time"]
+        assert all(record["seq"] < retired["seq"] for record in series)
 
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
         assert fingerprint(fast) == fingerprint(build().run())
@@ -640,10 +661,10 @@ class TestMigrationBoundary:
     def test_state_aware_window_splits_at_drain_landing(
         self, policy, monkeypatch
     ):
-        """A drain migration landing mid-trace bounds state-aware
-        arrival windows (``next_fleet_event`` counts MIGRATION): an
-        arrival pinned binary-exactly at the landing instant must see
-        the post-landing fleet, identically under either loop."""
+        """A drain migration landing mid-trace ends a state-aware
+        arrival window (its MIGRATION event heads the queue): an
+        arrival pinned binary-exactly at the landing instant routes
+        first in kind order, identically under either loop."""
 
         def build(extra=None):
             # max_batch 1 keeps the victim's queue deep at drain time,

@@ -240,10 +240,11 @@ CLUSTER_SWEEP = {
     },
     "disagg:nvlink": _disagg_case("nvlink"),
     "disagg:pcie": _disagg_case("pcie"),
-    # The catalogue's disaggregation cells. Their KV transfers contend
-    # for the link, so the transfer order depends on how finely the
-    # prefill tier is swept: routing their arrivals in windows changes
-    # the results, which the 24-request cells above do not show.
+    # The catalogue's disaggregation cells: the sweep-granularity check.
+    # Their KV transfers contend for the link, and the fast loop routes
+    # their arrivals in windows while the legacy loop sweeps the prefill
+    # tier per arrival; both must hand the link the same request order,
+    # which the 24-request cells above queue too little to show.
     **{
         f"disagg:{interconnect}:catalogue": _disagg_case(
             interconnect,

@@ -9,8 +9,9 @@ and ``StretchOracle`` builds. The counts are exact, so they gate with
 zero noise: these tests pin that a submission to a full batch costs no
 proof and no view sweep, that one proof's series is evaluated once,
 that a fixed cluster day and a fixed offline batch do no more work than
-they did when the counts were pinned, and that observing the day with
-span-recording telemetry changes none of its work.
+they did when the counts were pinned, that observing the day with
+span-recording telemetry changes none of its work, and that a
+disaggregated fleet routes arrival windows through its replica views.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import math
 import pytest
 
 from repro.cluster.engine import Replica, _ReplicaReplay, _Window
-from repro.experiments import ext_autoscale
+from repro.experiments import ext_autoscale, ext_cluster_router
 from repro.experiments.ext_cluster_router import cluster_trace
 from repro.gpu.spec import A100
 from repro.memory import MemoryConfig
@@ -245,6 +246,30 @@ class TestPinnedWork:
             assert counts == unobserved[0]
             assert timings == unobserved[1]
             tracecheck.assert_clean(registry.trace_records())
+
+    @pytest.mark.parametrize("interconnect", ["nvlink", "pcie"])
+    def test_disaggregated_fleet_routes_windows(self, interconnect):
+        """A disaggregated fleet routes arrival windows against replica
+        views like any other: its prefill tier's views sync and answer
+        (a per-arrival fleet loop would read no view at all)."""
+        cluster = ext_cluster_router.build_cluster(
+            4,
+            "cache_aware",
+            disaggregated=True,
+            n_prefill_replicas=2,
+            interconnect=interconnect,
+        )
+        cluster.submit(
+            cluster_trace(
+                count=ext_cluster_router.REQUESTS,
+                sharing_factor=8,
+                qps=ext_cluster_router.QPS,
+            )
+        )
+        report = cluster.run()
+        assert report.migrations == ext_cluster_router.REQUESTS
+        assert cluster.view_syncs > 0
+        assert cluster.view_answers > 0
 
 
 #: Backend hook calls on the offline batch below. Under KV pressure the

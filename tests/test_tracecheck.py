@@ -269,6 +269,29 @@ class TestSyntheticViolations:
             [self._start(0), self._start(1), self._land(2)]
         ) == {"kv-conservation"}
 
+    # -- link FIFO ----------------------------------------------------
+    def _link_pair(self, first_requested, second_requested):
+        # Two transfers back to back on the link: the second starts
+        # when the first is done.
+        first = dict(self._start(0, transfer=0), time=first_requested)
+        second = dict(
+            self._start(1, transfer=1, start=2.0, done=3.0),
+            time=second_requested,
+        )
+        return [first, second, self._land(2), self._land(3, 1, time=3.0)]
+
+    def test_out_of_order_transfer_flagged(self):
+        assert check_trace(self._link_pair(0.5, 0.8)) == []
+        # The later-requested transfer took the link first: a sweep
+        # harvested it before an earlier completion of another replica.
+        assert _invariants(self._link_pair(0.8, 0.5)) == {"link-fifo"}
+
+    def test_overlapping_transfers_flagged(self):
+        records = self._link_pair(0.5, 0.8)
+        records[1] = dict(records[1], start=1.5, done=2.5)
+        records[3] = dict(records[3], time=2.5)
+        assert _invariants(records) == {"link-fifo"}
+
     # -- gauge reconstruction -----------------------------------------
     def _sample(self, seq, metric, value, scope="r0"):
         return {
@@ -510,20 +533,17 @@ class TestSyntheticViolations:
 
     def test_migration_records_behind_stream_clock_exempt(self):
         # Migration records carry the serialized link's schedule
-        # (pinned by kv-conservation) but are emitted when a
-        # sweep-ahead harvests or absorbs the transfer, so a batched
-        # harvest interleaves link instants out of order: here the
-        # stream reaches 3.0, then a start at 1.0 and a landing at
-        # 2.0 surface behind it.
+        # (pinned by kv-conservation and link-fifo) but are emitted
+        # when a later pass starts or lands the transfer: here the
+        # stream reaches 3.0 by routing, then a start requested at 1.0
+        # and its landing at 2.0 surface behind it.
         records = [
-            {"seq": 0, "time": 3.0, "event": "migration_start",
-             "cluster": "c0", "transfer": 1, "bytes": 32, "done": 4.0},
+            self._queued_at(0, 3.0, "a", scope="c0"),
             {"seq": 1, "time": 1.0, "event": "migration_start",
-             "cluster": "c0", "transfer": 0, "bytes": 64, "done": 2.0},
+             "cluster": "c0", "transfer": 0, "bytes": 64,
+             "start": 1.0, "done": 2.0},
             {"seq": 2, "time": 2.0, "event": "migration_land",
              "cluster": "c0", "transfer": 0, "bytes": 64},
-            {"seq": 3, "time": 4.0, "event": "migration_land",
-             "cluster": "c0", "transfer": 1, "bytes": 32},
         ]
         assert check_trace(records) == []
 
@@ -738,3 +758,32 @@ class TestClusterFastLoopGate:
         report = attribution.build(records)
         assert report.requests
         assert report.closure_violations() == []
+
+
+# ----------------------------------------------------------------------
+# The migration-link gate
+# ----------------------------------------------------------------------
+class TestDisaggLinkGate:
+    """The catalogue-scale disaggregated cells replay clean.
+
+    Their KV transfers contend for the serialized link, so a link that
+    served a later-requested transfer first (``link-fifo``) shows here;
+    the reduced-scale catalogue gate above queues too little to tell.
+    """
+
+    @pytest.mark.parametrize("interconnect", ["nvlink", "pcie"])
+    def test_link_serves_in_request_order(self, interconnect):
+        with enabled(TelemetryRegistry(record_spans=True)) as registry:
+            ext_cluster_router.run_disaggregated(
+                interconnects=(interconnect,)
+            )
+        records = registry.trace_records()
+        starts = [
+            record for record in records
+            if record["event"] == "migration_start"
+        ]
+        assert len(starts) == ext_cluster_router.REQUESTS
+        assert any(record["start"] > record["time"] for record in starts), (
+            "no transfer queued for the link: the gate is vacuous"
+        )
+        assert_clean(records)
