@@ -21,9 +21,11 @@ Cases (the decode-heavy end of the catalogue):
   the idle-reclamation proof skips.
 
 Every row also prints the fast side's backend hook calls
-(``DecodeFastForwarder.hook_calls``) and iteration series evaluated
+(``DecodeFastForwarder.hook_calls``), iteration series evaluated
 (``DecodeFastForwarder.series_evaluations``, at most one per backend
-plan), each summed over a fleet's replicas; the cluster row adds the fast side's radix-tree edge comparisons
+plan) and vAttention manager slot visits
+(``VAttentionStats.slots_visited``, 0 on paged backends), each summed
+over a fleet's replicas; the cluster row adds the fast side's radix-tree edge comparisons
 (``RadixTreeStats.edge_compares``, summed over the replicas' trees).
 
 Usage::
@@ -115,6 +117,12 @@ def _tiered_engine(count: int):
     return engine
 
 
+def _slots_visited(engine) -> int:
+    """The engine's vAttention slot visits (0 on other backends)."""
+    manager = getattr(engine.memory.backend, "manager", None)
+    return manager.stats.slots_visited if manager is not None else 0
+
+
 def _run_engine(build: Callable[[], object], fast_forward: bool):
     engine_module.DEFAULT_FAST_FORWARD = fast_forward
     engine = build()
@@ -129,6 +137,7 @@ def _run_engine(build: Callable[[], object], fast_forward: bool):
     counters = {
         "hook_calls": engine._fast.hook_calls,
         "series_evaluations": engine._fast.series_evaluations,
+        "slots_visited": _slots_visited(engine),
     }
     return elapsed, fingerprint, counters
 
@@ -150,6 +159,7 @@ def _run_cluster(build: Callable[[], object], fast_forward: bool):
         "series_evaluations": sum(
             e._fast.series_evaluations for e in engines
         ),
+        "slots_visited": sum(_slots_visited(e) for e in engines),
         "edge_compares": sum(
             e.memory.cache.tree.stats.edge_compares for e in engines
         ),

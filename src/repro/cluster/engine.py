@@ -643,8 +643,6 @@ class ClusterEngine:
             self._run_event_loop()
         # Decode replicas never create events; they drain last.
         self._sweeper.sweep([replica.engine for replica in self.replicas], math.inf)
-        if self._elastic:
-            self._finalize_drains()
         return self._build_report()
 
     def _joint_horizon(self) -> float:
@@ -1211,7 +1209,14 @@ class ClusterEngine:
             self._events.push(when, EventKind.ARRIVAL, request)
 
     def _check_drain_completions(self) -> None:
-        """Push DRAIN_COMPLETE for draining replicas that emptied."""
+        """Push DRAIN_COMPLETE for draining replicas that emptied.
+
+        Both loops call this after every sweep and stop only on an empty
+        event queue, which leaves no arrival or scale decision to bound
+        the last sweep: every replica ran to an infinite horizon, so
+        every open drain is pushed here and dispatched before the loop
+        ends. No drain outlives :meth:`run`.
+        """
         for replica in self.replicas:
             if (
                 replica.state is ReplicaState.DRAINING
@@ -1228,15 +1233,6 @@ class ClusterEngine:
         replica.state = ReplicaState.RETIRED
         replica.retire_time = now
         self._timeline(now, "retire", replica.index)
-
-    def _finalize_drains(self) -> None:
-        """Retire drains the event loop ended before acknowledging."""
-        for replica in self.replicas:
-            if replica.state is ReplicaState.DRAINING:
-                done = max(replica.drain_time, replica.engine.clock.now)
-                replica.state = ReplicaState.RETIRED
-                replica.retire_time = done
-                self._timeline(done, "retire", replica.index)
 
     def _replica_seconds(self, end: float) -> float:
         """Fleet cost: provisioned-to-retired seconds summed over

@@ -29,7 +29,9 @@ so runtime cost is mapping (``cuMemMap``+``cuMemSetAccess`` at 2MB,
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import AllocationFailed, ConfigError, SchedulingError
@@ -81,10 +83,75 @@ class VAttentionStats:
     prefix_shares: int = 0
     rows_aliased: int = 0
     copy_seconds: float = 0.0
+    #: Slots examined by the manager's per-iteration queries (admission,
+    #: reqId choice, lookahead, eager allocation, reclamation). Host
+    #: work, not simulated state: fast-forwarded stretches skip most
+    #: queries, so it stays out of ``repr`` and ``==``.
+    slots_visited: int = field(default=0, repr=False, compare=False)
+
+
+_REQ_ID = attrgetter("req_id")
+_LAST_USED = attrgetter("last_used")
+
+
+def _insert(slots: List[RequestSlot], slot: RequestSlot) -> None:
+    """Insert ``slot`` into a reqId-ordered list."""
+    insort(slots, slot, key=_REQ_ID)
+
+
+def _discard(slots: List[RequestSlot], slot: RequestSlot) -> None:
+    """Remove ``slot`` from a reqId-ordered list if it is there.
+
+    Found by reqId: slots are dataclasses, so ``list.remove`` would
+    compare every field.
+    """
+    index = bisect_left(slots, slot.req_id, key=_REQ_ID)
+    if index < len(slots) and slots[index] is slot:
+        del slots[index]
 
 
 class VAttention:
-    """One worker's vAttention instance."""
+    """One worker's vAttention instance.
+
+    Slot-state index
+    ----------------
+    Admission runs :attr:`available_rows` and :meth:`has_free_reqid`
+    per queued request, and the background thread (S6.1) picks an
+    eager target and reclaims rows every iteration. So that none of
+    these walks all ``max_batch_size`` slots, the manager indexes its
+    slots by state, every list in reqId order:
+
+    * ``_active`` / ``_inactive`` — the active slots and the free reqIds;
+    * ``_holding`` and ``_inactive_rows`` — the inactive slots that hold
+      rows, and how many rows they hold in total. Only these slots are
+      reclamation victims, and the eager-allocation and reuse target is
+      one of them (the lowest free reqId when there are none);
+    * ``_excess`` — the *excess candidates*: active slots that may hold
+      rows beyond ``rows_for_context(context_len + 1)``.
+
+    Only :meth:`alloc_reqid`, :meth:`free_reqid`, :meth:`_map_rows`,
+    :meth:`_detach_row`, :meth:`_unmap_rows` and :meth:`shutdown` flip
+    ``active`` or change an inactive slot's rows, so only they update
+    the lists and the count (``step`` and ``share_prefix`` also enter
+    excess candidates, see below).
+
+    A slot becomes an excess candidate at :meth:`alloc_reqid`, when it
+    inherits more cached rows than its first token needs. While a slot
+    is active its context only grows, and nothing maps rows into it
+    past that need: ``step`` maps up to ``rows_for_context(context)``,
+    the lookahead pass and the decode plan's crossings up to
+    ``rows_for_context(context + 1)``, ``share_prefix`` drops inherited
+    rows and backs only the prefix, and :meth:`trim_slot` unmaps down to
+    ``rows_for_context(keep_tokens)`` before it sets the context. Every
+    other active slot therefore holds no excess between calls, and once
+    a candidate's excess reaches 0 it stays there: the walks drop it
+    for good. Inside ``step`` and ``share_prefix`` the rows are mapped
+    before the context is recorded, and a reclamation there may trim
+    the slots being grown; when the free rows cannot cover the mapping,
+    those two enter them as candidates first.
+    :attr:`excess_active_rows` and :attr:`cached_rows` still scan every
+    slot; they are the index's test oracle.
+    """
 
     def __init__(self, device: Device, config: VAttentionConfig) -> None:
         self.device = device
@@ -149,6 +216,11 @@ class VAttention:
         self.slots: List[RequestSlot] = [
             RequestSlot(req_id=i) for i in range(config.max_batch_size)
         ]
+        self._active: List[RequestSlot] = []
+        self._inactive: List[RequestSlot] = list(self.slots)
+        self._holding: List[RequestSlot] = []
+        self._excess: List[RequestSlot] = []
+        self._inactive_rows = 0
         self._shutdown = False
 
     # ------------------------------------------------------------------
@@ -192,21 +264,28 @@ class VAttention:
     def available_rows(self) -> int:
         """Rows obtainable without disturbing any request's live KV state.
 
-        One pass over the slots (this backs every admission query and
-        ``step``'s feasibility check): free rows, plus inactive slots'
-        cached rows, plus active slots' excess beyond near-term need.
+        Free rows, plus inactive slots' cached rows, plus active slots'
+        excess beyond near-term need. This backs every admission query
+        and ``step``'s feasibility check, so it reads the slot index: a
+        running count of cached rows, and a walk over the excess
+        candidates alone (spent candidates leave the index).
         """
-        total = len(self._free_rows)
+        total = len(self._free_rows) + self._inactive_rows
+        candidates = self._excess
+        if not candidates:
+            return total
+        self.stats.slots_visited += len(candidates)
         tokens_per_row = self._tokens_per_row
-        for slot in self.slots:
-            if slot.active:
-                excess = len(slot.rows) + (
-                    -(slot.context_len + 1) // tokens_per_row
-                )
-                if excess > 0:
-                    total += excess
-            else:
-                total += len(slot.rows)
+        kept = []
+        for slot in candidates:
+            excess = len(slot.rows) + (
+                -(slot.context_len + 1) // tokens_per_row
+            )
+            if excess > 0:
+                total += excess
+                kept.append(slot)
+        if len(kept) != len(candidates):
+            self._excess = kept
         return total
 
     def rows_for_context(self, context_len: int) -> int:
@@ -225,7 +304,7 @@ class VAttention:
     # ------------------------------------------------------------------
     def has_free_reqid(self) -> bool:
         """Whether any slot is inactive."""
-        return any(not s.active for s in self.slots)
+        return bool(self._inactive)
 
     def can_allocate(self, prompt_len: int) -> bool:
         """Whether a new request with ``prompt_len`` tokens is admissible.
@@ -251,15 +330,24 @@ class VAttention:
 
         With deferred reclamation the inactive slot with the most cached
         rows is preferred, so a new request inherits a completed
-        request's physical pages (Figure 5(e)).
+        request's physical pages (Figure 5(e)); see
+        :meth:`_next_reqid_slot`. A slot that inherits more rows than
+        its first token needs becomes an excess candidate.
         """
         self._check_live()
-        candidates = [s for s in self.slots if not s.active]
-        if not candidates:
+        slot = self._next_reqid_slot()
+        if slot is None:
             raise SchedulingError(
                 f"all {self.config.max_batch_size} reqIds are active"
             )
-        slot = max(candidates, key=lambda s: (s.mapped_rows, -s.req_id))
+        _discard(self._inactive, slot)
+        held = len(slot.rows)
+        if held:
+            _discard(self._holding, slot)
+            self._inactive_rows -= held
+            if held > 1:  # beyond rows_for_context(0 + 1)
+                _insert(self._excess, slot)
+        _insert(self._active, slot)
         slot.active = True
         slot.context_len = 0
         slot.frozen = False
@@ -280,6 +368,12 @@ class VAttention:
         slot = self._slot(req_id)
         if not slot.active:
             raise SchedulingError(f"reqId {req_id} is not active")
+        _discard(self._active, slot)
+        _discard(self._excess, slot)
+        _insert(self._inactive, slot)
+        if slot.rows:
+            _insert(self._holding, slot)
+            self._inactive_rows += len(slot.rows)
         slot.active = False
         slot.context_len = 0
         slot.frozen = False
@@ -340,6 +434,9 @@ class VAttention:
         copied_tokens = prefix_tokens - full_rows * tokens_per_row
         copy_seconds = 0.0
         if copied_tokens:
+            # dst records its context only below: see step().
+            if not self._free_rows:
+                self._enter_excess(dst)
             latency += self._map_rows(dst, 1, background=False, charge=False)
             copied_bytes = (
                 copied_tokens
@@ -448,6 +545,13 @@ class VAttention:
             self._charge_sync(sync_seconds)
             return -1
 
+        # Until the loop below records the new contexts, a slot being
+        # grown holds rows past its recorded context's need, so a
+        # reclamation inside _map_rows (needed once the free rows run
+        # out) may trim it, as a walk over every slot would.
+        if total_needed > len(self._free_rows):
+            for slot, _needed in demands:
+                self._enter_excess(slot)
         for slot, needed in demands:
             sync_seconds += self._map_rows(slot, needed, background=False,
                                            charge=False)
@@ -474,8 +578,10 @@ class VAttention:
         """
         self._check_live()
         if self.config.overlap_allocation:
-            for slot in self.slots:
-                if not slot.active or slot.context_len == 0 or slot.frozen:
+            active = self._active
+            self.stats.slots_visited += len(active)
+            for slot in active:
+                if slot.context_len == 0 or slot.frozen:
                     continue
                 needed = (
                     self.rows_for_context(slot.context_len + 1)
@@ -587,11 +693,18 @@ class VAttention:
         map_latency = self._map_row_latency
         stats = self.stats
         n_tensors = self._n_tensors
+        inactive = not slot.active
         for _ in range(count):
             if not free_rows:
                 latency += self._reclaim_one_row()
             handle = free_rows.pop()
             rows.append(handle)
+            if inactive:
+                # Counted per row, after any reclamation above: it may
+                # drain this very slot (the LRU victim).
+                self._inactive_rows += 1
+                if len(rows) == 1:
+                    _insert(self._holding, slot)
             row_refs[handle.handle_id] = 1
             latency += map_latency
             stats.map_calls += n_tensors
@@ -610,6 +723,10 @@ class VAttention:
         page-group stays live for the other request(s) sharing it.
         """
         handle = slot.rows.pop()
+        if not slot.active:
+            self._inactive_rows -= 1
+            if not slot.rows:
+                _discard(self._holding, slot)
         if slot.shared_rows > len(slot.rows):
             slot.shared_rows = len(slot.rows)
         self.stats.unmap_calls += self._n_tensors
@@ -647,6 +764,10 @@ class VAttention:
             else:
                 refs[handle.handle_id] = remaining
             latency += unmap_latency
+        if count and not slot.active:
+            self._inactive_rows -= count
+            if not rows:
+                _discard(self._holding, slot)
         if slot.shared_rows > len(rows):
             slot.shared_rows = len(rows)
         self.stats.unmap_calls += self._n_tensors * count
@@ -666,16 +787,22 @@ class VAttention:
         """
         latency = 0.0
         while True:
-            victims = [s for s in self.slots if not s.active and s.mapped_rows]
-            victim = min(victims, key=lambda s: s.last_used) if victims else None
-            if victim is None:
-                for slot in self.slots:
-                    if not slot.active:
-                        continue
+            holding = self._holding
+            if holding:
+                # reqId order: least-recently-used ties break as a walk
+                # over every slot would.
+                self.stats.slots_visited += len(holding)
+                victim = min(holding, key=_LAST_USED)
+            else:
+                victim = None
+                visited = 0
+                for slot in self._excess:
+                    visited += 1
                     needed = self.rows_for_context(slot.context_len + 1)
                     if slot.mapped_rows > needed:
                         victim = slot
                         break
+                self.stats.slots_visited += visited
             if victim is None:
                 raise AllocationFailed("no free or reclaimable rows")
             freed = self._detach_row(victim)
@@ -683,18 +810,38 @@ class VAttention:
             if freed:
                 return latency
 
-    def _eager_prepare_next(self) -> None:
-        """Pre-map a few rows for the next reqId to be handed out (S6.1.2)."""
-        # Hot path (every iteration): len(s.rows) over a property access.
+    def _enter_excess(self, slot: RequestSlot) -> None:
+        """Make active ``slot`` an excess candidate, if it is not one."""
+        excess = self._excess
+        index = bisect_left(excess, slot.req_id, key=_REQ_ID)
+        if index == len(excess) or excess[index] is not slot:
+            excess.insert(index, slot)
+
+    def _next_reqid_slot(self) -> Optional[RequestSlot]:
+        """The slot :meth:`alloc_reqid` would claim next, or None.
+
+        The inactive slot with the most cached rows, the lower reqId on
+        a tie; the lowest inactive reqId when none holds rows. The key
+        ``(rows, -req_id)`` is unique, so the walk order cannot change
+        the winner.
+        """
+        holding = self._holding
+        if not holding:
+            inactive = self._inactive
+            return inactive[0] if inactive else None
+        self.stats.slots_visited += len(holding)
         best_key = None
         target = None
-        for slot in self.slots:
-            if slot.active:
-                continue
+        for slot in holding:
             key = (len(slot.rows), -slot.req_id)
             if best_key is None or key > best_key:
                 best_key = key
                 target = slot
+        return target
+
+    def _eager_prepare_next(self) -> None:
+        """Pre-map a few rows for the next reqId to be handed out (S6.1.2)."""
+        target = self._next_reqid_slot()
         if target is None:
             return
         deficit = self.config.eager_page_groups - len(target.rows)
@@ -702,48 +849,44 @@ class VAttention:
         if deficit > 0:
             self._map_rows(target, deficit, background=True, critical=False)
 
-    def _maintain_free_threshold(
-        self, victims: "Optional[List[RequestSlot]]" = None
-    ) -> None:
+    def _maintain_free_threshold(self) -> bool:
         """Keep the free-row fraction above the reclamation threshold.
 
-        ``victims`` lets a caller that knows the inactive set and its
-        LRU order cannot have changed (the decode fast path: no
-        allocs/frees/steps happen mid-stretch) pass the ordered
-        candidates instead of re-sorting them; empty slots in the list
-        are skipped exactly as the fresh computation would exclude them.
+        Drains the inactive slots that hold rows, least recently used
+        first (sorted from the reqId-ordered index, so ties break by
+        reqId); if still short, trims the excess candidates' rows beyond
+        context + lookahead, in reqId order. Returns whether an active
+        slot was trimmed.
         """
         shortfall = self._minimum_free_rows - len(self._free_rows)
         if shortfall <= 0:
-            return
-        if victims is None:
-            victims = sorted(
-                (s for s in self.slots if not s.active and s.rows),
-                key=lambda s: s.last_used,
-            )
+            return False
+        victims = sorted(self._holding, key=_LAST_USED)
+        visited = len(victims)
         for victim in victims:
             if shortfall <= 0:
                 break
             held = len(victim.rows)
-            if not held:
-                continue
             take = held if held < shortfall else shortfall
             self._unmap_rows(victim, take, background=True)
             shortfall -= take
-        if shortfall <= 0:
-            return
-        # Still short: trim active slots' rows beyond context + lookahead.
-        for slot in self.slots:
-            if shortfall <= 0:
-                break
-            if not slot.active:
-                continue
-            needed = self.rows_for_context(slot.context_len + 1)
-            excess = len(slot.rows) - needed
-            if excess > 0:
-                take = min(excess, shortfall)
-                self._unmap_rows(slot, take, background=True)
-                shortfall -= take
+        trimmed = False
+        if shortfall > 0:
+            # Still short: trim active slots' rows beyond context +
+            # lookahead. Only excess candidates can hold any.
+            for slot in self._excess:
+                if shortfall <= 0:
+                    break
+                visited += 1
+                needed = self.rows_for_context(slot.context_len + 1)
+                excess = len(slot.rows) - needed
+                if excess > 0:
+                    take = min(excess, shortfall)
+                    self._unmap_rows(slot, take, background=True)
+                    shortfall -= take
+                    trimmed = True
+        self.stats.slots_visited += visited
+        return trimmed
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
@@ -757,6 +900,9 @@ class VAttention:
             slot.context_len = 0
             slot.shared_rows = 0
             slot.frozen = False
+        self._active.clear()
+        self._inactive[:] = self.slots
+        self._excess.clear()
         for handle in self._free_rows:
             self.device.pool.release(handle)
         self._free_rows.clear()

@@ -128,13 +128,16 @@ class _VattentionDecodePlan(DecodeFastPath):
 
     * crossings are *scheduled* (integer arithmetic finds the next one;
       iterations in between skip the per-slot scan entirely);
-    * eager allocation reuses the inactive-slot set, which cannot
-      change mid-stretch (no admissions, retirements or preemptions),
-      so its no-op case is a couple of comparisons;
+    * eager allocation caches its target and asks the manager's slot
+      index again only after reclamation drained it (the free reqIds
+      cannot change mid-stretch: no admissions, retirements or
+      preemptions), so its no-op case is a couple of comparisons;
     * threshold reclamation is invoked (with slot contexts synced)
       only when the free-row fraction is actually below the threshold —
       the method's own first early-exit; a pass that freed nothing
-      stays idle, so it does not keep the executor from skipping hooks;
+      stays idle, so it does not keep the executor from skipping hooks,
+      and the batch's rows are re-summed only after a pass that
+      trimmed an active slot;
     * the worker's window consumption runs only while work is queued.
 
     The stretch ends the moment steady-state is no longer provable:
@@ -157,7 +160,7 @@ class _VattentionDecodePlan(DecodeFastPath):
         self.manager = manager
         config = manager.config
         #: (slot, entry context) pairs in reqId order — the order
-        #: ``on_iteration_end`` walks ``manager.slots``.
+        #: ``on_iteration_end`` walks the manager's active slots.
         self._slots = slots
         self.horizon = horizon
         self._overlap = overlap
@@ -166,16 +169,11 @@ class _VattentionDecodePlan(DecodeFastPath):
         self.has_hooks = overlap or self._eager or self._deferred
         self._eager_page_groups = config.eager_page_groups
         self._minimum_free = manager._minimum_free_rows
-        #: Inactive slots, fixed for the stretch: activation changes
-        #: only at admission/retirement/preemption, none of which can
-        #: occur inside a steady decode stretch. Their ``last_used``
-        #: ordering is equally frozen (only alloc/free/step touch it),
-        #: so the reclamation victim order is computed once.
-        self._inactive = [s for s in manager.slots if not s.active]
-        #: Reclamation victim order, sorted lazily on first use: most
-        #: plans are built only to bound a stretch (oracle preps, view
-        #: rebuilds) and never reach a reclamation hook.
-        self._victims: Optional[List[RequestSlot]] = None
+        #: Whether eager allocation has a target. The free reqIds are
+        #: fixed for the stretch: activation changes only at
+        #: admission/retirement/preemption, none of which can occur
+        #: inside a steady decode stretch.
+        self._eager_live = self._eager and bool(manager._inactive)
         #: Cached eager-allocation target. Its key can only *grow*
         #: between hook iterations (eager maps rows into it) — a rescan
         #: is needed only after reclamation drains rows from it.
@@ -242,23 +240,15 @@ class _VattentionDecodePlan(DecodeFastPath):
                         # on_iteration_end would skip the mapping and the
                         # next step() would allocate synchronously.
                         keep_going = False
-        if self._eager and self._inactive:
-            # _eager_prepare_next over the stretch-stable inactive set
-            # (same key, same unique winner: req_id breaks all ties).
-            # Inactive keys only change through eager itself (target
-            # grows — still the max) or reclamation (rows drain — the
-            # max can only be dethroned if *it* was drained), so the
-            # scan reruns only when the cached target lost rows.
+        if self._eager_live:
+            # _eager_prepare_next with its target cached. Inactive keys
+            # only change through eager itself (target grows — still
+            # the max) or reclamation (rows drain — the max can only be
+            # dethroned if *it* was drained), so the manager is asked
+            # again only when the cached target lost rows.
             target = self._eager_target
             if target is None or len(target.rows) < self._eager_target_rows:
-                best_key = None
-                target = None
-                for slot in self._inactive:
-                    key = (len(slot.rows), -slot.req_id)
-                    if best_key is None or key > best_key:
-                        best_key = key
-                        target = slot
-                self._eager_target = target
+                target = self._eager_target = manager._next_reqid_slot()
             deficit = self._eager_page_groups - len(target.rows)
             deficit = min(deficit, len(manager._free_rows))
             if deficit > 0:
@@ -273,27 +263,26 @@ class _VattentionDecodePlan(DecodeFastPath):
             # exactly what the slow path would.
             if not crossed:
                 self._sync_contexts(iteration)
-            victims = self._victims
-            if victims is None:
-                victims = self._victims = sorted(
-                    self._inactive, key=lambda s: s.last_used
-                )
             unmapped = manager.stats.rows_unmapped
-            manager._maintain_free_threshold(victims)
+            trimmed = manager._maintain_free_threshold()
             self._reclaim_idle = manager.stats.rows_unmapped == unmapped
-            batch_rows = sum(len(slot.rows) for slot, _ in self._slots)
-            if batch_rows != self._batch_rows:
-                self._batch_rows = batch_rows
-                if self._overlap:
-                    # A batch slot lost rows (lookahead trimmed):
-                    # replan crossings; if one is already due, the
-                    # next step() would allocate synchronously.
-                    crossed = True
-                else:
-                    # Without overlapped allocation the horizon was
-                    # derived from the entry-time row coverage, which
-                    # just shrank — stop before it overruns.
-                    keep_going = False
+            # Only a trim of active slots can reach the batch, and the
+            # trimmed slot may be outside it (a cache-owned prefix),
+            # which must not end the stretch: compare the batch's rows.
+            if trimmed:
+                batch_rows = sum(len(slot.rows) for slot, _ in self._slots)
+                if batch_rows != self._batch_rows:
+                    self._batch_rows = batch_rows
+                    if self._overlap:
+                        # A batch slot lost rows (lookahead trimmed):
+                        # replan crossings; if one is already due, the
+                        # next step() would allocate synchronously.
+                        crossed = True
+                    else:
+                        # Without overlapped allocation the horizon was
+                        # derived from the entry-time row coverage,
+                        # which just shrank — stop before it overruns.
+                        keep_going = False
         if crossed:
             self._compute_crossings(iteration)
             if self._next_cross <= iteration:
@@ -330,7 +319,7 @@ class _VattentionDecodePlan(DecodeFastPath):
         if iteration >= self._next_cross:
             return iteration  # a crossing is due: run the hook
         manager = self.manager
-        if self._eager and self._inactive:
+        if self._eager_live:
             target = self._eager_target
             if (
                 target is None
@@ -501,7 +490,7 @@ class VAttentionMemory(MemoryBackend):
             if slot.mapped_rows * tokens_per_row < context + 1:
                 return None  # the very next step would map synchronously
             slots.append((slot, context))
-        # on_iteration_end walks manager.slots in reqId order; replaying
+        # on_iteration_end walks active slots in reqId order; replaying
         # crossings in the same order keeps free-row contention exact.
         slots.sort(key=lambda pair: pair[0].req_id)
         overlap = manager.config.overlap_allocation

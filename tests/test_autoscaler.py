@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import repro.serving.engine as engine_module
 from repro.cluster import (
     ClusterConfig,
     ClusterEngine,
@@ -475,12 +476,28 @@ class TestLifecycle:
         expected = report.end_time + (report.end_time - provision_time)
         assert report.replica_seconds == pytest.approx(expected)
 
-    def test_drain_finishes_in_flight_work_before_retiring(self):
+    @pytest.mark.parametrize("fast_forward", [True, False])
+    def test_drain_finishes_in_flight_work_before_retiring(
+        self, fast_forward, monkeypatch
+    ):
         # Two serving replicas; the drain lands while both still hold
         # running requests. The victim must finish its batch, then
         # retire - a replica retiring mid-request would strand it. The
         # survivor's request runs far longer, so retirement must land
         # strictly before the end of the run.
+        monkeypatch.setattr(
+            engine_module, "DEFAULT_FAST_FORWARD", fast_forward
+        )
+        dispatched = []
+        dispatch = ClusterEngine._dispatch_drain_complete
+
+        def record(self, now, replica):
+            dispatched.append(replica.index)
+            dispatch(self, now, replica)
+
+        monkeypatch.setattr(
+            ClusterEngine, "_dispatch_drain_complete", record
+        )
         cluster = elastic_cluster(n_replicas=2, interval=1.0)
         cluster.autoscaler = ScriptedPolicy({0: -1})
         long_job, short_job = trace(count=2, gap=0.1, new_tokens=64)
@@ -491,6 +508,12 @@ class TestLifecycle:
         drains = [e for e in report.scale_events if e.action == "drain"]
         retires = [e for e in report.scale_events if e.action == "retire"]
         assert len(drains) == 1 and len(retires) == 1
+        # Both loops end only after the last infinite-horizon pass has
+        # queued and dispatched a DRAIN_COMPLETE for every open drain.
+        assert [e.replica for e in retires] == dispatched
+        assert all(
+            r.state is not ReplicaState.DRAINING for r in cluster.replicas
+        )
         victim = drains[0].replica
         victim_replica = cluster.replicas[victim]
         assert victim_replica.state is ReplicaState.RETIRED

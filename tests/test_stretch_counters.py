@@ -278,6 +278,11 @@ class TestPinnedWork:
 #: page-group crossing are skipped. Any increase fails; a decrease is an
 #: improvement to re-pin here.
 HOOK_CALLS_CEILING = 337
+#: Slots the vAttention manager's queries examine on the same batch
+#: (``VAttentionStats.slots_visited``). Walking every reqId slot per
+#: query measured 31,354; the slot-state index visits only the slots
+#: that can answer. Any increase fails.
+SLOTS_VISITED_CEILING = 1_809
 #: Skipping a hook never changes how many iterations run analytically.
 ANALYTIC_ITERATIONS = 2_187
 
@@ -308,4 +313,8 @@ class TestPinnedHooks:
         assert fast.analytic_iterations == ANALYTIC_ITERATIONS
         assert fast.hook_calls <= HOOK_CALLS_CEILING, (
             f"hook calls grew: {fast.hook_calls} > {HOOK_CALLS_CEILING}"
+        )
+        visited = engine.memory.backend.manager.stats.slots_visited
+        assert visited <= SLOTS_VISITED_CEILING, (
+            f"slot visits grew: {visited} > {SLOTS_VISITED_CEILING}"
         )

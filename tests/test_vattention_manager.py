@@ -1,10 +1,14 @@
 """VAttention manager: the Table 4 API and the S6 optimizations."""
 
+from operator import attrgetter
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import VAttentionConfig
 from repro.core.vattention import VAttention
-from repro.errors import SchedulingError
+from repro.errors import AllocationFailed, SchedulingError
 from repro.gpu.device import Device
 from repro.gpu.spec import A100
 from repro.models.shard import ShardedModel
@@ -319,3 +323,186 @@ class TestAccounting:
         _, _, manager = make_manager()
         manager.shutdown()
         manager.shutdown()
+
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["alloc", "free", "step", "iterate", "share", "trim"]
+        ),
+        st.integers(0, 7),
+        st.integers(1, 200),
+    ),
+    max_size=40,
+)
+
+
+class TestAgainstFullScans:
+    """Random Table 4 call sequences, with the manager's slot index
+    checked against walks over every slot: after every call, and at
+    every row reclaimed inside one."""
+
+    @settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        max_examples=60,
+    )
+    @given(
+        ops=OPS,
+        eager=st.booleans(),
+        deferred=st.booleans(),
+        overlap=st.booleans(),
+    )
+    # A slot inherits four rows; only the first backs its first token.
+    @example(
+        ops=[
+            ("alloc", 0, 1),
+            ("step", 0, 200),
+            ("free", 0, 1),
+            ("alloc", 0, 1),
+            ("step", 0, 10),
+        ],
+        eager=False,
+        deferred=True,
+        overlap=False,
+    )
+    # Four slots inherit eager rows and the pool is empty: the prefill
+    # of slot 0 reclaims, and once slot 0 holds two rows the full walk
+    # picks it (its context is recorded only after the mapping).
+    @example(
+        ops=[("alloc", 0, 1)] * 5 + [("step", 0, 129)],
+        eager=True,
+        deferred=False,
+        overlap=False,
+    )
+    # Slot 0 aliases two of slot 1's rows with the pool empty; mapping
+    # its copied tail reclaims, and the full walk picks slot 0 first.
+    @example(
+        ops=[("alloc", 0, 1)] * 3
+        + [("step", 2, 191)] * 3
+        + [("free", 2, 1), ("alloc", 0, 1), ("step", 1, 130)]
+        + [("share", 0, 128)],
+        eager=False,
+        deferred=True,
+        overlap=False,
+    )
+    def test_index_matches_full_scans(self, ops, eager, deferred, overlap):
+        # 64-token rows, 12 of them, 8 reqIds.
+        probe = VAttentionConfig(
+            shard=ShardedModel(YI_6B, 1),
+            max_batch_size=8,
+            page_group_size=64 * KB,
+        )
+        _, _, manager = make_manager(
+            batch=8,
+            page_group=64 * KB,
+            reserved=A100.memory_bytes - 12 * probe.row_bytes,
+            eager_allocation=eager,
+            deferred_reclamation=deferred,
+            overlap_allocation=overlap,
+            eager_page_groups=3,
+            reclamation_threshold=0.25,
+        )
+        assert manager.total_rows == 12
+        slots = manager.slots
+        last_used = attrgetter("last_used")
+        detached = []
+        detach_row = manager._detach_row
+        reclaim_one_row = manager._reclaim_one_row
+
+        def record_detach(slot):
+            detached.append(slot)
+            return detach_row(slot)
+
+        def checked_reclaim():
+            # The victim a walk over every slot picks, against the
+            # contexts recorded mid-call (step and share_prefix map
+            # rows before they record the new context).
+            held = [s for s in slots if not s.active and s.rows]
+            if held:
+                expected = min(held, key=last_used)
+            else:
+                expected = next(
+                    (
+                        s
+                        for s in slots
+                        if s.active
+                        and s.mapped_rows
+                        > manager.rows_for_context(s.context_len + 1)
+                    ),
+                    None,
+                )
+                if expected is None:
+                    return reclaim_one_row()  # raises AllocationFailed
+            detached.clear()
+            latency = reclaim_one_row()
+            assert detached[0] is expected
+            return latency
+
+        manager._detach_row = record_detach
+        manager._reclaim_one_row = checked_reclaim
+        for kind, a, b in ops:
+            try:
+                self.apply(manager, kind, a, b)
+            except AllocationFailed:
+                pass  # aliased rows left nothing to free; the index holds
+            self.assert_index_agrees(manager)
+
+    @staticmethod
+    def apply(manager, kind, a, b):
+        slots = manager.slots
+        active = [s for s in slots if s.active]
+        if kind == "alloc" and manager.has_free_reqid():
+            expected = max(
+                (s for s in slots if not s.active),
+                key=lambda s: (s.mapped_rows, -s.req_id),
+            )
+            assert manager.alloc_reqid() == expected.req_id
+        elif kind == "free" and active:
+            manager.free_reqid(active[a % len(active)].req_id)
+        elif kind == "step" and active:
+            # Grow one slot, or two: a reclamation while the second
+            # maps may trim the first.
+            seq = [s.context_len if s.active else 0 for s in slots]
+            for i in {a % len(active), b % len(active)}:
+                seq[active[i].req_id] = active[i].context_len + b
+            manager.step(seq)
+        elif kind == "iterate":
+            manager.on_iteration_end(b * 1e-5)
+        elif kind == "share":
+            sources = [s for s in active if s.context_len]
+            fresh = [s for s in active if not s.context_len]
+            if sources and fresh:
+                src = sources[a % len(sources)]
+                dst = fresh[b % len(fresh)]
+                prefix = 1 + b % src.context_len
+                manager.share_prefix(src.req_id, dst.req_id, prefix)
+        elif kind == "trim":
+            backed = [s for s in active if s.context_len]
+            if backed:
+                slot = backed[a % len(backed)]
+                manager.trim_slot(slot.req_id, b % (slot.context_len + 1))
+
+    @staticmethod
+    def assert_index_agrees(manager):
+        slots = manager.slots
+        assert manager.available_rows == (
+            manager.free_rows
+            + manager.cached_rows
+            + manager.excess_active_rows
+        )
+        assert manager.has_free_reqid() == any(not s.active for s in slots)
+        inactive = [s for s in slots if not s.active]
+        expected = max(
+            inactive,
+            key=lambda s: (s.mapped_rows, -s.req_id),
+            default=None,
+        )
+        assert manager._next_reqid_slot() is expected
+        # Reclamation drains inactive slots least recently used first,
+        # ties in reqId order.
+        last_used = attrgetter("last_used")
+        victims = sorted((s for s in inactive if s.rows), key=last_used)
+        assert [s.req_id for s in sorted(manager._holding, key=last_used)] == [
+            s.req_id for s in victims
+        ]
