@@ -156,6 +156,34 @@ def build_fleet(router: str = DEFAULT_ROUTER) -> ClusterEngine:
     )
 
 
+def work_counters(cluster: ClusterEngine) -> dict:
+    """The fleet's exact work counters, summed over every replica it
+    ever ran: stretch proofs, backend plans, stretches and resumed
+    stretches, iterations run analytically and one at a time, backend
+    hook calls, iteration series evaluated, replica-view full syncs,
+    O(1) answers and predictor builds, and the vAttention managers'
+    slot visits."""
+    engines = [replica.engine for replica in cluster.replicas]
+    fast = [engine._fast for engine in engines]
+    return {
+        "proofs": sum(f.proofs for f in fast),
+        "plans": sum(f.plans for f in fast),
+        "stretches": sum(f.stretches for f in fast),
+        "resumes": sum(f.resumes for f in fast),
+        "analytic_iterations": sum(f.analytic_iterations for f in fast),
+        "stepped_iterations": sum(e.stepped_iterations for e in engines),
+        "hook_calls": sum(f.hook_calls for f in fast),
+        "series_evaluations": sum(f.series_evaluations for f in fast),
+        "view_syncs": cluster.view_syncs,
+        "view_answers": cluster.view_answers,
+        "oracle_builds": cluster.oracle_builds,
+        "slots_visited": sum(
+            engine.memory.backend.manager.stats.slots_visited
+            for engine in engines
+        ),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -219,6 +247,7 @@ def main(argv=None) -> int:
         "scale_events": len(report.scale_events),
         "p99_ttft": round(report.p99_ttft(), 4),
         "budget_seconds": budget,
+        "work": work_counters(cluster),
     }
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=1)
@@ -233,6 +262,8 @@ def main(argv=None) -> int:
         f"{len(report.scale_events)} scale events, "
         f"p99 TTFT {report.p99_ttft():.2f}s"
     )
+    work = ", ".join(f"{name} {n:,}" for name, n in payload["work"].items())
+    print(f"  work: {work}")
     print(f"wrote {args.output}")
 
     assert wall_seconds < budget, (

@@ -377,14 +377,15 @@ class _ReplicaReplay(ReplicaView):
             engine._batch_version == self._version
             and time < engine._arrival_cap()
             and (
-                time < self._valid
                 # The clock already overshot the query instant and has
                 # not moved since the last rebuild: ``run_until(time)``
                 # is a provable no-op (the serve prologue is idempotent
                 # at a fixed state pair), so every answer is the last
                 # rebuild's. Common for opaque replicas queried
-                # repeatedly inside an arrival burst.
-                or time <= engine.clock.now == self._clock
+                # repeatedly inside an arrival burst. Checked first: it
+                # needs no predictor series.
+                time <= engine.clock.now == self._clock
+                or time < self._valid_until()
             )
         ):
             # Still exact; only the tokens submitted since join.
@@ -401,6 +402,12 @@ class _ReplicaReplay(ReplicaView):
         self._clock = engine.clock.now
         self._submitted = len(engine._all_requests)
 
+    def _valid_until(self) -> float:
+        """The instant from which the last rebuild's answers may be
+        stale: the oracle's validity edge, or ``_valid`` without one."""
+        oracle = self._oracle
+        return self._valid if oracle is None else oracle.valid_until
+
     def _rebuild(self) -> None:
         engine = self.replica.engine
         self._oracle = None
@@ -412,33 +419,29 @@ class _ReplicaReplay(ReplicaView):
             # bounds — the backlog is constant, the tree frozen.
             self._valid = math.inf
             return
+        # Opaque unless a predictor is built below: sweep per query,
+        # unless the clock already passed the query instant (see _sync).
+        self._valid = -math.inf
         # ``run_until`` just ran the serve prologue at this clock, so
         # this is the proof the serve loop would try next. An unbounded
         # deadline: the oracle's own validity edge (hook quiescence, the
         # completion bound) is what limits it, so a quiet replica's
-        # predictor survives into later windows.
+        # predictor survives into later windows. A prep whose hooks may
+        # fire at once builds no oracle; a running replica with no
+        # provable steady stretch (prefill next, stretch too short, ...)
+        # has no prep.
         prep = engine._fast.prepare(math.inf)
         if prep is not None:
             self.oracle_builds += 1
-            oracle = StretchOracle.build(prep)
-            if oracle is not None:
-                self._oracle = oracle
-                self._valid = oracle.valid_until
-            else:
-                # Hooks may fire at once: opaque — sweep per query.
-                self._valid = -math.inf
-        else:
-            # Running but no provable steady stretch (prefill next,
-            # stretch too short, ...): opaque — sweep per query, unless
-            # the clock already passed the query instant (see _sync).
-            self._valid = -math.inf
+            self._oracle = StretchOracle.build(prep)
 
     @property
     def outstanding_tokens(self) -> int:
         if self._seq != self._window.seq:
             self._sync()
         oracle = self._oracle
-        if oracle is None:
+        if oracle is None or self._time <= self._clock:
+            # No iteration starts before the rebuild clock.
             return self._base
         return self._base - oracle.batch_size * oracle.iterations_before(
             self._time

@@ -29,7 +29,7 @@ so runtime cost is mapping (``cuMemMap``+``cuMemSetAccess`` at 2MB,
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
@@ -54,6 +54,8 @@ class RequestSlot:
     active: bool = False
     context_len: int = 0
     rows: List[PhysicalHandle] = field(default_factory=list)
+    #: When the slot was last freed: reclamation drains inactive slots
+    #: least recently used first.
     last_used: float = 0.0
     #: Leading rows aliased from another request's prefix (S8.1 dedup).
     shared_rows: int = 0
@@ -95,8 +97,10 @@ _LAST_USED = attrgetter("last_used")
 
 
 def _insert(slots: List[RequestSlot], slot: RequestSlot) -> None:
-    """Insert ``slot`` into a reqId-ordered list."""
-    insort(slots, slot, key=_REQ_ID)
+    """Insert ``slot`` into a reqId-ordered list unless it is there."""
+    index = bisect_left(slots, slot.req_id, key=_REQ_ID)
+    if index == len(slots) or slots[index] is not slot:
+        slots.insert(index, slot)
 
 
 def _discard(slots: List[RequestSlot], slot: RequestSlot) -> None:
@@ -116,10 +120,10 @@ class VAttention:
     Slot-state index
     ----------------
     Admission runs :attr:`available_rows` and :meth:`has_free_reqid`
-    per queued request, and the background thread (S6.1) picks an
-    eager target and reclaims rows every iteration. So that none of
-    these walks all ``max_batch_size`` slots, the manager indexes its
-    slots by state, every list in reqId order:
+    per queued request, and the background thread (S6.1) maps lookahead
+    rows, picks an eager target and reclaims rows every iteration. So
+    that none of these walks all ``max_batch_size`` slots, the manager
+    indexes its slots by state, every list in reqId order:
 
     * ``_active`` / ``_inactive`` — the active slots and the free reqIds;
     * ``_holding`` and ``_inactive_rows`` — the inactive slots that hold
@@ -127,30 +131,49 @@ class VAttention:
       reclamation victims, and the eager-allocation and reuse target is
       one of them (the lowest free reqId when there are none);
     * ``_excess`` — the *excess candidates*: active slots that may hold
-      rows beyond ``rows_for_context(context_len + 1)``.
+      rows beyond ``rows_for_context(context_len + 1)``;
+    * ``_lookahead`` — with overlapped allocation, the active, unfrozen
+      slots whose context may have reached their mapped capacity
+      (``context_len >= len(rows) * tokens_per_row``): the only slots
+      the lookahead pass can map rows for.
 
     Only :meth:`alloc_reqid`, :meth:`free_reqid`, :meth:`_map_rows`,
     :meth:`_detach_row`, :meth:`_unmap_rows` and :meth:`shutdown` flip
     ``active`` or change an inactive slot's rows, so only they update
-    the lists and the count (``step`` and ``share_prefix`` also enter
-    excess candidates, see below).
+    the first three lists and the count (``step`` and ``share_prefix``
+    also enter excess candidates, see below).
 
     A slot becomes an excess candidate at :meth:`alloc_reqid`, when it
     inherits more cached rows than its first token needs. While a slot
     is active its context only grows, and nothing maps rows into it
     past that need: ``step`` maps up to ``rows_for_context(context)``,
-    the lookahead pass and the decode plan's crossings up to
-    ``rows_for_context(context + 1)``, ``share_prefix`` drops inherited
-    rows and backs only the prefix, and :meth:`trim_slot` unmaps down to
-    ``rows_for_context(keep_tokens)`` before it sets the context. Every
-    other active slot therefore holds no excess between calls, and once
-    a candidate's excess reaches 0 it stays there: the walks drop it
-    for good. Inside ``step`` and ``share_prefix`` the rows are mapped
-    before the context is recorded, and a reclamation there may trim
-    the slots being grown; when the free rows cannot cover the mapping,
-    those two enter them as candidates first.
-    :attr:`excess_active_rows` and :attr:`cached_rows` still scan every
-    slot; they are the index's test oracle.
+    the lookahead pass up to ``rows_for_context(context + 1)``,
+    ``share_prefix`` drops inherited rows and backs only the prefix, and
+    :meth:`trim_slot` unmaps down to ``rows_for_context(keep_tokens)``
+    before it sets the context. Every other active slot therefore holds
+    no excess between calls, and once a candidate's excess reaches 0 it
+    stays there: the walks drop it for good. Inside ``step`` and
+    ``share_prefix`` the rows are mapped before the context is
+    recorded, and a reclamation there may trim the slots being grown;
+    when the free rows cannot cover the mapping, those two enter them
+    as candidates first. :attr:`excess_active_rows` and
+    :attr:`cached_rows` still scan every slot; they are the index's
+    test oracle.
+
+    ``step``, ``share_prefix`` and the decode plan record contexts
+    through :meth:`record_context`, which enters the lookahead list.
+    Reclamation only takes rows that a recorded context does not need,
+    so only a recorded context can make a slot need a lookahead row.
+    The lookahead pass drops the slots it serves and those that need
+    nothing; :meth:`free_reqid` and :meth:`trim_slot` (which freezes)
+    drop their slot.
+
+    The background pass also keeps the eager target
+    (:meth:`_next_reqid_slot` caches its answer) and whether the last
+    reclamation pass ran below the minimum and unmapped nothing (the
+    idle flag, cleared by :meth:`alloc_reqid`, :meth:`free_reqid`,
+    :meth:`share_prefix` and :meth:`trim_slot`, the calls that can make
+    rows reclaimable); :meth:`background_quiet` reads both.
     """
 
     def __init__(self, device: Device, config: VAttentionConfig) -> None:
@@ -178,6 +201,7 @@ class VAttention:
         #: per-iteration hot path (demand computation, maintenance).
         self._tokens_per_row = config.tokens_per_page_group
         self._n_tensors = config.n_tensors
+        self._overlap = config.overlap_allocation
         self._minimum_free_rows: int = 0  # set after total_rows below
 
         # --- Virtual memory: reserve the 2N (or 2) buffers for the
@@ -220,7 +244,15 @@ class VAttention:
         self._inactive: List[RequestSlot] = list(self.slots)
         self._holding: List[RequestSlot] = []
         self._excess: List[RequestSlot] = []
+        self._lookahead: List[RequestSlot] = []
         self._inactive_rows = 0
+        #: The cached answer of :meth:`_next_reqid_slot` (None: no
+        #: answer cached) and its row count then.
+        self._target: Optional[RequestSlot] = None
+        self._target_rows = 0
+        #: Whether the last reclamation pass ran below the minimum and
+        #: unmapped nothing.
+        self._reclaim_idle = False
         self._shutdown = False
 
     # ------------------------------------------------------------------
@@ -348,10 +380,11 @@ class VAttention:
             if held > 1:  # beyond rows_for_context(0 + 1)
                 _insert(self._excess, slot)
         _insert(self._active, slot)
+        self._target = None
+        self._reclaim_idle = False
         slot.active = True
         slot.context_len = 0
         slot.frozen = False
-        slot.last_used = self.clock.now
         if slot.mapped_rows:
             self.stats.reqids_reused_with_memory += 1
         if self.config.eager_allocation:
@@ -370,7 +403,10 @@ class VAttention:
             raise SchedulingError(f"reqId {req_id} is not active")
         _discard(self._active, slot)
         _discard(self._excess, slot)
+        _discard(self._lookahead, slot)
         _insert(self._inactive, slot)
+        self._target = None
+        self._reclaim_idle = False
         if slot.rows:
             _insert(self._holding, slot)
             self._inactive_rows += len(slot.rows)
@@ -415,6 +451,7 @@ class VAttention:
             raise SchedulingError(
                 f"reqId {dst_req_id} already has context; share before step"
             )
+        self._reclaim_idle = False
         # Drop any inherited cache so row indices align with the prefix.
         if dst.mapped_rows:
             self._unmap_rows(dst, dst.mapped_rows, background=False)
@@ -436,7 +473,7 @@ class VAttention:
         if copied_tokens:
             # dst records its context only below: see step().
             if not self._free_rows:
-                self._enter_excess(dst)
+                _insert(self._excess, dst)
             latency += self._map_rows(dst, 1, background=False, charge=False)
             copied_bytes = (
                 copied_tokens
@@ -451,8 +488,7 @@ class VAttention:
         # keeps the reclamation paths honest — otherwise the aliased
         # rows look like an idle slot's reclaimable excess until the
         # next step() and could be stripped mid-iteration.
-        dst.context_len = prefix_tokens
-        dst.last_used = self.clock.now
+        self.record_context(dst, prefix_tokens)
         self.stats.prefix_shares += 1
         self._charge_sync(latency + copy_seconds)
         return PrefixShareResult(
@@ -486,6 +522,8 @@ class VAttention:
         excess = slot.mapped_rows - self.rows_for_context(keep_tokens)
         if excess > 0:
             self._unmap_rows(slot, excess, background=True)
+        _discard(self._lookahead, slot)
+        self._reclaim_idle = False
         slot.context_len = keep_tokens
         slot.frozen = True
 
@@ -551,19 +589,34 @@ class VAttention:
         # out) may trim it, as a walk over every slot would.
         if total_needed > len(self._free_rows):
             for slot, _needed in demands:
-                self._enter_excess(slot)
+                _insert(self._excess, slot)
         for slot, needed in demands:
             sync_seconds += self._map_rows(slot, needed, background=False,
                                            charge=False)
+        slots = self.slots
         for req_id, ctx in enumerate(seq_lens):
             if ctx > 0:
-                slot = self.slots[req_id]
-                slot.context_len = ctx
-                slot.last_used = self.clock.now
+                self.record_context(slots[req_id], ctx)
 
         self._charge_sync(sync_seconds)
         self.stats.last_step_sync_seconds = sync_seconds
         return 0
+
+    def record_context(self, slot: RequestSlot, context: int) -> None:
+        """Record active ``slot``'s (positive) context length without
+        mapping rows.
+
+        With overlapped allocation, a slot whose context has reached its
+        mapped capacity joins the lookahead list: the next
+        :meth:`on_iteration_end` maps the row its next token needs.
+        """
+        slot.context_len = context
+        if (
+            self._overlap
+            and not slot.frozen
+            and context >= len(slot.rows) * self._tokens_per_row
+        ):
+            _insert(self._lookahead, slot)
 
     def on_iteration_end(self, iteration_seconds: float) -> None:
         """Observe one compute window; run the background thread (S6.1).
@@ -572,29 +625,67 @@ class VAttention:
         iteration *i* returns and runs concurrently with iteration *i*'s
         compute, preparing iteration *i+1*'s mappings. Equivalently in
         simulation: queue the predictable work (decode growth one token
-        ahead, Observation-1), plus the opportunistic work (eager
-        allocation, threshold reclamation), and then overlap the queue
-        with the just-finished compute window.
+        ahead, Observation-1, for the slots on the lookahead list), plus
+        the opportunistic work (eager allocation, threshold
+        reclamation), and then overlap the queue with the just-finished
+        compute window.
         """
         self._check_live()
-        if self.config.overlap_allocation:
-            active = self._active
-            self.stats.slots_visited += len(active)
-            for slot in active:
-                if slot.context_len == 0 or slot.frozen:
-                    continue
-                needed = (
-                    self.rows_for_context(slot.context_len + 1)
-                    - slot.mapped_rows
-                )
-                if needed > 0 and needed <= self.free_rows:
-                    self._map_rows(slot, needed, background=True)
+        if self._overlap:
+            pending = self._lookahead
+            if pending:
+                self.stats.slots_visited += len(pending)
+                free_rows = self._free_rows
+                kept = []
+                for slot in pending:
+                    needed = (
+                        self.rows_for_context(slot.context_len + 1)
+                        - slot.mapped_rows
+                    )
+                    if needed > 0:
+                        if needed <= len(free_rows):
+                            self._map_rows(slot, needed, background=True)
+                        else:
+                            kept.append(slot)  # retried at the next pass
+                self._lookahead = kept
         if self.config.eager_allocation:
             self._eager_prepare_next()
         if self.config.deferred_reclamation:
             self._maintain_free_threshold()
-        if self.config.overlap_allocation:
+        if self._overlap:
             self.background.run_for(iteration_seconds)
+
+    def background_quiet(self) -> bool:
+        """Whether the next :meth:`on_iteration_end` would change nothing
+        apart from mapping lookahead rows.
+
+        True when eager allocation's target already holds its rows (or
+        no row is free), reclamation is above its minimum (or its last
+        pass was idle), and, with overlapped allocation, the worker has
+        no queued work. An idle pass found no inactive slot holding rows
+        and no active slot holding rows beyond its context plus one
+        token of lookahead; only the calls that clear the flag can
+        create such rows.
+        """
+        free = len(self._free_rows)
+        if self.config.eager_allocation and free:
+            target = self._next_reqid_slot()
+            if (
+                target is not None
+                and len(target.rows) < self.config.eager_page_groups
+            ):
+                return False
+        if (
+            self.config.deferred_reclamation
+            and free < self._minimum_free_rows
+            and not self._reclaim_idle
+        ):
+            return False
+        if self._overlap:
+            worker = self.background
+            if worker.critical_pending or worker.opportunistic_pending:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Memory accounting (fragmentation experiments)
@@ -810,13 +901,6 @@ class VAttention:
             if freed:
                 return latency
 
-    def _enter_excess(self, slot: RequestSlot) -> None:
-        """Make active ``slot`` an excess candidate, if it is not one."""
-        excess = self._excess
-        index = bisect_left(excess, slot.req_id, key=_REQ_ID)
-        if index == len(excess) or excess[index] is not slot:
-            excess.insert(index, slot)
-
     def _next_reqid_slot(self) -> Optional[RequestSlot]:
         """The slot :meth:`alloc_reqid` would claim next, or None.
 
@@ -824,19 +908,27 @@ class VAttention:
         a tie; the lowest inactive reqId when none holds rows. The key
         ``(rows, -req_id)`` is unique, so the walk order cannot change
         the winner.
+
+        The answer is cached with its row count. Only eager allocation
+        maps rows into an inactive slot, and only into this one, while
+        reclamation only shrinks the others; so the answer stays the
+        maximum until the free reqIds change (:meth:`alloc_reqid` and
+        :meth:`free_reqid` drop the cache) or it holds fewer rows than
+        it did (then this rescans).
         """
+        target = self._target
+        if target is not None and len(target.rows) >= self._target_rows:
+            return target
         holding = self._holding
-        if not holding:
-            inactive = self._inactive
-            return inactive[0] if inactive else None
-        self.stats.slots_visited += len(holding)
-        best_key = None
-        target = None
-        for slot in holding:
-            key = (len(slot.rows), -slot.req_id)
-            if best_key is None or key > best_key:
-                best_key = key
-                target = slot
+        if holding:
+            self.stats.slots_visited += len(holding)
+            target = max(holding, key=lambda s: (len(s.rows), -s.req_id))
+        elif self._inactive:
+            target = self._inactive[0]
+        else:
+            return None
+        self._target = target
+        self._target_rows = len(target.rows)
         return target
 
     def _eager_prepare_next(self) -> None:
@@ -849,18 +941,21 @@ class VAttention:
         if deficit > 0:
             self._map_rows(target, deficit, background=True, critical=False)
 
-    def _maintain_free_threshold(self) -> bool:
+    def _maintain_free_threshold(self) -> None:
         """Keep the free-row fraction above the reclamation threshold.
 
         Drains the inactive slots that hold rows, least recently used
         first (sorted from the reqId-ordered index, so ties break by
         reqId); if still short, trims the excess candidates' rows beyond
-        context + lookahead, in reqId order. Returns whether an active
-        slot was trimmed.
+        context + lookahead, in reqId order. Records whether it ran
+        below the minimum and unmapped nothing (see
+        :meth:`background_quiet`).
         """
         shortfall = self._minimum_free_rows - len(self._free_rows)
         if shortfall <= 0:
-            return False
+            self._reclaim_idle = False
+            return
+        wanted = shortfall
         victims = sorted(self._holding, key=_LAST_USED)
         visited = len(victims)
         for victim in victims:
@@ -870,7 +965,6 @@ class VAttention:
             take = held if held < shortfall else shortfall
             self._unmap_rows(victim, take, background=True)
             shortfall -= take
-        trimmed = False
         if shortfall > 0:
             # Still short: trim active slots' rows beyond context +
             # lookahead. Only excess candidates can hold any.
@@ -884,9 +978,8 @@ class VAttention:
                     take = min(excess, shortfall)
                     self._unmap_rows(slot, take, background=True)
                     shortfall -= take
-                    trimmed = True
         self.stats.slots_visited += visited
-        return trimmed
+        self._reclaim_idle = shortfall == wanted
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
@@ -903,6 +996,8 @@ class VAttention:
         self._active.clear()
         self._inactive[:] = self.slots
         self._excess.clear()
+        self._lookahead.clear()
+        self._target = None
         for handle in self._free_rows:
             self.device.pool.release(handle)
         self._free_rows.clear()

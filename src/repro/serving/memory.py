@@ -116,29 +116,17 @@ class MemoryBackend(abc.ABC):
 
 # ----------------------------------------------------------------------
 class _VattentionDecodePlan(DecodeFastPath):
-    """Replays vAttention's background allocator over a decode stretch.
+    """Runs vAttention's background pass over a decode stretch.
 
     A steady decode iteration leaves ``step()`` nothing to do — every
     row is pre-mapped — but ``on_iteration_end`` still runs every
-    iteration: predicted-growth mappings at page-group crossings, eager
+    iteration: lookahead mappings at page-group crossings, eager
     allocation for the next reqId, threshold reclamation, and the
-    background thread consuming the compute window. This plan replays
-    exactly those effects through the manager's own primitives, at a
-    fraction of the full loop's cost:
-
-    * crossings are *scheduled* (integer arithmetic finds the next one;
-      iterations in between skip the per-slot scan entirely);
-    * eager allocation caches its target and asks the manager's slot
-      index again only after reclamation drained it (the free reqIds
-      cannot change mid-stretch: no admissions, retirements or
-      preemptions), so its no-op case is a couple of comparisons;
-    * threshold reclamation is invoked (with slot contexts synced)
-      only when the free-row fraction is actually below the threshold —
-      the method's own first early-exit; a pass that freed nothing
-      stays idle, so it does not keep the executor from skipping hooks,
-      and the batch's rows are re-summed only after a pass that
-      trimmed an active slot;
-    * the worker's window consumption runs only while work is queued.
+    background thread consuming the compute window. Each hook records
+    the batch's end-of-step contexts (what the slow path's ``step()``
+    records) and runs the manager's own pass. Between hooks the plan
+    keeps the batch's next *crossing*: the first iteration whose next
+    token needs a row no batch slot has mapped yet.
 
     The stretch ends the moment steady-state is no longer provable:
     critical work spilling past its window (the next ``step()`` would
@@ -159,196 +147,77 @@ class _VattentionDecodePlan(DecodeFastPath):
     ) -> None:
         self.manager = manager
         config = manager.config
-        #: (slot, entry context) pairs in reqId order — the order
-        #: ``on_iteration_end`` walks the manager's active slots.
+        #: (slot, entry context) pairs.
         self._slots = slots
         self.horizon = horizon
         self._overlap = overlap
-        self._eager = config.eager_allocation
-        self._deferred = config.deferred_reclamation
-        self.has_hooks = overlap or self._eager or self._deferred
-        self._eager_page_groups = config.eager_page_groups
-        self._minimum_free = manager._minimum_free_rows
-        #: Whether eager allocation has a target. The free reqIds are
-        #: fixed for the stretch: activation changes only at
-        #: admission/retirement/preemption, none of which can occur
-        #: inside a steady decode stretch.
-        self._eager_live = self._eager and bool(manager._inactive)
-        #: Cached eager-allocation target. Its key can only *grow*
-        #: between hook iterations (eager maps rows into it) — a rescan
-        #: is needed only after reclamation drains rows from it.
-        self._eager_target: Optional[RequestSlot] = None
-        self._eager_target_rows = -1
+        self.has_hooks = (
+            overlap or config.eager_allocation or config.deferred_reclamation
+        )
         self._tokens_per_row = config.tokens_per_page_group
-        #: Stretch-iteration index of each slot's next background
-        #: mapping, and rows currently mapped across the batch (the
-        #: cheap detector for reclamation touching a batch slot).
-        self._cross_at: List[float] = []
-        self._next_cross: float = float("inf")
+        #: Rows mapped across the batch at entry: without overlapped
+        #: allocation the horizon rests on them.
         self._batch_rows = sum(len(slot.rows) for slot, _ in slots)
-        #: Whether the last hook's reclamation pass freed nothing. An
-        #: idle pass stays idle until the next hook: see
-        #: :meth:`quiescent_until`.
-        self._reclaim_idle = False
+        self._next_cross = self._crossing()
         #: Iterations already counted into the manager's step stats
         #: (a resumed stretch commits cumulatively).
         self._committed = 0
-        if overlap:
-            self._compute_crossings(-1)
 
-    # ------------------------------------------------------------------
-    def _compute_crossings(self, after: int) -> None:
-        """Recompute each slot's next crossing strictly after ``after``.
+    def _crossing(self) -> int:
+        """Stretch iteration of the batch's next lookahead mapping.
 
-        A crossing at stretch-iteration ``i`` is the point where the
-        background thread must map a new row for the *next* iteration:
-        ``rows_for(c0 + i + 2) > mapped``, i.e. ``i = capacity - c0 - 1``
-        with ``capacity = mapped_rows * tokens_per_row``.
+        At iteration ``i`` the background pass maps a row for the next
+        token once ``c0 + i + 1 >= mapped_rows * tokens_per_row``.
+        Without overlapped allocation the pass maps no lookahead rows.
         """
-        self._cross_at = []
+        if not self._overlap:
+            return UNBOUNDED_HORIZON
         tokens_per_row = self._tokens_per_row
-        for slot, c0 in self._slots:
-            cross = len(slot.rows) * tokens_per_row - c0 - 1
-            self._cross_at.append(cross if cross > after else float("-inf"))
-        self._next_cross = min(self._cross_at, default=float("inf"))
-
-    def _sync_contexts(self, iteration: int) -> None:
-        """Set batch slots to the iteration's end-of-step contexts —
-        what the slow path's ``step()`` would have recorded before its
-        ``on_iteration_end`` ran."""
-        for slot, c0 in self._slots:
-            slot.context_len = c0 + iteration + 1
+        return min(
+            len(slot.rows) * tokens_per_row - c0 - 1
+            for slot, c0 in self._slots
+        )
 
     def on_iteration(self, iteration: int, window: float) -> bool:
         manager = self.manager
-        keep_going = True
-        crossed = iteration == self._next_cross
-        if crossed:
-            self._sync_contexts(iteration)
-            for index, (slot, _c0) in enumerate(self._slots):
-                if self._cross_at[index] != iteration:
-                    continue
-                needed = (
-                    manager.rows_for_context(slot.context_len + 1)
-                    - slot.mapped_rows
-                )
-                if needed > 0:
-                    if needed <= manager.free_rows:
-                        manager._map_rows(slot, needed, background=True)
-                        self._batch_rows += needed
-                    else:
-                        # on_iteration_end would skip the mapping and the
-                        # next step() would allocate synchronously.
-                        keep_going = False
-        if self._eager_live:
-            # _eager_prepare_next with its target cached. Inactive keys
-            # only change through eager itself (target grows — still
-            # the max) or reclamation (rows drain — the max can only be
-            # dethroned if *it* was drained), so the manager is asked
-            # again only when the cached target lost rows.
-            target = self._eager_target
-            if target is None or len(target.rows) < self._eager_target_rows:
-                target = self._eager_target = manager._next_reqid_slot()
-            deficit = self._eager_page_groups - len(target.rows)
-            deficit = min(deficit, len(manager._free_rows))
-            if deficit > 0:
-                manager._map_rows(
-                    target, deficit, background=True, critical=False
-                )
-            self._eager_target_rows = len(target.rows)
-        self._reclaim_idle = False
-        if self._deferred and len(manager._free_rows) < self._minimum_free:
-            # Reclamation may trim *active* slots' excess, which reads
-            # their contexts — sync first, then let the manager do
-            # exactly what the slow path would.
-            if not crossed:
-                self._sync_contexts(iteration)
-            unmapped = manager.stats.rows_unmapped
-            trimmed = manager._maintain_free_threshold()
-            self._reclaim_idle = manager.stats.rows_unmapped == unmapped
-            # Only a trim of active slots can reach the batch, and the
-            # trimmed slot may be outside it (a cache-owned prefix),
-            # which must not end the stretch: compare the batch's rows.
-            if trimmed:
-                batch_rows = sum(len(slot.rows) for slot, _ in self._slots)
-                if batch_rows != self._batch_rows:
-                    self._batch_rows = batch_rows
-                    if self._overlap:
-                        # A batch slot lost rows (lookahead trimmed):
-                        # replan crossings; if one is already due, the
-                        # next step() would allocate synchronously.
-                        crossed = True
-                    else:
-                        # Without overlapped allocation the horizon was
-                        # derived from the entry-time row coverage,
-                        # which just shrank — stop before it overruns.
-                        keep_going = False
-        if crossed:
-            self._compute_crossings(iteration)
-            if self._next_cross <= iteration:
-                keep_going = False
-        if self._overlap:
-            worker = manager.background
-            if worker.critical_pending or worker.opportunistic_pending:
-                worker.run_for(window)
-                if worker.critical_pending > 0.0:
-                    # The compute window did not cover the predicted
-                    # mappings; the next step() would flush them onto
-                    # the critical path — no longer steady.
-                    keep_going = False
-        return keep_going
+        for slot, c0 in self._slots:
+            manager.record_context(slot, c0 + iteration + 1)
+        manager.on_iteration_end(window)
+        if not self._overlap:
+            # The horizon was derived from the entry-time row coverage;
+            # once reclamation shrinks it, stop before it overruns.
+            return sum(len(slot.rows) for slot, _ in self._slots) == (
+                self._batch_rows
+            )
+        # A crossing still due is one the free pool could not back, and
+        # critical work left over would be flushed by the next step():
+        # either way that step would allocate synchronously.
+        self._next_cross = self._crossing()
+        return (
+            self._next_cross > iteration
+            and manager.background.critical_pending <= 0.0
+        )
 
     def quiescent_until(self, iteration: int, n: int) -> int:
-        """Provable no-op hook span: no crossing due, eager converged,
-        reclamation idle, worker drained.
+        """Provable no-op hook span: no crossing due and the manager's
+        background pass quiet (:meth:`VAttention.background_quiet`).
 
-        Reclamation is idle when the free pool is at or above the
-        reclamation threshold, or when the last hook's pass ran below it
-        and unmapped nothing. Such a pass found every inactive slot empty
-        and no active slot holding rows beyond its context plus one token
-        of lookahead. Inside the span the free pool and the non-batch
-        slots stay as they are, and batch contexts only grow, which
-        shrinks their excess; so every later pass would be idle too.
-
-        Between no-op hooks nothing touches the manager (crossings are
-        the only batch-slot growth, eager the only inactive-slot growth,
-        reclamation the only drain, and the worker the only window
-        consumer — all quiet here), so the conditions checked once hold
-        across the whole span, up to the next scheduled crossing.
+        Inside the span only the batch's contexts grow, which maps
+        nothing before the next crossing and leaves every quiet
+        condition as it is, so the conditions checked once hold up to
+        that crossing.
         """
         if iteration >= self._next_cross:
             return iteration  # a crossing is due: run the hook
-        manager = self.manager
-        if self._eager_live:
-            target = self._eager_target
-            if (
-                target is None
-                or len(target.rows) < self._eager_target_rows
-                or (
-                    len(target.rows) < self._eager_page_groups
-                    and manager._free_rows
-                )
-            ):
-                return iteration  # eager would rescan or map
-        if (
-            self._deferred
-            and len(manager._free_rows) < self._minimum_free
-            and not self._reclaim_idle
-        ):
-            return iteration  # reclamation would run and may free rows
-        if self._overlap:
-            worker = manager.background
-            if worker.critical_pending or worker.opportunistic_pending:
-                return iteration  # the worker still consumes windows
-        if self._next_cross >= n:
-            return n
-        return int(self._next_cross)
+        if not self.manager.background_quiet():
+            return iteration
+        return min(n, self._next_cross)
 
-    def commit(self, executed: int, last_step_now: float) -> None:
+    def commit(self, executed: int) -> None:
+        manager = self.manager
         for slot, c0 in self._slots:
-            slot.context_len = c0 + executed
-            slot.last_used = last_step_now
-        stats = self.manager.stats
+            manager.record_context(slot, c0 + executed)
+        stats = manager.stats
         stats.steps += executed - self._committed
         self._committed = executed
         stats.last_step_sync_seconds = 0.0
@@ -466,12 +335,10 @@ class VAttentionMemory(MemoryBackend):
         synchronously), every batch slot's mapped rows already cover its
         next step, and no admission promise left to clear. With
         overlapped allocation the stretch is then unbounded on the
-        memory side — page-group crossings, eager allocation, threshold
-        reclamation and the background thread are replayed exactly by
-        the plan's hooks; without overlap it ends where the first
-        slot's mapped rows run out (the next ``step()`` would allocate
-        on the critical path, which the per-iteration loop must
-        account).
+        memory side — the plan's hooks run the manager's background
+        pass; without overlap it ends where the first slot's mapped rows
+        run out (the next ``step()`` would allocate on the critical
+        path, which the per-iteration loop must account).
         """
         manager = self.manager
         if manager.background.critical_pending > 0.0:
@@ -490,9 +357,6 @@ class VAttentionMemory(MemoryBackend):
             if slot.mapped_rows * tokens_per_row < context + 1:
                 return None  # the very next step would map synchronously
             slots.append((slot, context))
-        # on_iteration_end walks active slots in reqId order; replaying
-        # crossings in the same order keeps free-row contention exact.
-        slots.sort(key=lambda pair: pair[0].req_id)
         overlap = manager.config.overlap_allocation
         if overlap:
             horizon = UNBOUNDED_HORIZON
@@ -568,7 +432,7 @@ class _PagedDecodePlan(DecodeFastPath):
             self._cost_now = self._cost.prepare_seconds(counts)
         return self._cost_now
 
-    def commit(self, executed: int, last_step_now: float) -> None:
+    def commit(self, executed: int) -> None:
         blocks = self._backend.blocks
         for request, c0 in self._requests:
             blocks.extend(request.request_id, c0 + executed)
@@ -798,7 +662,7 @@ class UvmMemory(MemoryBackend):
             if fault_free < horizon:
                 horizon = fault_free
 
-        def commit(executed: int, last_step_now: float) -> None:
+        def commit(executed: int) -> None:
             for slot, c0 in slots:
                 slot.context_len = c0 + executed
 

@@ -23,7 +23,8 @@ spells out the contract):
 1. **Memory** — :meth:`~repro.serving.memory.MemoryBackend.
    decode_fast_path`: iterations absorbable with no synchronous
    allocation and no preemption (vAttention: the background allocator's
-   lead, replayed exactly at page-group crossings; Paged: free blocks;
+   lead, with the manager's own background pass run at page-group
+   crossings and wherever it is not provably quiet; Paged: free blocks;
    Static: unbounded; UVM: until the next page fault).
 2. **Scheduling** — :meth:`~repro.scheduling.base.SchedulerPolicy.
    stable_decode_horizon`: iterations over which the policy provably
@@ -113,25 +114,19 @@ class DecodeFastPath:
         A hook iteration is a *no-op* when :meth:`on_iteration` would
         mutate nothing and return ``True`` — the executor may then skip
         the calls wholesale, which is exact because a no-op changes no
-        state the next hook decision reads. The proof may use what the
-        plan's own last executed hook observed (vAttention: a
-        reclamation pass that freed nothing); a plan whose hooks have
-        not run yet must prove the span from the manager state alone.
-        Plans that cannot prove a span return ``iteration`` (skip
-        nothing), the conservative default.
+        state the next hook decision reads. The proof reads backend
+        state only (vAttention: the manager's record of a reclamation
+        pass that freed nothing), so a plan whose hooks have not run yet
+        proves the same spans as one whose hooks have. Plans that cannot
+        prove a span return ``iteration`` (skip nothing), the
+        conservative default.
         """
         return iteration
 
-    def commit(self, executed: int, last_step_now: float) -> None:
+    def commit(self, executed: int) -> None:
         """Apply the aggregate state of the first ``executed`` plan
-        iterations (cumulative: a resumed stretch commits again with the
-        larger count).
-
-        ``last_step_now`` is the simulated time at which the final
-        iteration's ``step()`` would have run (the clock before its
-        compute advance) — what per-iteration bookkeeping such as
-        vAttention's ``slot.last_used`` would have recorded.
-        """
+        iterations — contexts, step counters (cumulative: a resumed
+        stretch commits again with the larger count)."""
 
 
 class SteadyDecodeFastPath(DecodeFastPath):
@@ -147,9 +142,9 @@ class SteadyDecodeFastPath(DecodeFastPath):
         self.per_iteration_overhead = per_iteration_overhead
         self._commit = commit
 
-    def commit(self, executed: int, last_step_now: float) -> None:
+    def commit(self, executed: int) -> None:
         if self._commit is not None:
-            self._commit(executed, last_step_now)
+            self._commit(executed)
 
 
 class _StretchPrep:
@@ -265,14 +260,16 @@ class StretchOracle:
     reads the prep's cached iteration-start series from ``base`` on —
     the very list the executor's stretch will bisect — so the count is
     exactly ``run_until``'s: an iteration runs iff it *starts* strictly
-    before ``t``. The oracle keeps nothing on the prep; building another
-    for the same prep re-derives the validity edge and reuses the
-    series. The cluster's analytic router-state replay sits on top:
-    outstanding tokens during a steady stretch are the build-time
-    backlog minus ``batch_size`` per counted iteration, and the
-    replica's radix tree is provably frozen inside the validity span
-    (pure decode completes no prefill and retires nothing), so cache
-    probes against the live tree are snapshot probes.
+    before ``t``. The series is evaluated on the first read of
+    :attr:`valid_until` or :meth:`iterations_before`, so an oracle
+    nobody asks costs no series. The oracle keeps nothing on the prep;
+    building another for the same prep re-derives the validity edge and
+    reuses the series. The cluster's analytic router-state replay sits
+    on top: outstanding tokens during a steady stretch are the
+    build-time backlog minus ``batch_size`` per counted iteration, and
+    the replica's radix tree is provably frozen inside the validity
+    span (pure decode completes no prefill and retires nothing), so
+    cache probes against the live tree are snapshot probes.
 
     Validity is capped at the earliest instant the closed form could go
     stale:
@@ -289,17 +286,16 @@ class StretchOracle:
     always exact.
     """
 
-    __slots__ = ("batch_size", "valid_until", "_starts", "_base")
+    __slots__ = ("batch_size", "_prep", "_edge", "_stop_time", "_base")
 
-    def __init__(
-        self, batch_size: int, valid_until: float, starts, base: int
-    ) -> None:
-        self.batch_size = batch_size
-        self.valid_until = valid_until
-        #: The prep's cached start series; iterations count from
-        #: ``starts[base]``, the prep's next unexecuted iteration.
-        self._starts = starts
-        self._base = base
+    def __init__(self, prep: _StretchPrep, edge: int) -> None:
+        self.batch_size = prep.batch_size
+        self._prep = prep
+        #: Plan iteration whose start bounds validity, and the build-time
+        #: ``stop_time`` and ``base`` (a resume moves the prep's own).
+        self._edge = edge
+        self._stop_time = prep.stop_time
+        self._base = prep.base
 
     @classmethod
     def build(cls, prep: _StretchPrep) -> Optional["StretchOracle"]:
@@ -315,15 +311,18 @@ class StretchOracle:
         edge = min(quiet, horizon - 1)
         if edge <= base:
             return None
-        _, starts = prep.series()
-        return cls(
-            prep.batch_size, min(starts[edge], prep.stop_time), starts, base
-        )
+        return cls(prep, edge)
+
+    @property
+    def valid_until(self) -> float:
+        """The instant from which the closed form may be stale."""
+        return min(self._prep.series()[1][self._edge], self._stop_time)
 
     def iterations_before(self, time: float) -> int:
         """Iterations ``run_until(time)`` would execute (requires
         ``time < valid_until``)."""
-        return bisect.bisect_left(self._starts, time, self._base) - self._base
+        base = self._base
+        return bisect.bisect_left(self._prep.series()[1], time, base) - base
 
 
 class DecodeFastForwarder:
@@ -517,7 +516,7 @@ class DecodeFastForwarder:
         # The completion bound kept every member's remaining budget at
         # or above the horizon, so each owes exactly ``executed`` fewer.
         engine._outstanding -= executed * batch_size
-        plan.commit(done, starts[done - 1])
+        plan.commit(done)
         record = IterationRecord(
             start_time=starts[base],
             phase="decode",

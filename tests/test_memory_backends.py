@@ -218,19 +218,31 @@ class TestVattentionPlanQuiescence:
     The manager below holds 32 rows of 2048 tokens; the reclamation
     threshold keeps at least 3 of them free. Three batch slots decode
     10 tokens short of a page-group edge, so the first crossing falls
-    at plan iteration 9.
+    at plan iteration 9. A span is quiet when no crossing is due and
+    the manager's next background pass would change nothing
+    (:meth:`VAttention.background_quiet`).
     """
 
-    def manager(self, eager: bool = False, cached_rows: int = 0):
+    def manager(
+        self,
+        eager: bool = False,
+        cached_rows: int = 0,
+        threshold: float = 0.10,
+        minimum: int = 3,
+    ):
         device = Device(A100, reserved_bytes=80 * GB - 4 * GB)
         config = VAttentionConfig(
             shard=ShardedModel(YI_6B, 1),
             max_batch_size=4,
             page_group_size=2 * MB,
             eager_allocation=eager,
+            reclamation_threshold=threshold,
         )
         manager = VAttention(device, config)
-        assert (manager.total_rows, manager._minimum_free_rows) == (32, 3)
+        assert (manager.total_rows, manager._minimum_free_rows) == (
+            32,
+            minimum,
+        )
         seq_lens = [0] * 4
         if cached_rows:
             # A finished request whose rows deferred reclamation kept.
@@ -255,16 +267,30 @@ class TestVattentionPlanQuiescence:
         manager, slots = self.manager()
         assert manager.free_rows < manager._minimum_free_rows
         plan = self.plan(manager, slots)
-        # Before any hook ran, nothing is known about reclamation.
+        # Before any pass ran, nothing is known about reclamation.
+        assert not manager.background_quiet()
         assert plan.quiescent_until(0, 100) == 0
         unmapped = manager.stats.rows_unmapped
         assert plan.on_iteration(0, 0.02)
         assert manager.stats.rows_unmapped == unmapped
         # The pass freed nothing, and nothing in the span can change
         # that: skip to the crossing, or to the end if it comes first.
+        assert manager.background_quiet()
         assert plan.quiescent_until(1, 100) == 9
         assert plan.quiescent_until(1, 5) == 5
         assert plan.quiescent_until(9, 100) == 9
+        # The record is the manager's: a fresh plan proves the same span.
+        assert self.plan(manager, slots).quiescent_until(0, 100) == 9
+
+    def test_releasing_a_slot_ends_the_idle_record(self):
+        manager, slots = self.manager()
+        assert self.plan(manager, slots).on_iteration(0, 0.02)
+        assert manager.background_quiet()
+        # A freed slot keeps its rows for the next arrival: the next
+        # pass reclaims them.
+        manager.free_reqid(slots[0][0].req_id)
+        assert not manager.background_quiet()
+        assert self.plan(manager, slots[1:]).quiescent_until(0, 100) == 0
 
     def test_inactive_slot_holding_rows_runs_the_hook(self):
         manager, slots = self.manager(cached_rows=2)
@@ -272,11 +298,13 @@ class TestVattentionPlanQuiescence:
         assert len(cached.rows) == 2 and manager.free_rows == 0
         plan = self.plan(manager, slots)
         # The next pass would reclaim the cached rows.
+        assert not manager.background_quiet()
         assert plan.quiescent_until(0, 100) == 0
         # It drains the cached slot and stays below the threshold; once
         # a pass frees nothing, the span runs to the crossing.
         assert plan.on_iteration(0, 0.02)
         assert not cached.rows and manager.free_rows == 2
+        assert plan.quiescent_until(1, 100) == 1
         assert plan.on_iteration(1, 0.02)
         assert plan.quiescent_until(2, 100) == 9
 
@@ -284,13 +312,23 @@ class TestVattentionPlanQuiescence:
         manager, slots = self.manager(eager=True)
         plan = self.plan(manager, slots)
         assert plan.on_iteration(0, 0.02)
-        target = [s for s in manager.slots if not s.active][0]
-        assert plan._eager_target is target
+        (target,) = [s for s in manager.slots if not s.active]
         # Eager allocation maps the free rows into the next reqId every
-        # hook, and reclamation takes them back: nothing is idle.
+        # pass, and reclamation takes them back: nothing is idle.
         assert manager.free_rows == 2 and not target.rows
+        assert not manager.background_quiet()
         assert plan.quiescent_until(1, 100) == 1
-        # Even a reclamation pass known to be idle cannot hide a mapping
-        # that eager allocation would make.
-        plan._reclaim_idle = True
+
+    def test_eager_mapping_alone_keeps_the_pass_busy(self):
+        # A one-row minimum: reclamation takes one row back from the
+        # eager target and then sits at its minimum, so only the row
+        # eager allocation would map again keeps the pass from quiet.
+        manager, slots = self.manager(eager=True, threshold=0.05, minimum=1)
+        plan = self.plan(manager, slots)
+        assert plan.on_iteration(0, 0.02)
+        (target,) = [s for s in manager.slots if not s.active]
+        assert manager.free_rows == manager._minimum_free_rows == 1
+        assert len(target.rows) == 1
+        assert manager.background.pending_seconds == 0.0
+        assert not manager.background_quiet()
         assert plan.quiescent_until(1, 100) == 1

@@ -387,23 +387,7 @@ class TestAgainstFullScans:
         overlap=False,
     )
     def test_index_matches_full_scans(self, ops, eager, deferred, overlap):
-        # 64-token rows, 12 of them, 8 reqIds.
-        probe = VAttentionConfig(
-            shard=ShardedModel(YI_6B, 1),
-            max_batch_size=8,
-            page_group_size=64 * KB,
-        )
-        _, _, manager = make_manager(
-            batch=8,
-            page_group=64 * KB,
-            reserved=A100.memory_bytes - 12 * probe.row_bytes,
-            eager_allocation=eager,
-            deferred_reclamation=deferred,
-            overlap_allocation=overlap,
-            eager_page_groups=3,
-            reclamation_threshold=0.25,
-        )
-        assert manager.total_rows == 12
+        manager = self.small_manager(eager, deferred, overlap)
         slots = manager.slots
         last_used = attrgetter("last_used")
         detached = []
@@ -447,6 +431,84 @@ class TestAgainstFullScans:
             except AllocationFailed:
                 pass  # aliased rows left nothing to free; the index holds
             self.assert_index_agrees(manager)
+
+    @settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        max_examples=60,
+    )
+    @given(
+        ops=OPS,
+        eager=st.booleans(),
+        deferred=st.booleans(),
+        overlap=st.booleans(),
+    )
+    # A pass below the minimum finds nothing to unmap (reqId 0 maps its
+    # lookahead row); freeing reqId 1 then hands reclamation five rows.
+    @example(
+        ops=[("alloc", 0, 1)] * 2
+        + [("step", 0, 318), ("step", 1, 319), ("step", 0, 2)]
+        + [("iterate", 0, 200), ("free", 1, 1)],
+        eager=False,
+        deferred=True,
+        overlap=True,
+    )
+    # The prefill reclaims a row from the eager target and leaves no row
+    # free; trimming reqId 0 frees rows the next pass maps eagerly.
+    @example(
+        ops=[("alloc", 0, 1)] + [("step", 0, 200)] * 3 + [("trim", 0, 100)],
+        eager=True,
+        deferred=False,
+        overlap=False,
+    )
+    def test_quiet_pass_changes_nothing(self, ops, eager, deferred, overlap):
+        """Whenever the manager reports its background pass quiet and no
+        slot waits for a lookahead row, a pass changes no rows, no
+        pool, no worker queue and no mapping counter."""
+        manager = self.small_manager(eager, deferred, overlap)
+        worker = manager.background
+
+        def state():
+            return (
+                [[h.handle_id for h in s.rows] for s in manager.slots],
+                manager.free_rows,
+                worker.critical_pending,
+                worker.opportunistic_pending,
+                manager.stats.rows_mapped,
+                manager.stats.rows_unmapped,
+            )
+
+        for kind, a, b in ops:
+            try:
+                self.apply(manager, kind, a, b)
+            except AllocationFailed:
+                pass
+            if manager.background_quiet() and not manager._lookahead:
+                before = state()
+                manager.on_iteration_end(1e-3)
+                assert state() == before, (kind, a, b)
+
+    @staticmethod
+    def small_manager(eager, deferred, overlap):
+        """64-token rows, 12 of them, 8 reqIds; 3 eager rows, and
+        reclamation keeps 3 rows free."""
+        probe = VAttentionConfig(
+            shard=ShardedModel(YI_6B, 1),
+            max_batch_size=8,
+            page_group_size=64 * KB,
+        )
+        _, _, manager = make_manager(
+            batch=8,
+            page_group=64 * KB,
+            reserved=A100.memory_bytes - 12 * probe.row_bytes,
+            eager_allocation=eager,
+            deferred_reclamation=deferred,
+            overlap_allocation=overlap,
+            eager_page_groups=3,
+            reclamation_threshold=0.25,
+        )
+        assert manager.total_rows == 12
+        return manager
 
     @staticmethod
     def apply(manager, kind, a, b):
@@ -498,7 +560,28 @@ class TestAgainstFullScans:
             key=lambda s: (s.mapped_rows, -s.req_id),
             default=None,
         )
+        # A live cached eager target is the from-scratch maximum.
+        cached = manager._target
+        if cached is not None and cached.mapped_rows >= manager._target_rows:
+            assert cached is expected
         assert manager._next_reqid_slot() is expected
+        # Every slot the lookahead pass would map a row for is listed.
+        lookahead = manager._lookahead
+        assert [s.req_id for s in lookahead] == sorted(
+            {s.req_id for s in lookahead}
+        )
+        needy = [
+            s
+            for s in slots
+            if s.active
+            and not s.frozen
+            and s.context_len
+            and manager.rows_for_context(s.context_len + 1) > s.mapped_rows
+        ]
+        if manager.config.overlap_allocation:
+            assert all(any(s is t for t in lookahead) for s in needy)
+        else:
+            assert not lookahead
         # Reclamation drains inactive slots least recently used first,
         # ties in reqId order.
         last_used = attrgetter("last_used")
