@@ -31,9 +31,9 @@ replica walks ``PROVISIONING`` (instance acquisition + model-weight
 load, ``cold_start_seconds``) then ``WARMING`` (allocator/cache
 warm-up, ``warmup_seconds``) before reaching ``SERVING``, and only
 SERVING replicas are routable. A scale-down is graceful: the victim
-moves to ``DRAINING`` — no new admissions (the router skips it and the
-scheduling policies hold new admissions on a draining engine), queued
-work is withdrawn and re-routed (any radix-tree prefix KV it would
+moves to ``DRAINING`` — no new work (the router skips it and the
+draining engine refuses submissions), queued work is withdrawn and
+re-routed with its original record (any radix-tree prefix KV it would
 have hit migrates over the cluster's existing
 :class:`~repro.cluster.interconnect.MigrationLink`), in-flight
 requests finish where they run — and retires at its ``DRAIN_COMPLETE``

@@ -547,15 +547,10 @@ class ClusterEngine:
         #: Most replicas simultaneously SERVING (the initial fleet all
         #: serves from t=0; only SERVING transitions can raise it).
         self._peak_serving = self.n_serving
-        #: request_id -> (bytes, wait, seconds) of a drain-time prefix-KV
-        #: migration, applied to the record the re-route creates.
-        self._drain_migrations: Dict[str, tuple] = {}
-        #: request_id -> original arrival time of a drain-withdrawn
-        #: request. Its ``arrival_time`` is advanced to the re-dispatch
-        #: instant (an engine must never simulate work before the event
-        #: that delivered it); the record keeps the original so TTFT
-        #: still charges the full disruption to the user's wait.
-        self._rerouted_arrivals: Dict[str, float] = {}
+        #: request_id -> (record, leg) of a drain-withdrawn request
+        #: awaiting re-dispatch. ``leg`` is ``(transfer id, bytes)`` of a
+        #: traced drain-time KV transfer, else ``None``.
+        self._rerouting: Dict[str, tuple] = {}
         #: Cluster-scope instruments from the installed registry
         #: (``None`` — the default — keeps every site a single check;
         #: replica engines bound their own scopes at construction above).
@@ -797,28 +792,29 @@ class ClusterEngine:
         self._dispatch_to(request, replica)
 
     def _dispatch_to(self, request: Request, replica: Replica) -> None:
-        """Book ``request`` onto its selected replica (record + submit)."""
-        original_arrival = self._rerouted_arrivals.pop(
-            request.request_id, None
-        )
-        record = RequestRecord(
-            request_id=request.request_id,
-            arrival_time=(
-                original_arrival
-                if original_arrival is not None
-                else request.arrival_time
-            ),
-            prompt_len=request.prompt_len,
-            max_new_tokens=request.max_new_tokens,
-            replica=replica.index,
-            serve_request=request,
-        )
-        migration = self._drain_migrations.pop(request.request_id, None)
-        if migration is not None:
-            # The re-routed request's cached prefix KV crossed the link
-            # when its original replica drained; bill the journey.
-            record.migrated_bytes, record.migration_wait = migration[:2]
-            record.migration_seconds = migration[2]
+        """Book ``request`` onto its selected replica and submit it.
+
+        A first dispatch creates the request's record. A drain re-route
+        (:meth:`_begin_replica_drain`) only moves the record it has, so
+        the record keeps its original arrival and migration billing,
+        and feeds the rolling TTFT window once.
+        """
+        rerouting = self._rerouting.pop(request.request_id, None)
+        if rerouting is None:
+            record = RequestRecord(
+                request_id=request.request_id,
+                arrival_time=request.arrival_time,
+                prompt_len=request.prompt_len,
+                max_new_tokens=request.max_new_tokens,
+                replica=replica.index,
+                serve_request=request,
+            )
+            self._records.append(record)
+            self._ttft_unfed.append(record)
+            leg = None
+        else:
+            record, leg = rerouting
+            record.replica = replica.index
         if self._telemetry is not None:
             self._telemetry.request_routed(
                 request.arrival_time,
@@ -826,16 +822,17 @@ class ClusterEngine:
                 replica.index,
                 request.prompt_len,
                 request.max_new_tokens,
-                rerouted=original_arrival is not None,
+                rerouted=rerouting is not None,
             )
-            if migration is not None and migration[4] is not None:
+            if leg is not None:
                 # The drain-leg KV transfer lands with its re-route.
+                transfer, nbytes = leg
                 self._telemetry.migration_land(
                     request.arrival_time,
-                    migration[4],
+                    transfer,
                     request.request_id,
                     replica.index,
-                    migration[3],
+                    nbytes,
                 )
         if self.config.disaggregated:
             # The prefill tier runs the prompt and produces exactly the
@@ -854,8 +851,6 @@ class ClusterEngine:
             replica.engine.submit([clone])
         else:
             replica.engine.submit([request])
-        self._records.append(record)
-        self._ttft_unfed.append(record)
 
     def _harvest(self, request: Request) -> None:
         """Retire hook on the prefill tier: queue a finished prompt's
@@ -896,10 +891,7 @@ class ClusterEngine:
         """
         shard = self.config.engine.shard
         nbytes = prefill.context_len * shard.kv_bytes_per_token
-        start, done = self.link.transfer(prefill.finish_time, nbytes)
-        record.migrated_bytes = nbytes
-        record.migration_wait = start - prefill.finish_time
-        record.migration_seconds = done - start
+        start, done = self._transfer(record, prefill.finish_time, nbytes)
         continuation = Request(
             request_id=f"{record.request_id}#decode",
             prompt_len=prefill.context_len,
@@ -924,6 +916,22 @@ class ClusterEngine:
             EventKind.MIGRATION,
             _Migration(done, record, continuation, nbytes, transfer),
         )
+
+    def _transfer(
+        self, record: RequestRecord, requested: float, nbytes: int
+    ) -> Tuple[float, float]:
+        """Put ``nbytes`` of ``record``'s KV on the shared link at
+        ``requested``; returns the link's ``(start, done)``.
+
+        The leg's bytes, link wait and wire time accumulate on the
+        record in place, so a request whose KV crosses the link more
+        than once (repeated drains) accounts every transfer it caused.
+        """
+        start, done = self.link.transfer(requested, nbytes)
+        record.migrated_bytes += nbytes
+        record.migration_wait += start - requested
+        record.migration_seconds += done - start
+        return start, done
 
     def _dispatch_migration(self, migration: _Migration) -> None:
         replica = least_loaded(self._decode_targets)
@@ -1113,6 +1121,13 @@ class ClusterEngine:
         self._timeline(now, target.value, replica.index)
 
     def _begin_replica_drain(self, now: float, reason: str) -> None:
+        """Drain one serving replica and re-route its queued work.
+
+        The victim's engine withdraws its never-admitted requests and
+        refuses new ones (:meth:`LLMEngine.begin_drain`). Each withdrawn
+        request re-enters the event queue as an arrival; its record
+        waits in ``_rerouting`` for :meth:`_dispatch_to`.
+        """
         candidates = [r for r in self._route_targets if r.is_serving]
         if len(candidates) <= 1:
             return  # never drain the last routable replica
@@ -1127,19 +1142,18 @@ class ClusterEngine:
         withdrawn = victim.engine.begin_drain()
         self._timeline(now, "drain", victim.index, reason)
         shard = self.config.engine.shard
+        records = {
+            id(record.serve_request): record
+            for record in self._records
+            if record.replica == victim.index
+        }
         for request in withdrawn:
-            record = next(
-                r
-                for r in self._records
-                if r.serve_request is request
-            )
-            self._records.remove(record)
+            record = records[id(request)]
             when = now
             # A twice-drained request already carries KV from its first
             # migration (prefilled_tokens): only the *additional*
             # prefix tokens this replica's cache holds cross the link,
-            # and billing accumulates across drains so the final record
-            # still accounts every transfer the request caused.
+            # and the record accumulates every leg's billing.
             cached = victim.probe_prefix(request)
             extra = cached - request.prefilled_tokens
             if extra > 0:
@@ -1152,62 +1166,31 @@ class ClusterEngine:
                 # prefill computes only the uncached suffix — the
                 # transfer buys real compute, it is not just billed.
                 nbytes = extra * shard.kv_bytes_per_token
-                start, done = self.link.transfer(now, nbytes)
-                billed_bytes = record.migrated_bytes + nbytes
-                billed_wait = record.migration_wait + (start - now)
-                billed_seconds = record.migration_seconds + (done - start)
-                transfer = None
-                if self._telemetry is not None:
-                    # The re-route span covers drain → re-dispatch and
-                    # carries the request's original arrival (the
-                    # re-routed record no longer shows it); the KV leg
-                    # nests under it via the parent link.
-                    reroute = self._telemetry.drain_reroute(
-                        now, request.request_id, done,
-                        record.arrival_time, victim.index,
-                    )
-                    transfer = self._telemetry.migration_start(
-                        now, request.request_id, "drain",
-                        nbytes, start, done, span_parent=reroute,
-                    )
-                self._drain_migrations[request.request_id] = (
-                    billed_bytes,
-                    billed_wait,
-                    billed_seconds,
-                    nbytes,
-                    transfer,
-                )
+                start, when = self._transfer(record, now, nbytes)
                 request.prefilled_tokens = cached
                 request.cached_prefix_tokens = cached
-                when = done
-            elif record.migrated_bytes:
-                # No new transfer, but the first drain's billing must
-                # survive onto the record the re-route creates.
-                self._drain_migrations[request.request_id] = (
-                    record.migrated_bytes,
-                    record.migration_wait,
-                    record.migration_seconds,
-                    0,
-                    None,
-                )
-            if extra <= 0 and self._telemetry is not None:
-                # Nothing crossed the link, but the (instant) re-route
-                # span still records the original arrival — without it
-                # attribution could not restore the pre-drain queue
-                # wait of the re-routed request.
-                self._telemetry.drain_reroute(
+            leg = None
+            if self._telemetry is not None:
+                # The re-route span covers drain → re-dispatch (zero
+                # length when nothing crossed the link) and carries the
+                # original arrival, which the re-routed engine request
+                # no longer shows; a KV leg nests under it.
+                reroute = self._telemetry.drain_reroute(
                     now, request.request_id, when,
                     record.arrival_time, victim.index,
                 )
+                if extra > 0:
+                    transfer = self._telemetry.migration_start(
+                        now, request.request_id, "drain",
+                        nbytes, start, when, span_parent=reroute,
+                    )
+                    leg = (transfer, nbytes)
             # Causality: the request re-enters the timeline at the
             # re-dispatch (or KV-landing) instant — never at its
             # original arrival, which a lagging replica clock would
             # happily serve in the past. The record keeps the original
-            # arrival (the *record's*, which survives repeated drains)
-            # so TTFT still spans the whole disruption.
-            self._rerouted_arrivals[request.request_id] = (
-                record.arrival_time
-            )
+            # arrival, so TTFT still spans the whole disruption.
+            self._rerouting[request.request_id] = (record, leg)
             request.arrival_time = when
             self._events.push(when, EventKind.ARRIVAL, request)
 

@@ -125,7 +125,7 @@ class VAttention:
     that none of these walks all ``max_batch_size`` slots, the manager
     indexes its slots by state, every list in reqId order:
 
-    * ``_active`` / ``_inactive`` — the active slots and the free reqIds;
+    * ``_inactive`` — the free reqIds;
     * ``_holding`` and ``_inactive_rows`` — the inactive slots that hold
       rows, and how many rows they hold in total. Only these slots are
       reclamation victims, and the eager-allocation and reuse target is
@@ -240,7 +240,6 @@ class VAttention:
         self.slots: List[RequestSlot] = [
             RequestSlot(req_id=i) for i in range(config.max_batch_size)
         ]
-        self._active: List[RequestSlot] = []
         self._inactive: List[RequestSlot] = list(self.slots)
         self._holding: List[RequestSlot] = []
         self._excess: List[RequestSlot] = []
@@ -267,11 +266,6 @@ class VAttention:
     def cached_rows(self) -> int:
         """Rows mapped into *inactive* slots (deferred reclamation cache)."""
         return sum(len(s.rows) for s in self.slots if not s.active)
-
-    @property
-    def active_rows(self) -> int:
-        """Rows mapped into active slots."""
-        return sum(len(s.rows) for s in self.slots if s.active)
 
     @property
     def excess_active_rows(self) -> int:
@@ -350,10 +344,6 @@ class VAttention:
             return False
         return self.rows_for_context(prompt_len) <= self.available_rows
 
-    def can_grow(self, additional_rows: int = 1) -> bool:
-        """Whether ``additional_rows`` more rows could be produced."""
-        return additional_rows <= self.available_rows
-
     # ------------------------------------------------------------------
     # Table 4 API
     # ------------------------------------------------------------------
@@ -379,7 +369,6 @@ class VAttention:
             self._inactive_rows -= held
             if held > 1:  # beyond rows_for_context(0 + 1)
                 _insert(self._excess, slot)
-        _insert(self._active, slot)
         self._target = None
         self._reclaim_idle = False
         slot.active = True
@@ -401,7 +390,6 @@ class VAttention:
         slot = self._slot(req_id)
         if not slot.active:
             raise SchedulingError(f"reqId {req_id} is not active")
-        _discard(self._active, slot)
         _discard(self._excess, slot)
         _discard(self._lookahead, slot)
         _insert(self._inactive, slot)
@@ -993,7 +981,6 @@ class VAttention:
             slot.context_len = 0
             slot.shared_rows = 0
             slot.frozen = False
-        self._active.clear()
         self._inactive[:] = self.slots
         self._excess.clear()
         self._lookahead.clear()

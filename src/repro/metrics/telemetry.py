@@ -861,7 +861,7 @@ class ClusterTelemetry:
         the re-dispatch instant (KV-migration landing, or ``time``
         when nothing needed moving). The span carries the request's
         *original* arrival so attribution can restore the pre-drain
-        queue wait the re-routed record no longer shows.
+        queue wait the re-routed engine request no longer shows.
         """
         return self.registry.emit_span(
             phase="drain_reroute", start=time, end=until,

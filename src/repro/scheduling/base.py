@@ -102,11 +102,6 @@ class SchedulingView:
     #: Side-effect-free probe: prompt tokens of a request the prefix
     #: cache would serve right now (0 without a cache or a match).
     cached_prefix_tokens: Callable[["Request"], int]
-    #: The engine is draining (graceful shutdown of a cluster replica):
-    #: admission must not start *new* work — only requests that already
-    #: ran (preemption victims awaiting re-admission) may re-enter, so
-    #: in-flight work still finishes on the draining engine.
-    draining: bool = False
 
     def remaining_prefill_tokens(self, request: "Request") -> int:
         """Prefill work left for ``request``, net of the prefix cache.
@@ -150,21 +145,6 @@ class SchedulerPolicy(abc.ABC):
         candidate does not fit, admission stops — the policy is *not*
         consulted for a smaller substitute.
         """
-
-    @staticmethod
-    def admissible(
-        waiting: Sequence["Request"], view: SchedulingView
-    ) -> Sequence["Request"]:
-        """The subset of ``waiting`` that admission may consider.
-
-        Normally everything; on a draining engine, only requests that
-        were admitted before (preemption victims whose in-flight work
-        must still finish). Every policy's :meth:`next_admission`
-        orders over this subset, so drain semantics are uniform.
-        """
-        if not view.draining:
-            return waiting
-        return [r for r in waiting if r.admitted_time is not None]
 
     @abc.abstractmethod
     def plan_iteration(

@@ -73,8 +73,7 @@ class HybridBatchPolicy(SchedulerPolicy):
     def next_admission(
         self, waiting: Sequence[Request], view: SchedulingView
     ) -> Optional[Request]:
-        candidates = self.admissible(waiting, view)
-        return candidates[0] if candidates else None
+        return waiting[0] if waiting else None
 
     def plan_iteration(
         self, running: Sequence[Request], view: SchedulingView

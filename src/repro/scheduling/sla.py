@@ -67,10 +67,9 @@ class SlaAwarePolicy(SchedulerPolicy):
     def next_admission(
         self, waiting: Sequence[Request], view: SchedulingView
     ) -> Optional[Request]:
-        candidates = self.admissible(waiting, view)
-        if not candidates:
+        if not waiting:
             return None
-        return min(candidates, key=self._urgency)
+        return min(waiting, key=self._urgency)
 
     def plan_iteration(
         self, running: Sequence[Request], view: SchedulingView

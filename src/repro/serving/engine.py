@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional, Sequence
 
 from ..core.config import VAttentionConfig
-from ..errors import AllocationFailed, ConfigError
+from ..errors import AllocationFailed, ConfigError, SchedulingError
 from ..gpu.device import Device
 from ..gpu.spec import GpuSpec
 from ..kernels.base import AttentionKernel, KvLayout
@@ -250,8 +250,8 @@ class LLMEngine:
         #: cluster layer uses this to hand prefill-replica KV off to a
         #: decode replica at the simulated time the prefill completed.
         self.on_retire: Optional[Callable[[Request], None]] = None
-        #: Graceful-shutdown mode (:meth:`begin_drain`): no *new* work
-        #: is admitted; in-flight and preempted requests still finish.
+        #: Graceful-shutdown mode (:meth:`begin_drain`): :meth:`submit`
+        #: refuses new work; in-flight and preempted requests finish.
         self.draining = False
         #: Incremental token backlog (see :attr:`outstanding_tokens`).
         #: Every site that changes a tracked request's contribution —
@@ -274,7 +274,7 @@ class LLMEngine:
         #: the fast-forwarder could not prove steady).
         self.stepped_iterations = 0
         #: Last :class:`SchedulingView` handed out; reused while the
-        #: clock and drain flag are unchanged (views are frozen).
+        #: clock is unchanged (views are frozen).
         self._view_cache: Optional[SchedulingView] = None
 
     # ------------------------------------------------------------------
@@ -372,7 +372,13 @@ class LLMEngine:
 
         ``_pending`` stays in arrival order across calls (ties keep
         submission order), so its head is always the earliest arrival.
+        A draining engine (:meth:`begin_drain`) starts no new work, so
+        it refuses the submission with :class:`SchedulingError`.
         """
+        if self.draining:
+            raise SchedulingError(
+                "engine is draining; route new work to another engine"
+            )
         pending = self._pending
         for request in sorted(requests, key=lambda r: r.arrival_time):
             arrival = request.arrival_time
@@ -510,10 +516,11 @@ class LLMEngine:
         arrival or sitting in the waiting queue — is removed from this
         engine (and from its report) so the caller can re-route it to a
         replica that will outlive it. Requests that already ran stay:
-        the running batch finishes here, and preemption victims may
-        re-enter admission (:meth:`SchedulerPolicy.admissible`) so no
-        in-flight work is stranded. Idempotent; later submissions are
-        rejected by the cluster layer routing around this replica.
+        the running batch finishes here, and preemption victims re-enter
+        admission as usual, so no in-flight work is stranded. With
+        :meth:`submit` refusing a draining engine, this is the one place
+        the drain rule lives: the queues then hold only admitted work,
+        so admission needs no filter. Idempotent.
         """
         self.draining = True
         self._batch_version += 1
@@ -595,25 +602,19 @@ class LLMEngine:
     def _scheduling_view(self) -> SchedulingView:
         """The observable state a policy decision may depend on.
 
-        Views are immutable and fully determined by the clock and the
-        drain flag (the other fields are engine constants), so the last
-        one is reused until either moves — this sits on the prepare/
-        admission hot paths, which rebuild views far more often than
-        the state changes.
+        Views are immutable and fully determined by the clock (the other
+        fields are engine constants), so the last one is reused until
+        the clock moves — this sits on the prepare/admission hot paths,
+        which rebuild views far more often than the clock changes.
         """
         view = self._view_cache
-        if (
-            view is not None
-            and view.now == self.clock.now
-            and view.draining is self.draining
-        ):
+        if view is not None and view.now == self.clock.now:
             return view
         view = SchedulingView(
             now=self.clock.now,
             max_batch_size=self.config.max_batch_size,
             prefill_chunk_size=self.config.prefill_chunk_size,
             cached_prefix_tokens=self._probe_cached_prefix,
-            draining=self.draining,
         )
         self._view_cache = view
         return view
@@ -643,19 +644,8 @@ class LLMEngine:
 
     def _admit(self) -> None:
         while self._waiting and len(self._running) < self.config.max_batch_size:
-            waiting: Sequence[Request] = self._waiting
-            if self.draining:
-                # Engine-enforced drain semantics (policies see the
-                # same rule through SchedulerPolicy.admissible, but a
-                # custom policy must not be able to start fresh work on
-                # a draining replica): only previously-admitted work —
-                # preemption victims whose in-flight requests must
-                # still finish — may re-enter.
-                waiting = [
-                    r for r in self._waiting if r.admitted_time is not None
-                ]
             request = self.scheduler.next_admission(
-                waiting, self._scheduling_view()
+                self._waiting, self._scheduling_view()
             )
             if request is None:
                 break

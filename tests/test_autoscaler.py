@@ -17,16 +17,17 @@ from repro.cluster import (
     make_autoscaler,
 )
 from repro.cluster.autoscaler import AutoscalerPolicy, policy_names
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchedulingError
 from repro.gpu.spec import A100
 from repro.memory import MemoryConfig
+from repro.metrics import tracecheck
 from repro.metrics.rolling import RollingPercentileTracker
+from repro.metrics.telemetry import TelemetryRegistry, enabled
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
-from repro.scheduling import SchedulingView
-from repro.scheduling.fcfs import FcfsPolicy
 from repro.serving.engine import EngineConfig, LLMEngine
-from repro.serving.request import Request
+from repro.serving.request import Request, RequestState
+from repro.units import GB
 from repro.workloads.traces import shared_prefix_trace
 
 
@@ -328,31 +329,54 @@ class TestAutoscaleConfig:
 
 
 # ----------------------------------------------------------------------
-# Drain-aware admission at the scheduling layer
+# Drain-aware admission at the engine
 # ----------------------------------------------------------------------
 class TestDrainAwareAdmission:
-    def _view(self, draining: bool) -> SchedulingView:
-        return SchedulingView(
-            now=0.0,
-            max_batch_size=8,
-            prefill_chunk_size=None,
-            cached_prefix_tokens=lambda r: 0,
-            draining=draining,
+    def test_submit_to_draining_engine_raises(self):
+        engine = LLMEngine(engine_config())
+        engine.begin_drain()
+        fresh = Request(request_id="new", prompt_len=16, max_new_tokens=4)
+        with pytest.raises(SchedulingError, match="draining"):
+            engine.submit([fresh])
+        assert not engine.has_work()
+        assert engine.run().requests == []
+
+    def test_draining_engine_readmits_preempted_work(self):
+        # Four long requests outgrow a 1 GB KV budget, so one is
+        # preempted back to the waiting queue. The drain withdraws only
+        # the never-admitted late arrival; the preempted request was
+        # admitted before, re-enters admission, and finishes here.
+        engine = LLMEngine(
+            EngineConfig(
+                shard=ShardedModel(YI_6B, 1),
+                gpu=A100,
+                memory_backend="vattention",
+                max_batch_size=4,
+                kv_budget_bytes=1 * GB,
+            )
         )
-
-    def test_draining_blocks_fresh_admissions(self):
-        policy = FcfsPolicy()
-        fresh = Request(request_id="new", prompt_len=16, max_new_tokens=4)
-        assert policy.next_admission([fresh], self._view(False)) is fresh
-        assert policy.next_admission([fresh], self._view(True)) is None
-
-    def test_draining_readmits_preempted_work(self):
-        policy = FcfsPolicy()
-        fresh = Request(request_id="new", prompt_len=16, max_new_tokens=4)
-        veteran = Request(request_id="old", prompt_len=16, max_new_tokens=4)
-        veteran.admitted_time = 1.0  # ran before; was preempted
-        queue = [veteran, fresh]
-        assert policy.next_admission(queue, self._view(True)) is veteran
+        work = [
+            Request(request_id=f"r{i}", prompt_len=2_000,
+                    max_new_tokens=3_000)
+            for i in range(4)
+        ]
+        late = Request(
+            request_id="late", prompt_len=16, max_new_tokens=4,
+            arrival_time=1e6,
+        )
+        engine.submit(work + [late])
+        now = 0.0
+        while not any(r.preemptions for r in work):
+            now += 0.5
+            engine.run_until(now)
+        waiting = [r for r in work if r.state is RequestState.QUEUED]
+        assert waiting and all(
+            r.admitted_time is not None for r in waiting
+        )
+        assert engine.begin_drain() == [late]
+        report = engine.run()
+        assert report.requests == work
+        assert all(r.is_finished for r in work)
 
     def test_engine_begin_drain_withdraws_unadmitted(self):
         engine = LLMEngine(engine_config(max_batch=1))
@@ -652,6 +676,99 @@ class TestLifecycle:
         assert first.scale_events == second.scale_events
         assert first.replica_seconds == second.replica_seconds
         assert first.ttfts() == second.ttfts()
+
+
+# ----------------------------------------------------------------------
+# Re-routed requests keep one record, checked against the trace
+# ----------------------------------------------------------------------
+class TestRerouteRecords:
+    """Drain re-routes with spans on; the trace checker is the oracle.
+
+    CI's ``--check-trace`` runs drain replicas that hold no queued
+    work, so these scenarios are the trace-checked re-route coverage.
+    """
+
+    @staticmethod
+    def _run(cluster, requests):
+        with enabled(TelemetryRegistry(record_spans=True)) as registry:
+            cluster = cluster()
+            cluster.submit(requests)
+            report = cluster.run()
+        records = registry.trace_records()
+        tracecheck.assert_clean(records)
+        return report, records
+
+    def test_rerouted_request_feeds_the_ttft_window_once(
+        self, monkeypatch
+    ):
+        # The test_drain_reroutes_queued_work scenario: the re-routed
+        # records must each enter the rolling TTFT window exactly once.
+        observed = []
+        observe = RollingPercentileTracker.observe
+
+        def spy(tracker, time, value):
+            observed.append((time, value))
+            observe(tracker, time, value)
+
+        monkeypatch.setattr(RollingPercentileTracker, "observe", spy)
+
+        def cluster():
+            c = elastic_cluster(n_replicas=2, max_batch=1, interval=0.5)
+            c.autoscaler = ScriptedPolicy({1: -1})
+            return c
+
+        report, records = self._run(
+            cluster, trace(count=8, gap=0.05, new_tokens=64)
+        )
+        assert len(report.finished_records) == 8
+        assert len(observed) == len(report.finished_records)
+        assert sorted(value for _, value in observed) == sorted(
+            report.ttfts()
+        )
+        rerouted = [
+            r["request"] for r in records
+            if r["event"] == "request_routed" and r["rerouted"]
+        ]
+        assert rerouted, "scenario no longer re-routes queued work"
+
+    def test_migration_billing_carries_across_two_drains(self):
+        # sysprompt-0008 crosses the link at the first drain (t=1.0)
+        # and is drained again at t=1.5 with no new KV leg; its record
+        # must still bill the first leg.
+        def cluster():
+            c = elastic_cluster(
+                n_replicas=3, cache=True, max_batch=1, interval=0.5
+            )
+            c.autoscaler = ScriptedPolicy({1: -1, 2: -1})
+            return c
+
+        requests = shared_prefix_trace(
+            count=12, sharing_factor=12, prefix_tokens=1024, seed=11
+        )
+        for i, request in enumerate(requests):
+            request.arrival_time = 0.05 * i
+        report, records = self._run(cluster, requests)
+        assert len(report.finished_records) == 12
+        assert report.drain_count == 2
+        legs = {}
+        reroutes = {}
+        for r in records:
+            if r["event"] == "migration_start":
+                legs[r["request"]] = legs.get(r["request"], 0) + r["bytes"]
+            elif r.get("phase") == "drain_reroute":
+                reroutes[r["request"]] = reroutes.get(r["request"], 0) + 1
+        for record in report.records:
+            assert record.migrated_bytes == legs.get(record.request_id, 0)
+        assert sum(r.migrated_bytes for r in report.records) == (
+            report.migrated_bytes
+        )
+        # The scenario exercises the carry-over: a request that crossed
+        # the link was drained a second time.
+        carried = [
+            request_id for request_id, count in reroutes.items()
+            if count == 2 and legs.get(request_id)
+        ]
+        assert carried, "no KV-carrying request was drained twice"
 
 
 # ----------------------------------------------------------------------
