@@ -46,6 +46,7 @@ MODULES = [
     "repro.scheduling",
     "repro.serving.engine",
     "repro.serving.memory",
+    "repro.tokens",
     "repro.workloads.traces",
 ]
 

@@ -6,12 +6,14 @@ Each cached prefix is one :class:`PrefixEntry`: an opaque backend slot
 ``tokens`` prompt tokens, registered under the prompt's token ids. The
 tree never interprets slots — backend mechanics live in the adapters —
 so the index works over any sharing-capable allocator. The tree is
-path-compressed (edges carry token runs, split lazily on divergence),
-so entries sharing a prompt prefix share their path, and lookups cost
-one comparison per matched token per (edge, prompt): each node
-memoises its last comparison, so the router's probes, the admission
-match and the prefill-end insert of one prompt compare it against an
-edge once.
+path-compressed (edges carry token ids, split lazily on divergence),
+so entries sharing a prompt prefix share their path. Prompts, edges
+and entries hold their ids as :class:`~repro.tokens.TokenRuns` —
+runs of consecutive ids — so comparing a prompt with an edge walks
+the two run lists (one step per run boundary, not per token), and
+each node memoises its last comparison, so the router's probes, the
+admission match and the prefill-end insert of one prompt compare it
+against an edge once.
 
 Entries come in two flavours the :class:`~repro.cache.manager.
 PrefixCacheManager` distinguishes by ownership:
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
+from ..tokens import TokenRuns
 
 
 @dataclass
@@ -47,7 +50,7 @@ class PrefixEntry:
     #: ``reqId``, or an adapter handle onto a block allocation).
     slot: int
     #: Token ids registered in the tree (``tokens == len(token_ids)``).
-    token_ids: Tuple[int, ...]
+    token_ids: TokenRuns
     #: Workload-level group label (system prompt / chat session id).
     group: str
     #: Whether a running request still owns the slot (not evictable).
@@ -99,7 +102,7 @@ class _Node:
     parent (empty for the root).
 
     The ``seen_*`` slots memoise the node's last edge comparison: the
-    query and edge tuples it compared, the query offset, and the common
+    query and edge it compared, the query offset, and the common
     run found (see :meth:`RadixTree._run`).
     """
 
@@ -108,13 +111,13 @@ class _Node:
         "seen_query", "seen_edge", "seen_offset", "seen_run",
     )
 
-    def __init__(self, edge: Tuple[int, ...], parent: Optional["_Node"]):
+    def __init__(self, edge: TokenRuns, parent: Optional["_Node"]):
         self.edge = edge
         self.parent = parent
         self.children: Dict[int, _Node] = {}
         self.entries: List[PrefixEntry] = []
-        self.seen_query: Optional[Tuple[int, ...]] = None
-        self.seen_edge: Optional[Tuple[int, ...]] = None
+        self.seen_query: Optional[TokenRuns] = None
+        self.seen_edge: Optional[TokenRuns] = None
         self.seen_offset = 0
         self.seen_run = 0
 
@@ -130,7 +133,7 @@ class RadixTree:
     """Longest-prefix index of cached prompt KV, with LRU eviction."""
 
     def __init__(self) -> None:
-        self._root = _Node((), None)
+        self._root = _Node(TokenRuns(), None)
         self._nodes: Dict[int, _Node] = {}  # entry_id -> terminal node
         self._entries: Dict[int, PrefixEntry] = {}  # entry_id -> entry
         self._next_entry_id = 0
@@ -179,7 +182,7 @@ class RadixTree:
         and leaves LRU order untouched.
         """
         self.stats.lookups += 1
-        best, best_len = self._best_match(tuple(token_ids))
+        best, best_len = self._best_match(TokenRuns.of(token_ids))
         matched = 0 if best is None else min(best_len, best.tokens)
         if limit is not None:
             matched = min(matched, limit)
@@ -205,7 +208,7 @@ class RadixTree:
         and a probe that does not result in routing must leave the cache
         state (and its hit-rate accounting) untouched.
         """
-        best, best_len = self._best_match(tuple(token_ids))
+        best, best_len = self._best_match(TokenRuns.of(token_ids))
         matched = 0 if best is None else min(best_len, best.tokens)
         if limit is not None:
             matched = min(matched, limit)
@@ -220,7 +223,7 @@ class RadixTree:
         entry.last_access = now
 
     def _best_match(
-        self, query: Tuple[int, ...]
+        self, query: TokenRuns
     ) -> Tuple[Optional[PrefixEntry], int]:
         """The shared longest-prefix walk of match/probe."""
         best: Optional[PrefixEntry] = None
@@ -264,16 +267,17 @@ class RadixTree:
             node = child
         return best, best_len
 
-    def _run(self, node: _Node, query: Tuple[int, ...], offset: int) -> int:
+    def _run(self, node: _Node, query: TokenRuns, offset: int) -> int:
         """Common token run of ``node``'s edge and ``query[offset:]``,
         memoised per node.
 
-        Exact: :meth:`_common_run` is a pure function of two immutable
-        tuples and an offset, and the node holds strong references to
-        the tuples it compared, so their identities cannot be reused by
-        other objects. A split or prune merge assigns the node a new
-        edge object, so a stale memo misses by construction. Identity
-        tests keep a miss O(1) — ``==`` would compare contents.
+        Exact: :meth:`TokenRuns.common_run` is a pure function of two
+        immutable run sequences and an offset, and the node holds strong
+        references to the objects it compared, so their identities
+        cannot be reused by other objects. A split or prune merge
+        assigns the node a new edge object, so a stale memo misses by
+        construction. Identity tests keep a miss O(1) — ``==`` would
+        compare runs.
         """
         if (
             node.seen_query is query
@@ -282,53 +286,12 @@ class RadixTree:
         ):
             return node.seen_run
         self.stats.edge_compares += 1
-        run = self._common_run(node.edge, query, offset)
+        run = node.edge.common_run(query, offset)
         node.seen_query = query
         node.seen_edge = node.edge
         node.seen_offset = offset
         node.seen_run = run
         return run
-
-    @staticmethod
-    def _common_run(
-        edge: Tuple[int, ...], query: Tuple[int, ...], offset: int
-    ) -> int:
-        """Length of the common token run between an edge and the query.
-
-        Galloping tuple-slice comparison: whole-slice ``==`` runs at C
-        speed, so a full match of a multi-thousand-token shared prefix
-        costs a handful of slice compares instead of one Python-level
-        compare per token (~6x on the 4K prefixes the cluster router
-        probes per routing decision), and an immediate divergence still
-        costs only the one-element check. A differing last token proves
-        the whole-window compare would fail, so it skips that slice.
-        """
-        limit = min(len(edge), len(query) - offset)
-        if limit <= 0 or edge[0] != query[offset]:
-            return 0
-        last = limit - 1
-        if (
-            edge[last] == query[offset + last]
-            and edge[:limit] == query[offset:offset + limit]
-        ):
-            return limit
-        # Gallop to a doubling window containing the first mismatch,
-        # then bisect inside it; every compare is a C-level slice.
-        run = 1
-        while run < limit:
-            hi = min(run * 2, limit)
-            if edge[run:hi] == query[offset + run:offset + hi]:
-                run = hi
-                continue
-            lo = run
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if edge[run:mid] == query[offset + run:offset + mid]:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return lo
-        return run  # pragma: no cover - full match returned above
 
     @staticmethod
     def _fresher(
@@ -365,7 +328,7 @@ class RadixTree:
         covers every token — a duplicate would hold a second physical
         copy of identical KV bytes, defeating de-duplication.
         """
-        ids = tuple(token_ids)
+        ids = TokenRuns.of(token_ids)
         if not ids:
             return None
         node = self._root

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..errors import ConfigError, SchedulingError
+from ..tokens import TokenRuns
 
 
 @dataclass(frozen=True)
@@ -26,15 +27,18 @@ class PrefixDescriptor:
     and matches arriving requests against the index. ``group`` is a
     workload-level label (shared system prompt, chat session) used in
     statistics — sharing is decided purely by token ids. The ids are
-    frozen into a tuple at construction (O(1) when a tuple is given), so
-    a caller mutating its list afterwards cannot change the descriptor.
+    frozen into :class:`~repro.tokens.TokenRuns` (runs of consecutive
+    ids) at construction, so a caller mutating its list afterwards
+    cannot change the descriptor. A ``TokenRuns`` argument — what the
+    trace generators pass — is kept as is, so each prompt stays one
+    object for the tree's per-node comparison memo.
     """
 
     group: str
-    token_ids: Tuple[int, ...]
+    token_ids: TokenRuns
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "token_ids", tuple(self.token_ids))
+        object.__setattr__(self, "token_ids", TokenRuns.of(self.token_ids))
         if not self.token_ids:
             raise ConfigError(f"prefix group {self.group!r} has no tokens")
 

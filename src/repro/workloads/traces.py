@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigError
 from ..serving.request import PrefixDescriptor, Request
+from ..tokens import TokenRuns
 
 
 @dataclass(frozen=True)
@@ -212,10 +213,17 @@ def fixed_trace(
 _ID_STRIDE = 1 << 20
 
 
-def _synthetic_ids(namespace: int, length: int) -> Tuple[int, ...]:
-    """Deterministic distinct token ids for one logical text block."""
+def _synthetic_ids(namespace: int, length: int) -> TokenRuns:
+    """Deterministic distinct token ids for one logical text block: one
+    run of consecutive ids at the start of its namespace."""
+    if length >= _ID_STRIDE:
+        # Keep every block inside its own namespace, so a shared-prefix
+        # prompt stays two runs and multi-turn turn t at most 2t+1.
+        raise ConfigError(
+            f"a {length}-token block overflows its {_ID_STRIDE}-id namespace"
+        )
     base = namespace * _ID_STRIDE
-    return tuple(base + offset for offset in range(length))
+    return TokenRuns((range(base, base + length),))
 
 
 #: Default private-suffix and decode lengths of the shared-prefix trace
@@ -315,7 +323,7 @@ def multi_turn_trace(
     requests: List[Request] = []
     namespace = 1
     for session in range(sessions):
-        history: Tuple[int, ...] = ()
+        history = TokenRuns()
         for turn in range(turns):
             spec = first_spec if turn == 0 else followup_spec
             user = _synthetic_ids(namespace, spec.sample(rng))

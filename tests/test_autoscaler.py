@@ -394,6 +394,31 @@ class TestDrainAwareAdmission:
         assert len(report.requests) == 1
         assert len(report.finished_requests) == 1
 
+    def test_begin_drain_keeps_the_order_of_what_stays(self):
+        # Ten requests: r2 and r5 arrive late and are still pending at
+        # the drain; of the eight arriving at t=0, a batch of seven is
+        # admitted and r9 waits. The drain withdraws r9, r2 and r5.
+        engine = LLMEngine(engine_config(max_batch=7))
+        requests = [
+            Request(
+                request_id=f"r{i}", prompt_len=16 + i, max_new_tokens=4,
+                arrival_time=1e6 if i in (2, 5) else 0.0,
+            )
+            for i in range(10)
+        ]
+        engine.submit(requests)
+        engine.run_until(0.0)
+        assert [r.request_id for r in engine._waiting] == ["r9"]
+        withdrawn = engine.begin_drain()
+        assert [r.request_id for r in withdrawn] == ["r9", "r2", "r5"]
+        stay = [r.request_id for r in requests if r not in withdrawn]
+        assert [r.request_id for r in engine.partial_report().requests] == stay
+        assert [r.request_id for r in engine._running] == stay
+        assert not engine._pending and not engine._waiting
+        assert engine.outstanding_tokens == engine._scan_outstanding()
+        report = engine.run()
+        assert [r.request_id for r in report.finished_requests] == stay
+
 
 # ----------------------------------------------------------------------
 # Lifecycle integration on the cluster timeline

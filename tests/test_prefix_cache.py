@@ -10,8 +10,11 @@ from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
 from repro.serving.request import PrefixDescriptor, Request
+from repro.tokens import TokenRuns
 from repro.units import GB, MB
 from repro.workloads.traces import (
+    _ID_STRIDE,
+    _synthetic_ids,
     multi_turn_trace,
     shared_prefix_trace,
     trace_statistics,
@@ -110,17 +113,17 @@ class TestPrefixDescriptor:
         )
         ids.extend([5, 6, 7])
         assert request.prefix.tokens == 4
-        assert descriptor.token_ids == (1, 2, 3, 4)
+        assert tuple(descriptor.token_ids) == (1, 2, 3, 4)
 
     def test_descriptor_is_hashable(self):
         a = PrefixDescriptor(group="g", token_ids=[1, 2, 3])
         b = PrefixDescriptor(group="g", token_ids=(1, 2, 3))
         assert a == b and hash(a) == hash(b)
 
-    def test_tuple_descriptor_keeps_the_callers_tuple(self):
-        # Freezing must not copy a tuple: trace generators hand over
-        # multi-thousand-token tuples, one per request.
-        ids = tuple(range(16))
+    def test_runs_descriptor_keeps_the_callers_runs(self):
+        # Freezing must not copy token runs: trace generators hand over
+        # one TokenRuns per request, and the tree's memo keys on it.
+        ids = TokenRuns.of(range(16))
         assert PrefixDescriptor(group="g", token_ids=ids).token_ids is ids
 
     def test_preemption_resets_cached_prefix(self):
@@ -373,6 +376,30 @@ class TestTraces:
         t0, t1 = trace
         # Turn 1's prompt = turn 0's prompt + its response + new text.
         assert t1.prompt_len > t0.prompt_len + t0.max_new_tokens
+
+    def test_shared_prefix_prompt_is_two_runs(self):
+        # The system prompt and the private suffix: one run each, the
+        # shape of perfbench's sysprompt_fleet trace.
+        trace = shared_prefix_trace(
+            count=3_000, sharing_factor=60, prefix_tokens=4_096
+        )
+        assert {len(r.prefix.token_ids.runs) for r in trace} == {2}
+
+    def test_multi_turn_prompt_runs(self):
+        # Turn t: t earlier (message, response) pairs plus its message.
+        trace = multi_turn_trace(sessions=3, turns=6)
+        for request in trace:
+            turn = int(request.request_id.rsplit("-t", 1)[1])
+            assert len(request.prefix.token_ids.runs) <= 2 * turn + 1
+
+    def test_synthetic_block_stays_in_its_namespace(self):
+        # A block as long as the stride would end where the next
+        # namespace starts and merge with its run: a fake shared prefix.
+        block = _synthetic_ids(3, _ID_STRIDE - 1)
+        assert block.runs == (range(3 * _ID_STRIDE, 4 * _ID_STRIDE - 1),)
+        for length in (_ID_STRIDE, _ID_STRIDE + 1):
+            with pytest.raises(ConfigError):
+                _synthetic_ids(3, length)
 
     def test_trace_validation(self):
         with pytest.raises(ConfigError):

@@ -14,6 +14,7 @@ from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig
+from repro.tokens import TokenRuns
 from repro.workloads.arrival import poisson_arrivals
 from repro.workloads.traces import TraceSpec, shared_prefix_trace
 
@@ -23,11 +24,10 @@ RELAXED = settings(
 
 
 def ids(*runs):
-    """Build a token-id tuple from (base, length) runs."""
-    out = []
-    for base, length in runs:
-        out.extend(base * 1000 + i for i in range(length))
-    return tuple(out)
+    """Build prompt token ids from (base, length) runs, as the trace
+    generators do."""
+    return TokenRuns(range(base * 1000, base * 1000 + length)
+                     for base, length in runs)
 
 
 class TestInsertAndMatch:
@@ -264,7 +264,7 @@ class TestEdgeMemo:
         tree.insert(ids((1, 8)), slot=0, group="g", live=False)
         tree.probe(ids((1, 8)))
         before = tree.stats.edge_compares
-        tree.probe(ids((1, 8)))  # a new tuple with the same contents
+        tree.probe(ids((1, 8)))  # new runs with the same contents
         assert tree.stats.edge_compares == before + 1
 
     def test_split_between_walks_recomputes(self):
@@ -286,9 +286,9 @@ class TestEdgeMemo:
         tree = RadixTree()
         tree.insert((1, 2, 3, 4), slot=0, group="g", live=False)
         (node,) = tree._root.children.values()
-        query = (1, 2, 9)
+        query = TokenRuns.of((1, 2, 9))
         tree.insert(query, slot=1, group="g", live=False)
-        assert node.edge == (3, 4)
+        assert tuple(node.edge) == (3, 4)
         assert tree._run(node, query, 0) == 0
 
     def test_prune_merge_recomputes(self):
@@ -297,17 +297,17 @@ class TestEdgeMemo:
         other = tree.insert((1, 2, 5), slot=1, group="g", live=False)
         (mid,) = tree._root.children.values()
         node = mid.children[3]
-        query = (3, 9)
+        query = TokenRuns.of((3, 9))
         assert tree._run(node, query, 0) == 1
         tree.remove(other)  # merges `mid` back into `node`
-        assert node.edge == (1, 2, 3)
+        assert tuple(node.edge) == (1, 2, 3)
         assert tree._run(node, query, 0) == 0
 
     def test_new_offset_recomputes(self):
         tree = RadixTree()
         tree.insert((5, 5, 6), slot=0, group="g", live=False)
         (node,) = tree._root.children.values()
-        query = (5, 5, 6, 9)
+        query = TokenRuns.of((5, 5, 6, 9))
         assert tree._run(node, query, 0) == 3
         before = tree.stats.edge_compares
         assert tree._run(node, query, 1) == 1
@@ -430,6 +430,7 @@ class TestAgainstFlatReference:
         offset=0,
     )
     def test_tree_matches_reference(self, prompts, ops, offset):
+        prompts = [TokenRuns.of(prompt) for prompt in prompts]
         tree = RadixTree()
         entries = []  # the reference: every registered entry
         expected = dict(
