@@ -356,19 +356,23 @@ def run_experiments(
 
         print(f"\n=== telemetry " + "=" * 30)
         print(render_dashboard(registry))
+    # The registry stores compact rows and builds record dicts on
+    # demand, so every consumer below shares one build.
+    records = None
+    if trace_out is not None or record_spans or check_trace:
+        records = registry.trace_records()
     if trace_out is not None:
-        count = registry.write_jsonl(trace_out)
+        count = registry.write_jsonl(trace_out, records)
         print(f"wrote {count} trace records to {trace_out}")
     if spans_out is not None:
         from repro.metrics.spans import write_spans_jsonl
 
-        count = write_spans_jsonl(registry.trace_records(), spans_out)
+        count = write_spans_jsonl(records, spans_out)
         print(f"wrote {count} span records to {spans_out}")
     if attribution_on:
         from repro.metrics.attribution import build
         from repro.metrics.dashboard import render_waterfall
 
-        records = registry.trace_records()
         print("\n=== latency attribution " + "=" * 30)
         print(build(records).render())
         print()
@@ -380,7 +384,7 @@ def run_experiments(
     if check_trace:
         from repro.metrics.tracecheck import check_trace as run_checker
 
-        violations = run_checker(registry.trace_records())
+        violations = run_checker(records)
         if violations:
             for violation in violations:
                 print(f"trace-check: {violation}", file=sys.stderr)

@@ -1281,7 +1281,7 @@ class ClusterEngine:
         registry = self._telemetry.registry
         if not registry.record_spans:
             return None
-        return attribution.build(
-            registry.events[self._telemetry.first_record:],
-            domains={self._telemetry.scope},
+        spans, cluster_of = registry.span_rows(self._telemetry.first_record)
+        return attribution.attribute(
+            spans, cluster_of, domains={self._telemetry.scope},
         ).to_json()

@@ -84,10 +84,31 @@ Segment = Tuple[float, float, str]
 
 Record = Dict[str, Any]
 
+#: What the walk reads of one span record, by position: ``(start, end,
+#: span, phase, scope, request, parent, original_arrival,
+#: first_token)``. :func:`build` takes it from dict records; the
+#: registry yields it straight from its rows
+#: (:meth:`~repro.metrics.telemetry.TelemetryRegistry.span_rows`).
+SpanRow = Tuple[float, float, int, str, str, str, Optional[int],
+                Optional[float], Optional[float]]
+
+_SCOPE = 4
+_REQUEST = 5
+
 #: Walk order: top-level spans by ``(start, end, span id)``; children
 #: by ``(start, end)``, ties kept in record order.
-_TOP_ORDER = itemgetter("start", "end", "span")
-_KID_ORDER = itemgetter("start", "end")
+_TOP_ORDER = itemgetter(0, 1, 2)
+_KID_ORDER = itemgetter(0, 1)
+
+
+def _span_row(record: Record) -> SpanRow:
+    """The walk's view of one span dict."""
+    return (
+        record["start"], record["end"], record["span"], record["phase"],
+        record.get("scope", ""), record.get("request", ""),
+        record.get("parent"), record.get("original_arrival"),
+        record.get("first_token"),
+    )
 
 
 @dataclass(frozen=True)
@@ -126,9 +147,9 @@ class RequestAttribution:
         return abs(self.closure_error) <= tol * max(1.0, abs(self.e2e))
 
 
-def _segments(arrival: float, finish: float, top: List[Record],
-              children: Dict[int, List[Record]]) -> Iterator[Segment]:
-    """Partition ``[arrival, finish]`` along the request's span records.
+def _segments(arrival: float, finish: float, top: List[SpanRow],
+              children: Dict[int, List[SpanRow]]) -> Iterator[Segment]:
+    """Partition ``[arrival, finish]`` along the request's span rows.
 
     Top-level spans are walked in start order; uncovered gaps are
     classified by the phase they lead into, child spans carve their
@@ -140,23 +161,22 @@ def _segments(arrival: float, finish: float, top: List[Record],
     for kids in children.values():
         kids.sort(key=_KID_ORDER)
     pos = arrival
-    for span in sorted(top, key=_TOP_ORDER):
-        begin = max(span["start"], pos)
-        end = min(span["end"], finish)
+    for start, end, span, phase, *_ in sorted(top, key=_TOP_ORDER):
+        begin = max(start, pos)
+        end = min(end, finish)
         if end <= begin:
             continue
-        phase = span["phase"]
         if begin > pos:
             yield (pos, begin, _GAP_INTO.get(phase, BUCKET_BATCH_WAIT))
         kpos = begin
-        for kid in children.get(span["span"], ()):
-            kbegin = max(kid["start"], kpos)
-            kend = min(kid["end"], end)
+        for kid in children.get(span, ()):
+            kbegin = max(kid[0], kpos)
+            kend = min(kid[1], end)
             if kend <= kbegin:
                 continue
             if kbegin > kpos:
                 yield (kpos, kbegin, phase)
-            yield (kbegin, kend, kid["phase"])
+            yield (kbegin, kend, kid[3])
             kpos = kend
         if end > kpos:
             yield (kpos, end, phase)
@@ -166,32 +186,30 @@ def _segments(arrival: float, finish: float, top: List[Record],
 
 
 def _attribute(domain: str, request_id: str,
-               group: List[Record]) -> Optional[RequestAttribution]:
-    """One logical request's row from its span records (record order)."""
-    top: List[Record] = []
-    children: Dict[int, List[Record]] = {}
-    arrival = group[0]["start"]
+               group: List[SpanRow]) -> Optional[RequestAttribution]:
+    """One logical request's row from its span rows (record order)."""
+    top: List[SpanRow] = []
+    children: Dict[int, List[SpanRow]] = {}
+    arrival = group[0][0]
     finish: Optional[float] = None
     first_token: Optional[float] = None
     replica_scope = ""
     for span in group:
-        if span["start"] < arrival:
-            arrival = span["start"]
+        start, end, _, phase, scope, _, parent, restored, token = span
+        if start < arrival:
+            arrival = start
         # A re-routed request's window opens at its original arrival.
-        restored = span.get("original_arrival")
         if restored is not None and restored < arrival:
             arrival = restored
-        if span["phase"] == PHASE_REQUEST:
-            if finish is None or span["end"] > finish:
-                finish = span["end"]
-            token = span.get("first_token")
+        if phase == PHASE_REQUEST:
+            if finish is None or end > finish:
+                finish = end
             if token is not None and (first_token is None
                                       or token < first_token):
                 first_token = token
             continue
-        if span["phase"] == PHASE_DECODE:
-            replica_scope = span.get("scope", "")
-        parent = span.get("parent")
+        if phase == PHASE_DECODE:
+            replica_scope = scope
         if parent is None:
             top.append(span)
         else:
@@ -229,25 +247,37 @@ def build(records: Iterable[Record],
     cluster or standalone-engine scope (the natural filter when a
     sweep ran many engines through one registry).
 
-    The cost is one sweep over ``records`` plus one sort-and-walk of
-    each request's own span dicts; no per-span objects are built.
+    One sweep over ``records`` takes each span's :data:`SpanRow` and
+    the ``replica_init`` scope bindings, then :func:`attribute` runs.
     """
     cluster_of: Dict[str, str] = {}
-    spans: List[Record] = []
+    spans: List[SpanRow] = []
     for record in records:
         event = record.get("event")
         if event == "span":
-            spans.append(record)
+            spans.append(_span_row(record))
         elif event == "replica_init" and record.get("scope"):
             cluster_of[record["scope"]] = record["cluster"]
+    return attribute(spans, cluster_of, domains, tol)
+
+
+def attribute(spans: Iterable[SpanRow], cluster_of: Dict[str, str],
+              domains: Optional[Iterable[str]] = None,
+              tol: float = CLOSURE_TOL) -> "AttributionReport":
+    """Attribute the logical requests of a run's span rows.
+
+    ``cluster_of`` maps replica engine scopes to their cluster, which
+    folds replica spans into the cluster's domain. The cost is one
+    grouping pass plus one sort-and-walk of each request's own rows.
+    """
     wanted = None if domains is None else set(domains)
-    groups: Dict[Tuple[str, str], List[Record]] = {}
+    groups: Dict[Tuple[str, str], List[SpanRow]] = {}
     for span in spans:
-        scope = span.get("scope", "")
+        scope = span[_SCOPE]
         domain = cluster_of.get(scope, scope)
         if wanted is not None and domain not in wanted:
             continue
-        key = (domain, base_request_id(span.get("request", "")))
+        key = (domain, base_request_id(span[_REQUEST]))
         groups.setdefault(key, []).append(span)
     requests = []
     for (domain, request_id), group in sorted(groups.items()):

@@ -84,7 +84,7 @@ def render_dashboard(registry: TelemetryRegistry, width: int = 40) -> str:
                 )
         sections.append("\n".join(lines))
 
-    header = f"telemetry dashboard ({len(registry.events)} events)"
+    header = f"telemetry dashboard ({registry.event_count} events)"
     return "\n\n".join([header] + sections)
 
 

@@ -29,9 +29,11 @@ phase                     interval
                           children via ``parent``
 ========================  ============================================
 
-Span records ride in the registry's event list and share its sequence
-counter, so they interleave with events and gauge samples in the JSONL
-trace; each is stamped at its *end*. The record schema is::
+The registry stores each span as one compact row beside its events
+(built into a dict only when the trace is read) and stamps it from the
+shared sequence counter, so spans interleave with events and gauge
+samples in the JSONL trace; each is stamped at its *end*. The record
+schema is::
 
     {"seq": ..., "time": end, "event": "span", "span": id,
      "phase": ..., "scope": ..., "request": ..., "start": ...,

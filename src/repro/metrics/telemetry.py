@@ -30,6 +30,7 @@ legitimately interleave.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import itertools
 import json
@@ -79,26 +80,41 @@ class Counter:
 
 
 class Gauge:
-    """A sampled instantaneous value with its sim-time series."""
+    """A sampled instantaneous value with its sim-time series.
 
-    __slots__ = ("spec", "samples", "_seq")
+    Samples live in three typed columns — sequence number, sim time and
+    value — rather than one tuple per sample, so a sample costs 24 bytes
+    instead of a tuple and three boxed numbers. Times and values are
+    stored as C doubles: callers pass floats, and :attr:`samples`
+    rebuilds the ``(seq, sim_time, value)`` triples on demand.
+    """
+
+    __slots__ = ("spec", "_seq", "_seqs", "_times", "_values")
 
     def __init__(self, spec: MetricSpec, seq: "itertools.count") -> None:
         self.spec = spec
-        #: ``(seq, sim_time, value)`` triples in observation order.
-        self.samples: List[Tuple[int, float, float]] = []
         self._seq = seq
+        self._seqs = array.array("q")
+        self._times = array.array("d")
+        self._values = array.array("d")
 
     def set(self, time: float, value: float) -> None:
-        self.samples.append((next(self._seq), time, value))
+        self._seqs.append(next(self._seq))
+        self._times.append(time)
+        self._values.append(value)
+
+    @property
+    def samples(self) -> List[Tuple[int, float, float]]:
+        """``(seq, sim_time, value)`` triples in observation order."""
+        return list(zip(self._seqs, self._times, self._values))
 
     @property
     def last(self) -> Optional[float]:
-        return self.samples[-1][2] if self.samples else None
+        return self._values[-1] if self._values else None
 
     def series(self) -> List[float]:
         """The sampled values in time order."""
-        return [value for _, _, value in self.samples]
+        return self._values.tolist()
 
 
 class Histogram:
@@ -145,21 +161,94 @@ class Histogram:
         }
 
 
+class _EventLayout:
+    """The shape of one family of event rows, interned per registry.
+
+    An event row is ``(layout id, time, *values)``: the layout carries
+    the event name and the field names once for every row of its shape,
+    so a row is one small tuple, and :meth:`record` rebuilds the dict.
+    Rows name their layout by index, not by reference, so a row holds
+    only atomic values and the garbage collector stops tracking it.
+    """
+
+    __slots__ = ("event", "names", "positions")
+
+    #: Row position of the first field value.
+    FIELDS_AT = 2
+
+    def __init__(self, event: str, names: Tuple[str, ...]) -> None:
+        self.event = event
+        self.names = names
+        self.positions = {
+            name: at for at, name in enumerate(names, self.FIELDS_AT)
+        }
+
+    def field(self, row: tuple, name: str) -> Any:
+        """One field's value in ``row`` (``None`` if the shape lacks it)."""
+        at = self.positions.get(name)
+        return None if at is None else row[at]
+
+    def record(self, seq: int, row: tuple) -> Dict[str, Any]:
+        record: Dict[str, Any] = {
+            "seq": seq, "time": row[1], "event": self.event,
+        }
+        record.update(zip(self.names, row[self.FIELDS_AT:]))
+        return record
+
+
+class _SpanLayout(_EventLayout):
+    """Span rows: ``(layout id, start, end, span, phase, scope, request,
+    parent, *extras)``, the layout naming the extras.
+
+    ``row[1:8]`` is the head of attribution's
+    :data:`~repro.metrics.attribution.SpanRow`; the layout knows where
+    the tail's two extras sit (``None``: this shape lacks it).
+    """
+
+    __slots__ = ("original_arrival_at", "first_token_at")
+
+    FIELDS_AT = 8
+
+    def __init__(self, names: Tuple[str, ...]) -> None:
+        super().__init__("span", names)
+        self.original_arrival_at = self.positions.get("original_arrival")
+        self.first_token_at = self.positions.get("first_token")
+
+    def record(self, seq: int, row: tuple) -> Dict[str, Any]:
+        _, start, end, span, phase, scope, request, parent = row[:8]
+        record: Dict[str, Any] = {
+            "seq": seq, "time": end, "event": "span",
+            "span": span, "phase": phase, "scope": scope,
+            "request": request, "start": start, "end": end,
+        }
+        if parent is not None:
+            record["parent"] = parent
+        record.update(zip(self.names, row[self.FIELDS_AT:]))
+        return record
+
+
 class TelemetryRegistry:
     """All instruments and events of one observed run."""
 
     def __init__(self, record_spans: bool = False) -> None:
         self._metrics: Dict[str, Any] = {}
-        #: Structured events in emission order (each a JSON-able dict
-        #: with at least ``seq``, ``time`` and ``event``).
-        self.events: List[Dict[str, Any]] = []
+        #: Events and spans in emission order, one tuple row each, led
+        #: by the index of its layout in ``_layouts``; the dicts of
+        #: :attr:`events` and :meth:`trace_records` are built on demand.
+        self._rows: List[tuple] = []
+        #: Each row's sequence number, index for index with ``_rows``.
+        self._row_seqs = array.array("q")
+        self._layouts: List[_EventLayout] = []
+        #: ``(event, *field names)`` / span extras' names -> layout index.
+        self._event_layout_ids: Dict[tuple, int] = {}
+        self._span_layout_ids: Dict[Tuple[str, ...], int] = {}
         #: One sequence shared by events *and* gauge samples: the total
         #: order the trace checker replays.
         self._seq = itertools.count()
         self._engine_ids = itertools.count()
         self._cluster_ids = itertools.count()
         #: Opt-in per-request span tracing (``--spans-out`` /
-        #: ``--attribution``). Spans ride in :attr:`events` and share
+        #: ``--attribution``). Spans are event rows and share
         #: the sequence counter, so they interleave with events and
         #: samples in the JSONL trace; off by default because every
         #: span is one more record per request-phase per iteration.
@@ -219,14 +308,16 @@ class TelemetryRegistry:
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-    def emit(self, time: float, event: str, **fields: Any) -> Dict[str, Any]:
+    def emit(self, time: float, event: str, **fields: Any) -> None:
         """Append one structured event at simulated ``time``."""
-        record: Dict[str, Any] = {
-            "seq": next(self._seq), "time": time, "event": event,
-        }
-        record.update(fields)
-        self.events.append(record)
-        return record
+        key = (event, *fields)
+        layout = self._event_layout_ids.get(key)
+        if layout is None:
+            layout = self._event_layout_ids[key] = self._intern(
+                _EventLayout(event, key[1:])
+            )
+        self._row_seqs.append(next(self._seq))
+        self._rows.append((layout, time, *fields.values()))
 
     def emit_span(self, *, phase: str, start: float, end: float,
                   scope: str = "", request: str = "",
@@ -244,16 +335,68 @@ class TelemetryRegistry:
         if not self.record_spans:
             return None
         span = next(self._span_ids)
-        record: Dict[str, Any] = {
-            "seq": next(self._seq), "time": end, "event": "span",
-            "span": span, "phase": phase, "scope": scope,
-            "request": request, "start": start, "end": end,
-        }
-        if parent is not None:
-            record["parent"] = parent
-        record.update(extras)
-        self.events.append(record)
+        names = tuple(extras)
+        layout = self._span_layout_ids.get(names)
+        if layout is None:
+            layout = self._span_layout_ids[names] = self._intern(
+                _SpanLayout(names)
+            )
+        self._row_seqs.append(next(self._seq))
+        self._rows.append((
+            layout, start, end, span, phase, scope, request, parent,
+            *extras.values(),
+        ))
         return span
+
+    def _intern(self, layout: _EventLayout) -> int:
+        self._layouts.append(layout)
+        return len(self._layouts) - 1
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """Events and spans in emission order, built as dicts on demand.
+
+        Each is a JSON-able dict with at least ``seq``, ``time`` and
+        ``event``; count them with :attr:`event_count` instead.
+        """
+        layouts = self._layouts
+        return [
+            layouts[row[0]].record(seq, row)
+            for seq, row in zip(self._row_seqs, self._rows)
+        ]
+
+    @property
+    def event_count(self) -> int:
+        """How many events and spans were emitted (no dicts built)."""
+        return len(self._rows)
+
+    def span_rows(
+        self, first: int = 0,
+    ) -> Tuple[List[tuple], Dict[str, str]]:
+        """What latency attribution reads of the rows from ``first`` on.
+
+        Returns one :data:`~repro.metrics.attribution.SpanRow` per span
+        and the ``replica_init`` bindings of replica engine scopes to
+        their cluster — what :func:`repro.metrics.attribution.build`
+        collects from dict records, read straight from the rows.
+        """
+        spans: List[tuple] = []
+        cluster_of: Dict[str, str] = {}
+        layouts = self._layouts
+        for row in itertools.islice(self._rows, first, None):
+            layout = layouts[row[0]]
+            if type(layout) is _SpanLayout:
+                restored = layout.original_arrival_at
+                token = layout.first_token_at
+                spans.append(row[1:8] + (
+                    None if restored is None else row[restored],
+                    None if token is None else row[token],
+                ))
+            elif layout.event == "replica_init":
+                scope = layout.field(row, "scope")
+                if scope:
+                    cluster_of[scope] = layout.field(row, "cluster")
+        return spans, cluster_of
 
     # ------------------------------------------------------------------
     # Engine / cluster bindings
@@ -271,7 +414,7 @@ class TelemetryRegistry:
     # ------------------------------------------------------------------
     def trace_records(self) -> List[Dict[str, Any]]:
         """Events and gauge samples merged into one seq-ordered trace."""
-        records: List[Dict[str, Any]] = list(self.events)
+        records = self.events
         for instrument in self._metrics.values():
             if isinstance(instrument, Gauge):
                 spec = instrument.spec
@@ -284,9 +427,15 @@ class TelemetryRegistry:
         records.sort(key=lambda r: r["seq"])
         return records
 
-    def write_jsonl(self, path: str) -> int:
-        """Write the merged trace as JSON Lines; returns the line count."""
-        records = self.trace_records()
+    def write_jsonl(self, path: str,
+                    records: Optional[List[Dict[str, Any]]] = None) -> int:
+        """Write the merged trace as JSON Lines; returns the line count.
+
+        ``records`` is the :meth:`trace_records` list when the caller
+        already built it.
+        """
+        if records is None:
+            records = self.trace_records()
         with open(path, "w") as handle:
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True))
@@ -320,7 +469,7 @@ class TelemetryRegistry:
         """The registry as one JSON-able document."""
         document: Dict[str, Any] = {
             "metrics": self.snapshot(),
-            "events": len(self.events),
+            "events": self.event_count,
         }
         if include_events:
             document["trace"] = self.trace_records()
@@ -461,10 +610,10 @@ class EngineTelemetry:
     def __init__(self, registry: TelemetryRegistry, scope: str) -> None:
         self.registry = registry
         self.scope = scope
-        #: Index of this binding's first possible record in
-        #: ``registry.events``: scopes are unique per registry, so the
-        #: engine's own records all lie in ``events[first_record:]``.
-        self.first_record = len(registry.events)
+        #: Index of this binding's first possible event row: scopes are
+        #: unique per registry, so the engine's own events and spans all
+        #: come from this row on.
+        self.first_record = registry.event_count
         self.running = registry.gauge(
             "num_running_reqs", scope, "engine", "reqs")
         self.queued = registry.gauge(
@@ -501,6 +650,8 @@ class EngineTelemetry:
         #: totals (evictions, swap bytes) become registry counters by
         #: delta without the backend keeping telemetry state.
         self._cumulative: Dict[str, float] = {}
+        #: Backend sample key -> its gauge (``None``: cumulative key).
+        self._backend_gauges: Dict[str, Optional[Gauge]] = {}
         #: Open ``preempted`` span starts, closed at re-admission.
         self._open_preempts: Dict[str, float] = {}
 
@@ -697,29 +848,38 @@ class EngineTelemetry:
         """Map a backend's sample dict onto instruments.
 
         Keys ending in ``_total`` are cumulative and become counters
-        (by delta); the rest are gauges. ``cache_*`` / ``shared_*``
-        keys belong to the cache layer, everything else to memory.
+        (by delta); the rest are gauges. Each key is resolved once per
+        binding: its gauge, or ``None`` for a cumulative key.
         """
+        gauges = self._backend_gauges
         for name, value in sample.items():
-            layer = (
-                "cache" if name.startswith(("cache_", "shared_"))
-                else "memory"
-            )
-            if name.endswith("_total"):
-                self._delta_counter(name, value, layer)
+            try:
+                gauge = gauges[name]
+            except KeyError:
+                gauge = None
+                if not name.endswith("_total"):
+                    gauge = self.registry.gauge(
+                        name, self.scope, _backend_layer(name)
+                    )
+                gauges[name] = gauge
+            if gauge is None:
+                self._delta_counter(name, value)
             else:
-                self.registry.gauge(name, self.scope, layer).set(
-                    now, float(value)
-                )
+                gauge.set(now, float(value))
 
-    def _delta_counter(self, name: str, cumulative: float,
-                       layer: str) -> None:
+    def _delta_counter(self, name: str, cumulative: float) -> None:
         last = self._cumulative.get(name, 0.0)
         if cumulative > last:
-            self.registry.counter(name, self.scope, layer).inc(
-                cumulative - last
-            )
+            self.registry.counter(
+                name, self.scope, _backend_layer(name)
+            ).inc(cumulative - last)
             self._cumulative[name] = cumulative
+
+
+def _backend_layer(name: str) -> str:
+    """``cache_*`` / ``shared_*`` sample keys belong to the cache layer,
+    everything else to memory."""
+    return "cache" if name.startswith(("cache_", "shared_")) else "memory"
 
 
 # ----------------------------------------------------------------------
@@ -729,9 +889,9 @@ class ClusterTelemetry:
     def __init__(self, registry: TelemetryRegistry, scope: str) -> None:
         self.registry = registry
         self.scope = scope
-        #: Index of this cluster's first possible record in
-        #: ``registry.events`` (see :class:`EngineTelemetry`).
-        self.first_record = len(registry.events)
+        #: Index of this cluster's first possible event row (see
+        #: :class:`EngineTelemetry`).
+        self.first_record = registry.event_count
         self.routing = registry.counter(
             "routing_decisions_total", scope, "cluster", "reqs")
         self.migrations = registry.counter(

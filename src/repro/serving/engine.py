@@ -412,9 +412,9 @@ class LLMEngine:
         registry = self.telemetry.registry
         if not registry.record_spans:
             return None
-        return attribution.build(
-            registry.events[self.telemetry.first_record:],
-            domains={self.telemetry.scope},
+        spans, cluster_of = registry.span_rows(self.telemetry.first_record)
+        return attribution.attribute(
+            spans, cluster_of, domains={self.telemetry.scope},
         ).to_json()
 
     def run_until(self, deadline: float) -> int:

@@ -157,6 +157,32 @@ class TestRun:
         # The registry is uninstalled again afterwards.
         assert active() is None
 
+    def test_trace_consumers_share_one_build(self, capsys, tmp_path,
+                                             monkeypatch):
+        # The registry builds record dicts on demand; the four trace
+        # consumers must share one build rather than rebuild the log.
+        from repro.metrics.telemetry import TelemetryRegistry
+
+        builds = []
+        trace_records = TelemetryRegistry.trace_records
+
+        def counted(registry):
+            builds.append(registry)
+            return trace_records(registry)
+
+        monkeypatch.setattr(TelemetryRegistry, "trace_records", counted)
+        trace = tmp_path / "trace.jsonl"
+        spans = tmp_path / "spans.jsonl"
+        assert main([
+            "run", "fig12", "--trace-out", str(trace),
+            "--spans-out", str(spans), "--attribution", "--check-trace",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "latency attribution" in out
+        assert "trace-check: all invariants hold" in out
+        assert trace.exists() and spans.exists()
+        assert len(builds) == 1
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -1,6 +1,6 @@
 """The telemetry registry, its engine bindings, and the off-path.
 
-Three layers of coverage:
+Four layers of coverage:
 
 * Registry unit tests — instrument creation is get-or-create and
   kind-checked, counters only go up, histogram percentiles use the
@@ -13,16 +13,28 @@ Three layers of coverage:
   telemetry on and off (instruments observe, never perturb), and the
   decode fast path contributes the same counter totals as the legacy
   per-iteration loop while populating the stretch histogram.
+* Record storage — the JSONL bytes of two spans-on runs are pinned by
+  digest, and the registry's retained bytes per row and per gauge
+  sample are bounded under ``tracemalloc``.
 """
 
+import gc
+import hashlib
+import inspect
 import json
+import tracemalloc
 
 import pytest
 
+import repro.metrics.telemetry as telemetry_module
 import repro.serving.engine as engine_module
+from repro.cluster import ClusterConfig, ClusterEngine
 from repro.errors import ConfigError
 from repro.experiments import ext_sched_policy, fig08_decode_throughput
+from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.metrics.dashboard import render_dashboard, render_json
+from repro.metrics.spans import write_spans_jsonl
 from repro.metrics.telemetry import (
     Gauge,
     TelemetryRegistry,
@@ -31,7 +43,11 @@ from repro.metrics.telemetry import (
     install,
     uninstall,
 )
+from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
+from repro.serving.engine import EngineConfig, LLMEngine
+from repro.workloads.arrival import poisson_arrivals
+from repro.workloads.traces import fixed_trace, shared_prefix_trace, sharegpt_trace
 
 
 class TestRegistry:
@@ -316,3 +332,145 @@ class TestDashboard:
         document = json.loads(render_json(registry))
         assert document["events"] == 0
         assert document["metrics"][0]["name"] == "token_usage"
+
+
+# ----------------------------------------------------------------------
+# Record storage: what the registry keeps, and what it serializes
+# ----------------------------------------------------------------------
+def _tiered_preemption_registry() -> TelemetryRegistry:
+    """A standalone engine under KV pressure with tiered preemption."""
+    shard = ShardedModel(YI_6B, 1)
+    prompt_len = 8_192
+    with enabled(TelemetryRegistry(record_spans=True)) as registry:
+        engine = LLMEngine(EngineConfig(
+            shard=shard,
+            gpu=A100,
+            memory_backend="vattention",
+            max_batch_size=4,
+            kv_budget_bytes=int(
+                3 * prompt_len * shard.kv_bytes_per_token * 1.02
+            ),
+            memory=MemoryConfig(preemption_mode="tiered"),
+            eager_allocation=False,
+        ))
+        engine.submit(
+            fixed_trace(count=3, prompt_len=prompt_len, max_new_tokens=400)
+        )
+        engine.run()
+    return registry
+
+
+def _two_drain_registry() -> TelemetryRegistry:
+    """The re-route records test's cluster: two drains, KV carried."""
+    from test_autoscaler import ScriptedPolicy, elastic_cluster
+
+    requests = shared_prefix_trace(
+        count=12, sharing_factor=12, prefix_tokens=1024, seed=11
+    )
+    for i, request in enumerate(requests):
+        request.arrival_time = 0.05 * i
+    with enabled(TelemetryRegistry(record_spans=True)) as registry:
+        cluster = elastic_cluster(
+            n_replicas=3, cache=True, max_batch=1, interval=0.5
+        )
+        cluster.autoscaler = ScriptedPolicy({1: -1, 2: -1})
+        cluster.submit(requests)
+        cluster.run()
+    return registry
+
+
+class TestSerializationGolden:
+    """The JSONL files of two spans-on runs, pinned by sha256.
+
+    Records are stored as compact rows and rebuilt as dicts at this
+    boundary; the digests pin keys, key order and every value's JSON
+    form (an int sample value turned float would print ``1.0``).
+    """
+
+    DIGESTS = {
+        "tiered_preemption": (
+            _tiered_preemption_registry,
+            "78ec7f0d4102fac94ba2fe7933734f05051070642ab8f5f023e1d3822d7f7bdf",
+            "23400cb44097254b13bacff00dd2bc7608eca769f87fd2d94171bdd98a1cabc7",
+        ),
+        "two_drain_cluster": (
+            _two_drain_registry,
+            "953cbfd5e05f53ed1e18f2e9e3374e529d44d829adb95538ca06e32f61fefe05",
+            "5bafd88ca78f5f2c63b1dafe7f5b0f61fa7d0b1b2a2c9a567621460d09fb23b4",
+        ),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(DIGESTS))
+    def test_jsonl_digests(self, scenario, tmp_path):
+        run, trace_digest, spans_digest = self.DIGESTS[scenario]
+        registry = run()
+        trace_path = tmp_path / "trace.jsonl"
+        spans_path = tmp_path / "spans.jsonl"
+        registry.write_jsonl(str(trace_path))
+        write_spans_jsonl(registry.trace_records(), str(spans_path))
+        assert _sha256(trace_path) == trace_digest
+        assert _sha256(spans_path) == spans_digest
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestRecordMemory:
+    """Telemetry's retained allocations per record, under tracemalloc.
+
+    Only allocations made in ``telemetry.py`` count. Gauge samples are
+    what :meth:`Gauge.set` retains; everything else the module retains
+    is charged to the event and span rows.
+    """
+
+    #: Upper bounds, in bytes retained per record.
+    ROW_BYTES = 250
+    SAMPLE_BYTES = 40
+
+    def test_retained_bytes_per_record(self):
+        requests = sharegpt_trace(
+            poisson_arrivals(qps=8.0, count=96, seed=3), seed=3
+        )
+        lines, first = inspect.getsourcelines(Gauge.set)
+        set_lines = range(first, first + len(lines))
+        tracemalloc.start()
+        try:
+            with enabled(TelemetryRegistry(record_spans=True)) as registry:
+                cluster = ClusterEngine(ClusterConfig(
+                    engine=EngineConfig(
+                        shard=ShardedModel(YI_6B, 1),
+                        gpu=A100,
+                        memory_backend="vattention",
+                        max_batch_size=8,
+                    ),
+                    n_replicas=2,
+                    routing_policy="least_outstanding_tokens",
+                ))
+                cluster.submit(requests)
+                cluster.run()
+            # A full collection also empties the interpreter's free
+            # lists, whose blocks tracemalloc would count as live.
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        snapshot = snapshot.filter_traces(
+            [tracemalloc.Filter(True, telemetry_module.__file__)]
+        )
+        sample_bytes = row_bytes = 0
+        for stat in snapshot.statistics("lineno"):
+            if stat.traceback[0].lineno in set_lines:
+                sample_bytes += stat.size
+            else:
+                row_bytes += stat.size
+        rows = len(registry.events)
+        samples = sum(
+            len(i.samples) for i in registry.metrics()
+            if isinstance(i, Gauge)
+        )
+        assert rows > 1_000 and samples > 1_000
+        assert row_bytes / rows <= self.ROW_BYTES, (row_bytes, rows)
+        assert sample_bytes / samples <= self.SAMPLE_BYTES, (
+            sample_bytes, samples,
+        )
