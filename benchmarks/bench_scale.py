@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import resource
 import sys
 import time
 from typing import List
@@ -248,6 +249,10 @@ def main(argv=None) -> int:
         "p99_ttft": round(report.p99_ttft(), 4),
         "budget_seconds": budget,
         "work": work_counters(cluster),
+        # Linux reports ru_maxrss in KiB. Recorded, not gated.
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
+        ),
     }
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=1)
@@ -264,6 +269,7 @@ def main(argv=None) -> int:
     )
     work = ", ".join(f"{name} {n:,}" for name, n in payload["work"].items())
     print(f"  work: {work}")
+    print(f"  peak RSS {payload['peak_rss_mb']:.1f} MB")
     print(f"wrote {args.output}")
 
     assert wall_seconds < budget, (

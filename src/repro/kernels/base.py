@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import KernelError
 from ..gpu.spec import GpuSpec
@@ -144,18 +144,17 @@ class AttentionKernel(abc.ABC):
     def decode_time_total_series(
         self,
         shard: ShardedModel,
-        totals,
+        totals: Iterable[int],
         batch_size: int,
         block_size: Optional[int] = None,
-    ):
-        """Vectorized :meth:`decode_time_total` over an array of totals.
+    ) -> List[float]:
+        """:meth:`decode_time_total` over a series of total-token counts.
 
-        ``totals`` is a numpy integer array of total-token counts; the
-        result is a float64 array whose element ``i`` is bit-identical to
+        Element ``i`` of the returned list is bit-identical to
         ``decode_time_total(shard, totals[i], batch_size, block_size)``.
-        Subclasses override :meth:`_decode_time_total_series` with
-        elementwise arithmetic mirroring their scalar op order; the base
-        fallback loops the scalar implementation.
+        Subclasses override :meth:`_decode_time_total_series` to hoist
+        their per-batch constants and keep their scalar op order per
+        element; the base fallback loops the scalar implementation.
         """
         if not self.info.supports_decode:
             raise KernelError(f"{self.info.name} has no decode kernel")
@@ -200,18 +199,17 @@ class AttentionKernel(abc.ABC):
         """Library-specific decode latency (block_size 0 if non-paged)."""
 
     def _decode_time_total_series(
-        self, shard: ShardedModel, totals, batch_size: int, block_size: int
-    ):
-        """Vectorized decode latency; scalar-loop fallback is exact."""
-        import numpy
-
-        return numpy.array(
-            [
-                self._decode_time_total(shard, int(total), batch_size, block_size)
-                for total in totals
-            ],
-            dtype="float64",
-        )
+        self,
+        shard: ShardedModel,
+        totals: Iterable[int],
+        batch_size: int,
+        block_size: int,
+    ) -> List[float]:
+        """Decode latency series; the scalar-loop fallback is exact."""
+        return [
+            self._decode_time_total(shard, total, batch_size, block_size)
+            for total in totals
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.info.name} on {self.gpu.name})"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..errors import KernelError
 from ..gpu.spec import GpuSpec
@@ -178,20 +178,20 @@ def attention_decode_time_total(
 def attention_decode_time_total_series(
     shard: ShardedModel,
     gpu: GpuSpec,
-    totals,
+    totals: Iterable[int],
     bandwidth_efficiency: float,
-):
-    """Vectorized :func:`attention_decode_time_total` over a totals array.
+) -> List[float]:
+    """:func:`attention_decode_time_total` over a series of totals.
 
-    ``totals`` is a numpy integer array; the result is a float64 array
-    whose element ``i`` is **bit-identical** to
+    Element ``i`` is **bit-identical** to
     ``attention_decode_time_total(shard, gpu, totals[i], eff)``: the
-    elementwise multiply and divide below are single IEEE-754 operations
-    per element, in the same order as the scalar path
-    (``float(total) * kv_bytes_per_token`` then ``/ (bandwidth * eff)``).
+    per-token bytes and the effective bandwidth are hoisted, and each
+    element is the scalar path's ``float(total) * kv_bytes_per_token``
+    then ``/ (bandwidth * eff)``, in that order.
     """
-    nbytes = totals.astype("float64") * shard.kv_bytes_per_token
-    return nbytes / (gpu.hbm_bandwidth * bandwidth_efficiency)
+    per_token = shard.kv_bytes_per_token
+    bandwidth = gpu.hbm_bandwidth * bandwidth_efficiency
+    return [float(total) * per_token / bandwidth for total in totals]
 
 
 # ----------------------------------------------------------------------

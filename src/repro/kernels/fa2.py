@@ -155,4 +155,4 @@ class FlashAttention2Paged(AttentionKernel):
         )
         overhead = FA2_PAGED_DECODE_OVERHEAD
         overhead *= FA2_PAGED_SMALL_BLOCK_PENALTY[block_size]
-        return base * overhead
+        return [b * overhead for b in base]

@@ -114,7 +114,7 @@ class FlashInfer(AttentionKernel):
         base = attention_decode_time_total_series(
             shard, self.gpu, totals, EFF_DECODE_KV
         )
-        return base * FI_NONPAGED_DECODE_FACTOR
+        return [b * FI_NONPAGED_DECODE_FACTOR for b in base]
 
 
 class FlashInferPaged(AttentionKernel):
@@ -156,4 +156,5 @@ class FlashInferPaged(AttentionKernel):
         base = attention_decode_time_total_series(
             shard, self.gpu, totals, EFF_DECODE_KV
         )
-        return base * _decode_factor(shard.model.gqa_ratio, batch_size)
+        factor = _decode_factor(shard.model.gqa_ratio, batch_size)
+        return [b * factor for b in base]

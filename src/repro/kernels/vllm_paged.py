@@ -88,6 +88,7 @@ class VllmPaged(AttentionKernel):
         base = attention_decode_time_total_series(
             shard, self.gpu, totals, EFF_DECODE_KV
         )
-        # Same left-to-right association as the scalar path.
         penalty = vllm_gqa_penalty(shard.model.gqa_ratio)
-        return base * penalty * VLLM_BLOCK_SIZE_FACTOR[block_size]
+        factor = VLLM_BLOCK_SIZE_FACTOR[block_size]
+        # Same left-to-right association as the scalar path.
+        return [b * penalty * factor for b in base]

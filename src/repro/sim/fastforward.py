@@ -15,7 +15,10 @@ timestamp, every latency sum and every backend counter come out
 bit-identical (the golden and equivalence tests enforce this). What it
 skips is the per-iteration *machinery*: scheduling-view construction,
 policy planning, memory ``step()`` bookkeeping, per-request method
-calls, and one ``IterationRecord`` allocation per token.
+calls, and one ``IterationRecord`` allocation per token. The series is
+plain Python lists: at the horizons stretches reach (a median of 8–15
+iterations) they are faster than array setup, and the simulator
+imports no third-party module.
 
 The *horizon* K is the minimum of four bounds (``docs/performance.md``
 spells out the contract):
@@ -40,12 +43,8 @@ spells out the contract):
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - numpy is part of the baked toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover - scalar fallback stays exact
-    _np = None
 
 from ..kernels.costmodel import linear_decode_time
 from ..metrics.collector import IterationRecord
@@ -57,10 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Horizon meaning "no memory-side bound"; the completion/arrival bounds
 #: and the 62-bit headroom keep any real stretch far below it.
 UNBOUNDED_HORIZON = 1 << 62
-
-#: Minimum provable horizon at which the numpy series pays for its
-#: array setup; shorter stretches run the pure-Python series.
-VECTOR_THRESHOLD = 8
 
 
 class DecodeFastPath:
@@ -206,49 +201,31 @@ def _series(prep: _StretchPrep) -> Tuple[List[float], List[float]]:
     ``i``'s latency term and ``starts[i]`` the clock at which it starts,
     so ``starts[i + 1] = starts[i] + compute[i]`` — the per-iteration
     loop's ``now += compute`` recurrence, float for float, with
-    ``starts[0] = prep.start``. The numpy form (``horizon >=
-    VECTOR_THRESHOLD``) and the pure-Python form give identical floats.
+    ``starts[0] = prep.start``. The batch's totals advance by
+    ``batch_size`` a step, so the kernel prices them as one series
+    (:meth:`~repro.kernels.base.AttentionKernel.decode_time_total_series`);
+    each ``compute`` element adds the scalar path's terms in its
+    left-to-right order, and ``accumulate`` makes the same serial adds
+    as the clock.
     """
     n = prep.horizon
-    if _np is not None and n >= VECTOR_THRESHOLD:
-        totals = prep.total_tokens + prep.batch_size * _np.arange(
-            n, dtype=_np.int64
-        )
-        attention = prep.kernel._decode_time_total_series(
-            prep.shard, totals, prep.batch_size, prep.resolved_block
-        )
-        fw = prep.overhead
-        if fw is None:
-            fw = _np.array(
-                [prep.plan.overhead_at(i) for i in range(n)],
-                dtype=_np.float64,
-            )
-        # Elementwise adds in the scalar form's left-to-right order:
-        # ((((linear + attention) + fw) + cpu) + per_seq.
-        compute = prep.linear + attention + fw + prep.cpu + prep.per_seq
-        # np.cumsum accumulates sequentially, so element i is exactly
-        # the float the serial recurrence reaches.
-        starts = _np.cumsum(_np.concatenate(((prep.start,), compute)))
-        return compute.tolist(), starts.tolist()
-    decode_fn = prep.kernel._decode_time_total
-    plan = prep.plan
-    now = prep.start
+    batch_size = prep.batch_size
     total = prep.total_tokens
-    compute: List[float] = []
-    starts = [now]
-    for i in range(n):
-        attention = decode_fn(
-            prep.shard, total, prep.batch_size, prep.resolved_block
-        )
-        fw = (
-            prep.overhead if prep.overhead is not None else plan.overhead_at(i)
-        )
-        step = prep.linear + attention + fw + prep.cpu + prep.per_seq
-        compute.append(step)
-        now = now + step
-        starts.append(now)
-        total += prep.batch_size
-    return compute, starts
+    attention = prep.kernel._decode_time_total_series(
+        prep.shard,
+        range(total, total + n * batch_size, batch_size),
+        batch_size,
+        prep.resolved_block,
+    )
+    if prep.overhead is None:
+        overheads = map(prep.plan.overhead_at, range(n))
+    else:
+        overheads = repeat(prep.overhead, n)
+    linear, cpu, per_seq = prep.linear, prep.cpu, prep.per_seq
+    compute = [
+        linear + a + fw + cpu + per_seq for a, fw in zip(attention, overheads)
+    ]
+    return compute, list(accumulate(compute, initial=prep.start))
 
 
 class StretchOracle:

@@ -16,9 +16,9 @@ Two layers of enforcement:
   (fig12, ext-chunked: their *subject* is the per-iteration series)
   still run to prove the pin holds.
 
-Both layers run once more with numpy masked out (the golden scenarios
-and the cluster sweep), so the pure-Python stretch series an install
-without numpy takes is held to the same bar.
+There is one stretch series, in pure Python, so each scenario runs
+once; ``tests/test_kernels.py`` pins the kernels' attention series to
+their scalar form float for float.
 
 A resumed stretch (a prep whose ``base`` advanced past a stop-time cut)
 is held to a third bar: at every resume, a fresh proof of the same
@@ -29,6 +29,10 @@ equal the resumed prep's cached suffix float for float.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,50 +367,61 @@ class TestClusterSweep:
 
 
 # ----------------------------------------------------------------------
-# Without numpy: the pure-Python stretch series
+# The simulator imports no third-party module
 # ----------------------------------------------------------------------
-class TestWithoutNumpy:
-    """numpy is an optional accelerator. With it masked out, every
-    stretch runs the pure-Python series — the path an install without
-    numpy takes — and must stay exact."""
+#: Imports the simulator's packages and serves a two-replica vAttention
+#: fleet to completion, fast-forwarding stretches on the way.
+NO_NUMPY_SCRIPT = """
+import sys
 
-    @pytest.fixture(autouse=True)
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(fastforward_module, "_np", None)
+import repro.cluster
+import repro.experiments
+import repro.serving.engine
+from repro.cluster import ClusterConfig, ClusterEngine
+from repro.gpu.spec import A100
+from repro.models.shard import ShardedModel
+from repro.models.zoo import YI_6B
+from repro.serving.engine import EngineConfig
+from repro.workloads.arrival import poisson_arrivals
+from repro.workloads.traces import sharegpt_trace
 
-    @pytest.mark.parametrize("scenario", sorted(fcfs_golden.SCENARIOS))
-    def test_fast_forward_matches_golden(self, golden, scenario):
-        assert_matches_golden(golden, scenario)
+fleet = ClusterEngine(
+    ClusterConfig(
+        engine=EngineConfig(
+            shard=ShardedModel(YI_6B, 1),
+            gpu=A100,
+            memory_backend="vattention",
+            max_batch_size=8,
+        ),
+        n_replicas=2,
+        routing_policy="least_outstanding_tokens",
+    )
+)
+fleet.submit(sharegpt_trace(poisson_arrivals(qps=4.0, count=24, seed=5)))
+report = fleet.run()
+assert len(report.records) == 24, len(report.records)
+engines = [replica.engine for replica in fleet.replicas]
+assert sum(e._fast.analytic_iterations for e in engines) > 0
+assert "numpy" not in sys.modules, "the simulator imported numpy"
+"""
 
-    @pytest.mark.parametrize("name", sorted(CLUSTER_SWEEP))
-    def test_cluster_identical_on_and_off(self, name, monkeypatch):
-        assert_cluster_identical_on_and_off(name, monkeypatch)
 
-    def test_series_forms_agree(self):
-        """The pure-Python series reproduces the numpy one float for
-        float over the proof's whole horizon."""
-        numpy = pytest.importorskip("numpy")
-        engine = LLMEngine(
-            EngineConfig(
-                shard=ShardedModel(YI_6B, 1),
-                gpu=A100,
-                memory_backend="vattention",
-                max_batch_size=8,
-            )
-        )
-        engine.submit(fixed_trace(count=4, prompt_len=500, max_new_tokens=64))
-        prep = engine._fast.prepare(math.inf)
-        while prep is None:  # step through the prefills
-            engine.run_until(math.nextafter(engine.clock.now, math.inf))
-            prep = engine._fast.prepare(math.inf)
-        n = prep.horizon
-        assert n >= fastforward_module.VECTOR_THRESHOLD
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fastforward_module, "_np", numpy)
-            compute, starts = fastforward_module._series(prep)
-        assert len(compute) == n and len(starts) == n + 1
-        assert starts[0] == prep.start
-        assert fastforward_module._series(prep) == (compute, starts)
+def test_simulator_never_imports_numpy():
+    """The stretch series is pure Python: serving a fleet loads no
+    numpy, even where it is installed."""
+    src = str(Path(fastforward_module.__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # ----------------------------------------------------------------------
@@ -627,14 +642,8 @@ def assert_deadline_driven_exact(scenario, monkeypatch):
 
 
 class TestResumeExactness:
-    @pytest.fixture(params=["numpy", "no_numpy"])
-    def series(self, request, monkeypatch):
-        if request.param == "no_numpy":
-            monkeypatch.setattr(fastforward_module, "_np", None)
-        return request.param
-
     @pytest.mark.parametrize("scenario", sorted(RESUME_SCENARIOS))
-    def test_resume_equals_fresh_proof(self, scenario, series, monkeypatch):
+    def test_resume_equals_fresh_proof(self, scenario, monkeypatch):
         resumed = resumes_checked_against_fresh_proofs(scenario, monkeypatch)
         if scenario.startswith("deadlines:"):
             # These exist to resume on every backend: they must, and

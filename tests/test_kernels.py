@@ -194,3 +194,30 @@ class TestRegistry:
     def test_register_duplicate_rejected(self):
         with pytest.raises(KernelError):
             register_kernel("fa2", FlashAttention2)
+
+
+class TestDecodeSeries:
+    """``decode_time_total_series`` is the fast-forwarder's attention
+    term: it must equal the scalar ``decode_time_total`` float for float
+    (not approximately), or a stretch would drift from the stepped
+    loop."""
+
+    @pytest.mark.parametrize("name", list_kernels())
+    def test_series_equals_scalar(self, name, yi6b, yi34b):
+        kernel = get_kernel(name, H100 if name == "fa3" else A100)
+        for shard in (yi6b, yi34b):
+            for block in kernel.info.supported_block_sizes or (None,):
+                for batch in (1, 8, 96):
+                    for horizon in (1, 7, 8, 500):
+                        start = 1_237 * batch + 11
+                        totals = range(start, start + horizon * batch, batch)
+                        series = kernel.decode_time_total_series(
+                            shard, totals, batch, block
+                        )
+                        scalar = [
+                            kernel.decode_time_total(shard, t, batch, block)
+                            for t in totals
+                        ]
+                        assert [x.hex() for x in series] == [
+                            x.hex() for x in scalar
+                        ], (name, shard.model.name, block, batch, horizon)
