@@ -18,7 +18,9 @@ Two layers of enforcement:
 
 There is one stretch series, in pure Python, so each scenario runs
 once; ``tests/test_kernels.py`` pins the kernels' attention series to
-their scalar form float for float.
+their scalar form float for float, and a proof's series is checked
+against the clock of a per-iteration run under every backend. No
+package of the simulator imports numpy.
 
 A resumed stretch (a prep whose ``base`` advanced past a stop-time cut)
 is held to a third bar: at every resume, a fresh proof of the same
@@ -56,7 +58,7 @@ from repro.experiments import (
     fig12_overlap_ablation,
     fig15_max_batch_size,
 )
-from repro.gpu.spec import A100
+from repro.gpu.spec import A100, H100
 from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
@@ -378,7 +380,7 @@ import repro.cluster
 import repro.experiments
 import repro.serving.engine
 from repro.cluster import ClusterConfig, ClusterEngine
-from repro.gpu.spec import A100
+from repro.gpu.spec import A100, H100
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig
@@ -406,22 +408,113 @@ assert "numpy" not in sys.modules, "the simulator imported numpy"
 """
 
 
-def test_simulator_never_imports_numpy():
-    """The stretch series is pure Python: serving a fleet loads no
-    numpy, even where it is installed."""
+def run_without_numpy(script):
+    """Run ``script`` in a fresh interpreter that can import ``repro``."""
     src = str(Path(fastforward_module.__file__).resolve().parents[2])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    result = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_SCRIPT],
+    return subprocess.run(
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_simulator_never_imports_numpy():
+    """The stretch series is pure Python: serving a fleet loads no
+    numpy, even where it is installed."""
+    result = run_without_numpy(NO_NUMPY_SCRIPT)
     assert result.returncode == 0, result.stderr
+
+
+#: Every package of the simulator, plus its command-line entry point.
+REPRO_PACKAGES = ["repro", "repro.__main__"] + sorted(
+    f"repro.{path.parent.name}"
+    for path in Path(fastforward_module.__file__).resolve().parents[1].glob(
+        "*/__init__.py"
+    )
+)
+
+
+@pytest.mark.parametrize("package", REPRO_PACKAGES)
+def test_package_imports_no_numpy(package):
+    """No package pulls numpy in at import time, so the guard above
+    holds for every entry point, not only the fleet it serves."""
+    result = run_without_numpy(
+        f"import sys, {package}\n"
+        f"assert 'numpy' not in sys.modules, 'importing {package} loaded numpy'\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
+# ----------------------------------------------------------------------
+# The stretch series is the stepped clock
+# ----------------------------------------------------------------------
+#: (memory backend, decode kernel, GPU, KV block size) pairings a
+#: stretch is priced under. Paged plans have no constant overhead (their
+#: Block-Table preparation grows with block counts), so they take the
+#: ``overhead_at`` branch of ``_series``; the rest take the constant.
+SERIES_CASES = {
+    "vattention:fa2": ("vattention", "fa2", A100, 16),
+    "vattention:fi": ("vattention", "fi", A100, 16),
+    "vattention:fa3": ("vattention", "fa3", H100, 16),
+    "paged:fa2_paged": ("paged", "fa2_paged", A100, 64),
+    "paged:fi_paged": ("paged", "fi_paged", A100, 16),
+    "paged:vllm_paged": ("paged", "vllm_paged", A100, 16),
+    "static:fa2": ("static", "fa2", A100, 16),
+    "uvm:fa2": ("uvm", "fa2", A100, 16),
+}
+
+
+def _series_engine(backend, kernel, gpu, block_size, fast_forward):
+    engine = LLMEngine(
+        EngineConfig(
+            shard=ShardedModel(YI_6B, 1),
+            gpu=gpu,
+            memory_backend=backend,
+            decode_kernel=kernel,
+            max_batch_size=8,
+            block_size=block_size,
+            fast_forward=fast_forward,
+        )
+    )
+    engine.submit(fixed_trace(count=4, prompt_len=500, max_new_tokens=64))
+    return engine
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_series_is_the_stepped_clock(case):
+    """``_series`` over a proof's whole horizon reproduces the clock of
+    the per-iteration loop float for float: every iteration's start
+    time, and the time the last one ends."""
+    backend, kernel, gpu, block_size = SERIES_CASES[case]
+    engine = _series_engine(backend, kernel, gpu, block_size, fast_forward=True)
+    prep = engine._fast.prepare(math.inf)
+    while prep is None:  # step through the prefills
+        engine.run_until(math.nextafter(engine.clock.now, math.inf))
+        prep = engine._fast.prepare(math.inf)
+    if backend == "paged":
+        assert prep.overhead is None
+    else:
+        assert prep.overhead is not None
+    compute, starts = fastforward_module._series(prep)
+    n = prep.horizon
+    assert len(compute) == n and len(starts) == n + 1
+
+    stepped = _series_engine(
+        backend, kernel, gpu, block_size, fast_forward=False
+    )
+    stepped.run()
+    clock = [r.start_time for r in stepped.metrics.iterations]
+    clock.append(stepped.clock.now)
+    first = clock.index(prep.start)
+    assert [t.hex() for t in starts] == [
+        t.hex() for t in clock[first : first + n + 1]
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import KernelError
 from repro.gpu.spec import A100, H100
-from repro.kernels.base import KvLayout
+from repro.kernels.base import AttentionKernel, KvLayout
 from repro.kernels.fa2 import FlashAttention2, FlashAttention2Paged
 from repro.kernels.fa3 import FlashAttention3
 from repro.kernels.fi import (
@@ -202,22 +202,51 @@ class TestDecodeSeries:
     (not approximately), or a stretch would drift from the stepped
     loop."""
 
+    @staticmethod
+    def assert_series_equals_scalar(kernel, shard, batch):
+        for block in kernel.info.supported_block_sizes or (None,):
+            for horizon in (1, 7, 8, 500):
+                start = 1_237 * batch + 11
+                totals = range(start, start + horizon * batch, batch)
+                series = kernel.decode_time_total_series(
+                    shard, totals, batch, block
+                )
+                scalar = [
+                    kernel.decode_time_total(shard, t, batch, block)
+                    for t in totals
+                ]
+                assert [x.hex() for x in series] == [
+                    x.hex() for x in scalar
+                ], (kernel.info.name, shard.model.name, block, batch, horizon)
+
+    @pytest.mark.parametrize("batch", [1, 8, 96])
+    @pytest.mark.parametrize(
+        "model, tp", [(YI_6B, 1), (YI_34B, 2)], ids=["yi6b-tp1", "yi34b-tp2"]
+    )
     @pytest.mark.parametrize("name", list_kernels())
-    def test_series_equals_scalar(self, name, yi6b, yi34b):
+    def test_series_equals_scalar(self, name, model, tp, batch):
         kernel = get_kernel(name, H100 if name == "fa3" else A100)
+        self.assert_series_equals_scalar(kernel, ShardedModel(model, tp), batch)
+
+    def test_base_fallback_equals_scalar(self, yi6b, yi34b):
+        """A kernel that prices only the scalar form gets an exact series
+        from the base class's loop."""
+
+        class ScalarOnly(VllmPaged):
+            _decode_time_total_series = AttentionKernel._decode_time_total_series
+
+        kernel = ScalarOnly(A100)
         for shard in (yi6b, yi34b):
-            for block in kernel.info.supported_block_sizes or (None,):
-                for batch in (1, 8, 96):
-                    for horizon in (1, 7, 8, 500):
-                        start = 1_237 * batch + 11
-                        totals = range(start, start + horizon * batch, batch)
-                        series = kernel.decode_time_total_series(
-                            shard, totals, batch, block
-                        )
-                        scalar = [
-                            kernel.decode_time_total(shard, t, batch, block)
-                            for t in totals
-                        ]
-                        assert [x.hex() for x in series] == [
-                            x.hex() for x in scalar
-                        ], (name, shard.model.name, block, batch, horizon)
+            for batch in (1, 8, 96):
+                self.assert_series_equals_scalar(kernel, shard, batch)
+
+    def test_series_validates_like_scalar(self, yi6b):
+        paged = get_kernel("fa2_paged", A100)
+        with pytest.raises(KernelError):
+            paged.decode_time_total_series(yi6b, range(10, 20), 0, 16)
+        with pytest.raises(KernelError):
+            paged.decode_time_total_series(yi6b, range(10, 20), 1, 3)
+        with pytest.raises(KernelError):
+            get_kernel("fa2", A100).decode_time_total_series(
+                yi6b, range(10, 20), 1, 16
+            )
