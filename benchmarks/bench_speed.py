@@ -23,9 +23,11 @@ Cases (the decode-heavy end of the catalogue):
 Every row also prints the fast side's backend hook calls
 (``DecodeFastForwarder.hook_calls``), iteration series evaluated
 (``DecodeFastForwarder.series_evaluations``, at most one per backend
-plan) and vAttention manager slot visits
-(``VAttentionStats.slots_visited``, 0 on paged backends), each summed
-over a fleet's replicas; the cluster row adds the fast side's radix-tree edge comparisons
+plan), vAttention manager slot visits
+(``VAttentionStats.slots_visited``, 0 on paged backends), stretch
+proofs tried (``DecodeFastForwarder.proofs``) and iterations stepped
+one at a time (``LLMEngine.stepped_iterations``), each summed over a
+fleet's replicas; the cluster row adds the fast side's radix-tree edge comparisons
 (``RadixTreeStats.edge_compares``, summed over the replicas' trees).
 
 Usage::
@@ -138,6 +140,8 @@ def _run_engine(build: Callable[[], object], fast_forward: bool):
         "hook_calls": engine._fast.hook_calls,
         "series_evaluations": engine._fast.series_evaluations,
         "slots_visited": _slots_visited(engine),
+        "proofs": engine._fast.proofs,
+        "stepped_iterations": engine.stepped_iterations,
     }
     return elapsed, fingerprint, counters
 
@@ -160,6 +164,8 @@ def _run_cluster(build: Callable[[], object], fast_forward: bool):
             e._fast.series_evaluations for e in engines
         ),
         "slots_visited": sum(_slots_visited(e) for e in engines),
+        "proofs": sum(e._fast.proofs for e in engines),
+        "stepped_iterations": sum(e.stepped_iterations for e in engines),
         "edge_compares": sum(
             e.memory.cache.tree.stats.edge_compares for e in engines
         ),

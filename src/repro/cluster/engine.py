@@ -57,7 +57,7 @@ from ..metrics.rolling import RollingPercentileTracker
 from ..metrics.telemetry import ClusterTelemetry
 from ..metrics.telemetry import active as active_telemetry
 from ..scheduling import validate_scheduler_policy
-from ..serving.engine import EngineConfig, LLMEngine
+from ..serving.engine import EngineConfig, LLMEngine, _check_prompts_fit
 from ..serving.request import Request
 from ..sim.events import EventKind, EventQueue
 from ..sim.fastforward import FleetStretchExecutor, StretchOracle
@@ -569,11 +569,16 @@ class ClusterEngine:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, requests: Sequence[Request]) -> None:
-        """Queue logical requests for routing at their arrival times."""
+        """Queue logical requests for routing at their arrival times.
+
+        A prompt that leaves no room for an output token raises
+        :class:`ConfigError` and queues nothing.
+        """
         if self._started:
             raise SchedulingError(
                 "cluster already ran; submit before calling run()"
             )
+        _check_prompts_fit(requests, self.config.engine.shard)
         self._submitted.extend(requests)
 
     # ------------------------------------------------------------------
@@ -845,7 +850,14 @@ class ClusterEngine:
                 prefix=request.prefix,
             )
             record.serve_request = clone
-            if request.max_new_tokens > 1:
+            # A prompt one token short of the model's context finishes
+            # at its first token, as on an aggregated replica: it owes
+            # no continuation (one would hold a full context and no room
+            # for another token).
+            if (
+                request.max_new_tokens > 1
+                and request.prompt_len + 1 < self.config.engine.shard.max_context
+            ):
                 record.awaits_decode = True
                 self._awaiting[clone.request_id] = record
             replica.engine.submit([clone])

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import AllocationFailed, ConfigError, SchedulingError
 from ..gpu.device import Device
@@ -161,7 +161,7 @@ class VAttention:
     test oracle.
 
     ``step``, ``share_prefix`` and the decode plan record contexts
-    through :meth:`record_context`, which enters the lookahead list.
+    through :meth:`record_contexts`, which enters the lookahead list.
     Reclamation only takes rows that a recorded context does not need,
     so only a recorded context can make a slot need a lookahead row.
     The lookahead pass drops the slots it serves and those that need
@@ -476,7 +476,7 @@ class VAttention:
         # keeps the reclamation paths honest — otherwise the aliased
         # rows look like an idle slot's reclaimable excess until the
         # next step() and could be stripped mid-iteration.
-        self.record_context(dst, prefix_tokens)
+        self.record_contexts(((dst, prefix_tokens),))
         self.stats.prefix_shares += 1
         self._charge_sync(latency + copy_seconds)
         return PrefixShareResult(
@@ -522,13 +522,30 @@ class VAttention:
         for inactive reqIds. Returns 0 on success; -1 if physical memory
         is exhausted, in which case the framework should preempt
         (nothing is partially applied on failure beyond reclaimed cache).
+
+        The paper's array form: it hands its nonzero entries, in reqId
+        order, to :meth:`step_contexts`, which does the work.
         """
-        self._check_live()
         if len(seq_lens) != self.config.max_batch_size:
             raise SchedulingError(
                 f"seq_lens has {len(seq_lens)} entries, expected "
                 f"{self.config.max_batch_size}"
             )
+        return self.step_contexts(
+            [(req_id, ctx) for req_id, ctx in enumerate(seq_lens) if ctx]
+        )
+
+    def step_contexts(self, contexts: Sequence[Tuple[int, int]]) -> int:
+        """:meth:`step` over ``(reqId, context)`` pairs.
+
+        ``contexts`` lists the iteration's requests in ascending reqId
+        order, each with a positive context; an unlisted reqId is the
+        array form's 0 entry. The serving backend calls this directly,
+        so a step costs the requests in it, not ``max_batch_size``
+        entries. Pairs out of order, a repeated or out-of-range reqId,
+        or a context below 1 raise :class:`SchedulingError`.
+        """
+        self._check_live()
         self.stats.steps += 1
         sync_seconds = 0.0
 
@@ -540,26 +557,39 @@ class VAttention:
         sync_seconds += self.background.flush_critical()
 
         # Compute and satisfy demand.
+        slots = self.slots
+        n_slots = len(slots)
+        max_context = self.config.shard.max_context
+        batch: List[tuple[RequestSlot, int]] = []
         demands: List[tuple[RequestSlot, int]] = []
         total_needed = 0
-        for req_id, ctx in enumerate(seq_lens):
-            if ctx == 0:
-                continue
-            slot = self.slots[req_id]
+        previous = -1
+        for req_id, ctx in contexts:
+            if not previous < req_id < n_slots:
+                raise SchedulingError(
+                    f"step contexts: reqId {req_id} out of range or not "
+                    f"above the previous reqId {previous}"
+                )
+            previous = req_id
+            if ctx <= 0:
+                raise SchedulingError(
+                    f"step contexts: reqId {req_id} has context {ctx}"
+                )
+            slot = slots[req_id]
             if not slot.active:
                 raise SchedulingError(
-                    f"seq_lens[{req_id}]={ctx} but reqId {req_id} is inactive"
+                    f"context {ctx} for reqId {req_id}, which is inactive"
                 )
-            if ctx > self.config.shard.max_context:
+            if ctx > max_context:
                 raise SchedulingError(
-                    f"context {ctx} exceeds model maximum "
-                    f"{self.config.shard.max_context}"
+                    f"context {ctx} exceeds model maximum {max_context}"
                 )
             if ctx < slot.context_len:
                 raise SchedulingError(
                     f"reqId {req_id}: context cannot shrink "
                     f"({slot.context_len} -> {ctx})"
                 )
+            batch.append((slot, ctx))
             needed = self.rows_for_context(ctx) - slot.mapped_rows
             if needed > 0:
                 demands.append((slot, needed))
@@ -571,40 +601,47 @@ class VAttention:
             self._charge_sync(sync_seconds)
             return -1
 
-        # Until the loop below records the new contexts, a slot being
-        # grown holds rows past its recorded context's need, so a
-        # reclamation inside _map_rows (needed once the free rows run
-        # out) may trim it, as a walk over every slot would.
+        # Until the contexts are recorded below, a slot being grown
+        # holds rows past its recorded context's need, so a reclamation
+        # inside _map_rows (needed once the free rows run out) may trim
+        # it, as a walk over every slot would.
         if total_needed > len(self._free_rows):
             for slot, _needed in demands:
                 _insert(self._excess, slot)
         for slot, needed in demands:
             sync_seconds += self._map_rows(slot, needed, background=False,
                                            charge=False)
-        slots = self.slots
-        for req_id, ctx in enumerate(seq_lens):
-            if ctx > 0:
-                self.record_context(slots[req_id], ctx)
+        self.record_contexts(batch)
 
         self._charge_sync(sync_seconds)
         self.stats.last_step_sync_seconds = sync_seconds
         return 0
 
-    def record_context(self, slot: RequestSlot, context: int) -> None:
-        """Record active ``slot``'s (positive) context length without
-        mapping rows.
+    def record_contexts(
+        self,
+        contexts: Iterable[Tuple[RequestSlot, int]],
+        offset: int = 0,
+    ) -> None:
+        """Record each active slot's context, ``context + offset`` for
+        each ``(slot, context)`` pair, without mapping rows.
 
         With overlapped allocation, a slot whose context has reached its
         mapped capacity joins the lookahead list: the next
-        :meth:`on_iteration_end` maps the row its next token needs.
+        :meth:`on_iteration_end` maps the row its next token needs. The
+        decode plan records its whole batch, ``offset`` iterations past
+        entry, with one call.
         """
-        slot.context_len = context
-        if (
-            self._overlap
-            and not slot.frozen
-            and context >= len(slot.rows) * self._tokens_per_row
-        ):
-            _insert(self._lookahead, slot)
+        overlap = self._overlap
+        tokens_per_row = self._tokens_per_row
+        for slot, context in contexts:
+            context += offset
+            slot.context_len = context
+            if (
+                overlap
+                and not slot.frozen
+                and context >= len(slot.rows) * tokens_per_row
+            ):
+                _insert(self._lookahead, slot)
 
     def on_iteration_end(self, iteration_seconds: float) -> None:
         """Observe one compute window; run the background thread (S6.1).

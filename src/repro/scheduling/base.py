@@ -166,6 +166,9 @@ class SchedulerPolicy(abc.ABC):
         The conservative default is 0 — custom policies opt *in* to
         decode fast-forwarding by overriding this; a policy whose
         decisions depend on, say, the clock value itself must not.
+        While a running request awaits its prefill the next plan is not
+        a pure decode, so the answer must be 0; the engine then records
+        "no stretch" without asking.
         """
         return 0
 

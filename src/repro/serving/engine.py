@@ -88,6 +88,21 @@ def _default_fast_forward() -> bool:
     return DEFAULT_FAST_FORWARD
 
 
+def _check_prompts_fit(
+    requests: Sequence[Request], shard: ShardedModel
+) -> None:
+    """Raise :class:`ConfigError` for a request whose prompt leaves no
+    room for an output token (``prompt_len >= shard.max_context``)."""
+    max_context = shard.max_context
+    for request in requests:
+        if request.prompt_len >= max_context:
+            raise ConfigError(
+                f"{request.request_id}: a prompt of {request.prompt_len} "
+                f"tokens leaves no room for an output token (the model's "
+                f"context is {max_context} tokens)"
+            )
+
+
 @dataclass
 class EngineConfig:
     """Configuration of one serving-engine instance.
@@ -270,6 +285,13 @@ class LLMEngine:
         #: does not bump it: a queued request is outside the proof, and
         #: the arrival bound (:meth:`_arrival_cap`) is applied live.
         self._batch_version = 0
+        #: Running requests that still need their prefill. It changes at
+        #: admission, when a prefill ends (monolithic or a final chunk)
+        #: and when a preemption takes a request out of the batch; a
+        #: retired request always has its prefill done. While it is
+        #: non-zero no policy plans a decode stretch, so the
+        #: fast-forwarder skips the proof.
+        self._prefill_pending = 0
         #: Iterations executed one at a time (prefill, mixed, or decode
         #: the fast-forwarder could not prove steady).
         self.stepped_iterations = 0
@@ -373,12 +395,15 @@ class LLMEngine:
         ``_pending`` stays in arrival order across calls (ties keep
         submission order), so its head is always the earliest arrival.
         A draining engine (:meth:`begin_drain`) starts no new work, so
-        it refuses the submission with :class:`SchedulingError`.
+        it refuses the submission with :class:`SchedulingError`; a
+        prompt that leaves no room for an output token raises
+        :class:`ConfigError` and queues nothing.
         """
         if self.draining:
             raise SchedulingError(
                 "engine is draining; route new work to another engine"
             )
+        _check_prompts_fit(requests, self.config.shard)
         pending = self._pending
         for request in sorted(requests, key=lambda r: r.arrival_time):
             arrival = request.arrival_time
@@ -672,6 +697,8 @@ class LLMEngine:
             request.state = RequestState.RUNNING
             request.admitted_time = self.clock.now
             self._running.append(request)
+            if not request.prefill_done:
+                self._prefill_pending += 1
             self._batch_version += 1
             if self.telemetry is not None:
                 self.telemetry.on_admit(self, request, picked)
@@ -716,6 +743,7 @@ class LLMEngine:
         self.clock.advance(compute)
         held = self._contribution(request)
         request.record_prefill(self.clock.now)
+        self._prefill_pending -= 1
         self._outstanding += self._contribution(request) - held
         self.memory.note_prefill_complete(request)
         self.memory.backend.after_iteration(compute)
@@ -736,7 +764,7 @@ class LLMEngine:
                 self, record, prefill=request, chunk=new_tokens
             )
             self.telemetry.on_iteration(self, record)
-        self._retire_finished()
+        self._retire_finished((request,))
 
     def _run_mixed(self, prefill: Request, chunk_budget: int) -> None:
         """One Sarathi-style iteration: a prefill chunk + all decodes.
@@ -810,6 +838,7 @@ class LLMEngine:
         prefill.record_prefill_chunk(chunk, self.clock.now)
         self._outstanding += self._contribution(prefill) - held
         if prefill.prefill_done:
+            self._prefill_pending -= 1
             self.memory.note_prefill_complete(prefill)
         for request in decodes:
             request.record_decode_token(self.clock.now)
@@ -905,6 +934,8 @@ class LLMEngine:
                 if self._running[index] is victim:
                     del self._running[index]
                     break
+            if not victim.prefill_done:
+                self._prefill_pending -= 1
             self._evict(victim)
             victim.state = RequestState.QUEUED
             self._waiting.appendleft(victim)
@@ -923,12 +954,22 @@ class LLMEngine:
             self.telemetry.on_tier_transfer(self, victim, outcome)
         self._outstanding += self._contribution(victim) - held
 
-    def _retire_finished(self) -> None:
-        # Runs after every iteration; most find nothing to retire, so
-        # scan first (inlining context_len) and only rebuild the
-        # running list when a request actually finished.
+    def _retire_finished(
+        self, candidates: Optional[Sequence[Request]] = None
+    ) -> None:
+        """Retire the running requests that have finished.
+
+        Only a request an iteration advanced can have newly finished:
+        admission never brings in a finished one (:meth:`submit` refuses
+        a prompt with no room for an output token). So ``candidates``
+        narrows the scan to the requests the caller advanced: a prefill
+        passes its one request, and a decode stretch calls this only
+        when it reached its completion bound. Most calls find nothing,
+        so the scan (inlining ``context_len``) runs first and the
+        running list is rebuilt only when a request actually finished.
+        """
         max_context = self.config.shard.max_context
-        for request in self._running:
+        for request in self._running if candidates is None else candidates:
             if request.generated >= request.max_new_tokens or (
                 request.prompt_len + request.generated >= max_context
             ):

@@ -180,8 +180,7 @@ class _VattentionDecodePlan(DecodeFastPath):
 
     def on_iteration(self, iteration: int, window: float) -> bool:
         manager = self.manager
-        for slot, c0 in self._slots:
-            manager.record_context(slot, c0 + iteration + 1)
+        manager.record_contexts(self._slots, iteration + 1)
         manager.on_iteration_end(window)
         if not self._overlap:
             # The horizon was derived from the entry-time row coverage;
@@ -215,8 +214,7 @@ class _VattentionDecodePlan(DecodeFastPath):
 
     def commit(self, executed: int) -> None:
         manager = self.manager
-        for slot, c0 in self._slots:
-            manager.record_context(slot, c0 + executed)
+        manager.record_contexts(self._slots, executed)
         stats = manager.stats
         stats.steps += executed - self._committed
         self._committed = executed
@@ -231,7 +229,6 @@ class VAttentionMemory(MemoryBackend):
     def __init__(self, device: Device, config: VAttentionConfig) -> None:
         self.config = config
         self.manager = VAttention(device, config)
-        self._seq_lens: List[int] = [0] * config.max_batch_size
         #: Rows promised to admitted requests whose prompts are not yet
         #: backed; keeps admission from over-committing the device.
         self._pending_rows: Dict[str, int] = {}
@@ -296,10 +293,12 @@ class VAttentionMemory(MemoryBackend):
         return handle
 
     def prepare_iteration(self, batch: Sequence[Request]) -> bool:
-        for i in range(len(self._seq_lens)):
-            self._seq_lens[i] = 0
+        """One ``step`` over the batch's ``(reqId, context)`` pairs."""
+        max_context = self.config.shard.max_context
+        contexts: List[Tuple[int, int]] = []
         for request in batch:
-            if request.memory_handle is None:
+            handle = request.memory_handle
+            if handle is None:
                 raise SchedulingError(f"{request.request_id} has no reqId")
             # Prefill must back the whole prompt; decode grows by one.
             target = (
@@ -307,13 +306,14 @@ class VAttentionMemory(MemoryBackend):
                 if request.needs_prefill
                 else request.context_len + 1
             )
-            self._seq_lens[request.memory_handle] = min(
-                target, self.config.shard.max_context
-            )
-        if self.manager.step(self._seq_lens) != 0:
+            contexts.append((handle, min(target, max_context)))
+        contexts.sort()
+        if self.manager.step_contexts(contexts) != 0:
             return False
-        for request in batch:
-            self._pending_rows.pop(request.request_id, None)
+        pending = self._pending_rows
+        if pending:
+            for request in batch:
+                pending.pop(request.request_id, None)
         return True
 
     def release(self, request: Request) -> None:

@@ -31,9 +31,15 @@ spells out the contract):
    Static: unbounded; UVM: until the next page fault).
 2. **Scheduling** — :meth:`~repro.scheduling.base.SchedulerPolicy.
    stable_decode_horizon`: iterations over which the policy provably
-   keeps planning the same pure-decode batch.
+   keeps planning the same pure-decode batch. A pre-check runs ahead
+   of it: while a running request still needs its prefill, every
+   policy's bound is 0, so the engine's count of such requests
+   (``LLMEngine._prefill_pending``) being non-zero records "no
+   stretch" without a proof.
 3. **Completion** — tokens until the earliest request in the batch
-   finishes (token budget or model context limit).
+   finishes (token budget or model context limit). Only a stretch that
+   reaches this bound retires a request, so only such a stretch runs
+   the engine's retirement check.
 4. **Events** — the next pending arrival and the caller's ``run_until``
    deadline, checked against each iteration's start time (an iteration
    that would *start* at or past either never runs, matching the
@@ -180,6 +186,7 @@ class _StretchPrep:
         "overhead",
         "has_hooks",
         "base",
+        "completion",
         "owner",
         "compute",
         "starts",
@@ -361,7 +368,10 @@ class DecodeFastForwarder:
         engine = self.engine
         state = (engine._batch_version, engine.clock.now)
         if self._memo_state != state:
-            self._memo = self._prove()
+            # A member awaiting its prefill makes every policy's bound 2
+            # zero (the next plan is not a decode): record "no stretch"
+            # without the proof.
+            self._memo = None if engine._prefill_pending else self._prove()
             self._memo_state = state
         prep = self._memo
         if prep is None:
@@ -387,15 +397,24 @@ class DecodeFastForwarder:
         horizon = engine.scheduler.stable_decode_horizon(
             batch, engine._scheduling_view()
         )
-        # --- Bound (3): earliest completion (token budget or context cap).
+        if horizon < 2:
+            return None
+        # --- Bound (3): earliest completion (token budget or context
+        # cap), in one pass with the batch's token total.
         max_context = shard.max_context
+        completion = UNBOUNDED_HORIZON
+        total_tokens = 0
         for request in batch:
+            generated = request.generated
+            context = request.prompt_len + generated
+            total_tokens += context
             remaining = min(
-                request.max_new_tokens - request.generated,
-                max_context - request.context_len,
+                request.max_new_tokens - generated, max_context - context
             )
-            if remaining < horizon:
-                horizon = remaining
+            if remaining < completion:
+                completion = remaining
+        if completion < horizon:
+            horizon = completion
         if horizon < 2:
             return None
         # --- Bound (1): the memory backend's steady-state promise.
@@ -431,10 +450,8 @@ class DecodeFastForwarder:
         prep.overhead = plan.per_iteration_overhead
         prep.has_hooks = plan.has_hooks
         prep.start = engine.clock.now
-        total_tokens = 0
-        for request in batch:
-            total_tokens += request.context_len
         prep.total_tokens = total_tokens
+        prep.completion = completion
         prep.base = 0
         prep.owner = self
         prep.starts = None
@@ -528,7 +545,10 @@ class DecodeFastForwarder:
             prep.base = done
             self._memo = prep
             self._memo_state = (engine._batch_version, engine.clock.now)
-        engine._retire_finished()
+        if done == prep.completion:
+            # A member's budget or context ran out; short of the bound,
+            # every member still owes a token and nothing retires.
+            engine._retire_finished()
         return executed
 
 

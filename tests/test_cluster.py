@@ -20,6 +20,7 @@ from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
+from repro.serving.request import Request
 from repro.workloads.arrival import poisson_arrivals
 from repro.workloads.traces import shared_prefix_trace
 
@@ -108,6 +109,18 @@ class TestClusterConfig:
         c.run()
         with pytest.raises(SchedulingError):
             c.submit(trace(count=2))
+
+    def test_submit_rejects_prompt_without_room(self):
+        c = cluster(2)
+        limit = c.config.engine.shard.max_context
+        requests = [
+            Request("short", prompt_len=100, max_new_tokens=8),
+            Request("long", prompt_len=limit, max_new_tokens=8),
+        ]
+        with pytest.raises(ConfigError, match="long"):
+            c.submit(requests)
+        report = c.run()
+        assert report.records == []
 
     def test_second_run_rejected(self):
         c = cluster(2)
@@ -330,6 +343,20 @@ class TestDisaggregation:
         )
         assert report.migrated_bytes == expected
         assert report.migration_seconds > 0
+
+    def test_prompt_one_short_of_the_context_owes_no_continuation(self):
+        """The prefill's first token fills the model's context: the
+        request finishes there, as on an aggregated replica."""
+        c = cluster(2, disaggregated=True, n_prefill_replicas=1)
+        limit = c.config.engine.shard.max_context
+        c.submit(
+            [Request("edge", prompt_len=limit - 1, max_new_tokens=8)]
+        )
+        report = c.run()
+        assert report.migrations == 0
+        (record,) = report.finished_records
+        assert record.decode_request is None
+        assert record.serve_request.generated == 1
 
     def test_tiers_split_the_work(self):
         _, report = self._run()

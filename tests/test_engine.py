@@ -5,12 +5,20 @@ import math
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments.ext_cluster_router import build_cluster, cluster_trace
 from repro.gpu.spec import A100, H100
+from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
+from repro.serving.request import Request
 from repro.units import GB
-from repro.workloads.traces import fixed_trace
+from repro.workloads.arrival import poisson_arrivals
+from repro.workloads.traces import (
+    fixed_trace,
+    openchat_trace,
+    shared_prefix_trace,
+)
 
 
 def make_engine(**overrides) -> LLMEngine:
@@ -198,3 +206,204 @@ class TestH100:
         h100.submit(fixed_trace(count=2, prompt_len=32_000, max_new_tokens=5))
         h100_report = h100.run()
         assert h100_report.makespan < a100_report.makespan
+
+
+class TestPromptMustLeaveRoom:
+    """A prompt at or past the model's context has no room for an
+    output token: submission refuses it instead of retiring it unserved
+    at some other request's iteration."""
+
+    def test_engine_rejects_the_whole_submission(self):
+        engine = make_engine()
+        limit = engine.config.shard.max_context
+        assert limit == 200_000
+        requests = [
+            Request("short", prompt_len=100, max_new_tokens=8),
+            Request("long", prompt_len=limit, max_new_tokens=8),
+        ]
+        with pytest.raises(ConfigError, match="long"):
+            engine.submit(requests)
+        assert not engine.has_work()
+        assert engine.outstanding_tokens == 0
+
+    def test_one_token_short_finishes_at_its_prefill(self):
+        engine = make_engine()
+        limit = engine.config.shard.max_context
+        engine.submit(
+            [
+                Request("short", prompt_len=100, max_new_tokens=8),
+                Request("edge", prompt_len=limit - 1, max_new_tokens=8),
+            ]
+        )
+        report = engine.run()
+        assert len(report.finished_requests) == 2
+        edge = next(r for r in report.requests if r.request_id == "edge")
+        assert edge.prefill_done
+        assert edge.generated == 1
+        assert edge.finish_time == edge.first_token_time
+
+
+def small_engine(**overrides) -> LLMEngine:
+    """A 16-wide Yi-6B batch over a 2 GB KV budget: preemption bites."""
+    defaults = dict(max_batch_size=16, kv_budget_bytes=2 * GB)
+    defaults.update(overrides)
+    return make_engine(**defaults)
+
+
+def openchat_at_zero(count: int = 60):
+    return openchat_trace(
+        arrivals=[0.0] * count,
+        seed=7,
+        max_context=ShardedModel(YI_6B, 1).max_context,
+    )
+
+
+def chunked_pressure():
+    """Long decodes behind chunked prompts: a preemption takes requests
+    whose prefill has not finished."""
+    return fixed_trace(
+        count=24,
+        prompt_len=1_500,
+        max_new_tokens=3_000,
+        arrivals=poisson_arrivals(qps=4, count=24, seed=5),
+    )
+
+
+#: name -> (build the engine or fleet and submit its trace, what the
+#: run must show for the scenario to cover its transition).
+PREFILL_COUNT_SCENARIOS = {
+    "fcfs_recompute": (
+        lambda: (small_engine(), openchat_at_zero()),
+        "preempted",
+    ),
+    "fcfs_swap": (
+        lambda: (
+            small_engine(memory=MemoryConfig(preemption_mode="swap")),
+            openchat_at_zero(),
+        ),
+        "preempted",
+    ),
+    "fcfs_tiered": (
+        lambda: (
+            small_engine(memory=MemoryConfig(preemption_mode="tiered")),
+            openchat_at_zero(),
+        ),
+        "preempted",
+    ),
+    "hybrid_chunked": (
+        lambda: (
+            small_engine(
+                scheduler_policy="hybrid",
+                prefill_chunk_size=256,
+                eager_allocation=False,
+            ),
+            chunked_pressure(),
+        ),
+        "pending_victim",
+    ),
+    "sla_chunked": (
+        lambda: (
+            small_engine(
+                scheduler_policy="sla",
+                sla_ttft_budget=1.0,
+                prefill_chunk_size=1_024,
+                eager_allocation=False,
+            ),
+            chunked_pressure(),
+        ),
+        "pending_victim",
+    ),
+    "prefix_cache": (
+        lambda: (
+            small_engine(
+                kv_budget_bytes=4 * GB,
+                memory=MemoryConfig(enable_prefix_cache=True),
+            ),
+            shared_prefix_trace(
+                count=60,
+                sharing_factor=6,
+                arrivals=poisson_arrivals(qps=20, count=60, seed=3),
+            ),
+        ),
+        "cached_prefix",
+    ),
+    "disaggregated_fleet": (
+        lambda: (
+            build_cluster(
+                4, "cache_aware", disaggregated=True, n_prefill_replicas=2
+            ),
+            cluster_trace(count=48),
+        ),
+        "migrated",
+    ),
+}
+
+
+class TestPrefillPendingCount:
+    """The engine's count of running requests awaiting their prefill,
+    which lets the fast-forwarder skip a proof, equals a scan of the
+    running batch after every serve pass."""
+
+    @staticmethod
+    def watch(engine: LLMEngine, seen: dict) -> None:
+        """Check the count around every stretch attempt and stepped
+        iteration, and note preemptions of requests awaiting prefill."""
+
+        def check():
+            expected = sum(1 for r in engine._running if r.needs_prefill)
+            assert engine._prefill_pending == expected
+            seen["checks"] += 1
+
+        run_iteration = engine._run_iteration
+        execute = engine._fast.execute
+        select_victim = engine.scheduler.select_victim
+
+        def checked_iteration():
+            check()
+            run_iteration()
+            check()
+
+        def checked_execute(deadline):
+            check()
+            done = execute(deadline)
+            check()
+            return done
+
+        def noted_victim(running, protected=None):
+            victim = select_victim(running, protected)
+            if not victim.prefill_done:
+                seen["pending_victim"] += 1
+            return victim
+
+        engine._run_iteration = checked_iteration
+        engine._fast.execute = checked_execute
+        engine.scheduler.select_victim = noted_victim
+
+    @pytest.mark.parametrize("name", sorted(PREFILL_COUNT_SCENARIOS))
+    def test_count_matches_a_scan(self, name):
+        build, covers = PREFILL_COUNT_SCENARIOS[name]
+        target, requests = build()
+        fleet = getattr(target, "replicas", None)
+        engines = [r.engine for r in fleet] if fleet else [target]
+        seen = {"checks": 0, "pending_victim": 0}
+        for engine in engines:
+            self.watch(engine, seen)
+        target.submit(requests)
+        report = target.run()
+        for engine in engines:
+            assert engine._prefill_pending == 0
+        assert seen["checks"] > 0
+        if fleet:
+            assert len(report.finished_records) == len(requests)
+        else:
+            assert len(report.finished_requests) == len(requests)
+        # The scenario reaches the transition it is here for.
+        if covers == "preempted":
+            assert sum(r.preemptions for r in requests) > 0
+        elif covers == "pending_victim":
+            assert seen["pending_victim"] > 0
+            assert report.metrics.of_phase("mixed")
+        elif covers == "cached_prefix":
+            assert any(r.cached_prefix_tokens for r in requests)
+        else:
+            assert report.migrations > 0

@@ -1,5 +1,6 @@
 """VAttention manager: the Table 4 API and the S6 optimizations."""
 
+import copy
 from operator import attrgetter
 
 import pytest
@@ -523,12 +524,7 @@ class TestAgainstFullScans:
         elif kind == "free" and active:
             manager.free_reqid(active[a % len(active)].req_id)
         elif kind == "step" and active:
-            # Grow one slot, or two: a reclamation while the second
-            # maps may trim the first.
-            seq = [s.context_len if s.active else 0 for s in slots]
-            for i in {a % len(active), b % len(active)}:
-                seq[active[i].req_id] = active[i].context_len + b
-            manager.step(seq)
+            manager.step(TestAgainstFullScans.step_lens(manager, a, b))
         elif kind == "iterate":
             manager.on_iteration_end(b * 1e-5)
         elif kind == "share":
@@ -544,6 +540,103 @@ class TestAgainstFullScans:
             if backed:
                 slot = backed[a % len(backed)]
                 manager.trim_slot(slot.req_id, b % (slot.context_len + 1))
+
+    @staticmethod
+    def step_lens(manager, a, b):
+        """The ``seq_lens`` of a ``("step", a, b)`` op: grow one active
+        slot, or two (a reclamation while the second maps may trim the
+        first); ``None`` when no slot is active."""
+        active = [s for s in manager.slots if s.active]
+        if not active:
+            return None
+        seq = [s.context_len if s.active else 0 for s in manager.slots]
+        for i in {a % len(active), b % len(active)}:
+            seq[active[i].req_id] = active[i].context_len + b
+        return seq
+
+    @staticmethod
+    def outcome(call, argument):
+        """What ``call(argument)`` returns, or the type it raises."""
+        try:
+            return ("returned", call(argument))
+        except (AllocationFailed, SchedulingError) as error:
+            return ("raised", type(error))
+
+    @staticmethod
+    def snapshot(manager):
+        """Every piece of manager state a step reads or writes."""
+        worker = manager.background
+        return (
+            [
+                (
+                    s.active,
+                    s.context_len,
+                    s.shared_rows,
+                    s.frozen,
+                    [h.handle_id for h in s.rows],
+                )
+                for s in manager.slots
+            ],
+            [h.handle_id for h in manager._free_rows],
+            sorted(manager._row_refs.items()),
+            vars(manager.stats),
+            [s.req_id for s in manager._lookahead],
+            [s.req_id for s in manager._excess],
+            [s.req_id for s in manager._holding],
+            manager._inactive_rows,
+            (worker.critical_pending, worker.opportunistic_pending),
+            manager.clock.now,
+        )
+
+    @settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        max_examples=60,
+    )
+    @given(
+        ops=OPS,
+        eager=st.booleans(),
+        deferred=st.booleans(),
+        overlap=st.booleans(),
+    )
+    def test_sparse_step_equals_array_step(self, ops, eager, deferred, overlap):
+        """At every step of a random call sequence, the array ``step``
+        and ``step_contexts`` over its nonzero entries, run on copies of
+        one manager, return the same value and leave the same rows,
+        contexts, stats, lookahead list and excess list."""
+        manager = self.small_manager(eager, deferred, overlap)
+        for kind, a, b in ops:
+            seq = self.step_lens(manager, a, b) if kind == "step" else None
+            if seq is None:
+                try:
+                    self.apply(manager, kind, a, b)
+                except AllocationFailed:
+                    pass
+                continue
+            twin = copy.deepcopy(manager)
+            pairs = [(req_id, ctx) for req_id, ctx in enumerate(seq) if ctx]
+            expected = self.outcome(manager.step, seq)
+            assert self.outcome(twin.step_contexts, pairs) == expected
+            assert self.snapshot(twin) == self.snapshot(manager)
+
+    def test_sparse_step_rejects_malformed_pairs(self):
+        manager = self.small_manager(False, True, False)
+        for _ in range(3):
+            manager.alloc_reqid()
+        malformed = {
+            "unsorted": [(1, 10), (0, 10)],
+            "duplicated": [(0, 10), (0, 12)],
+            "negative reqId": [(-1, 10)],
+            "reqId past the batch": [(8, 10)],
+            "zero context": [(0, 10), (1, 0)],
+            "negative context": [(2, -3)],
+        }
+        for pairs in malformed.values():
+            with pytest.raises(SchedulingError):
+                manager.step_contexts(pairs)
+        assert [s.context_len for s in manager.slots[:3]] == [0, 0, 0]
+        assert manager.step_contexts([(0, 10), (2, 70)]) == 0
+        assert [s.context_len for s in manager.slots[:3]] == [10, 0, 70]
 
     @staticmethod
     def assert_index_agrees(manager):
