@@ -82,11 +82,7 @@ class VAttentionConfig:
         Without slicing a tensor is one layer's K (or V): ``H*D*P``.
         With slicing a tensor spans all layers: ``N*H*D*P``.
         """
-        per_layer = (
-            self.shard.kv_heads_per_worker
-            * self.shard.head_dim
-            * self.shard.dtype_bytes
-        )
+        per_layer = self.shard.k_bytes_per_token_per_layer
         if self.tensor_slicing:
             return self.shard.n_layers * per_layer
         return per_layer

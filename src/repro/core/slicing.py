@@ -49,9 +49,7 @@ def block_size_tokens(
     shard: ShardedModel, page_group_size: int = 2 * MB, sliced: bool = False
 ) -> int:
     """Tokens per page-group — the paper's KV block size (Tables 8/10)."""
-    per_token = (
-        shard.kv_heads_per_worker * shard.head_dim * shard.dtype_bytes
-    )
+    per_token = shard.k_bytes_per_token_per_layer
     if sliced:
         per_token *= shard.n_layers
     return page_group_size // per_token

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..gpu.spec import A100, GpuSpec
-from ..kernels.costmodel import linear_decode_time
+from ..kernels.costmodel import decode_iteration_seconds
 from ..kernels.registry import get_kernel
 from ..models.config import ModelConfig
 from ..models.shard import ShardedModel
 from ..models.zoo import EVALUATED_MODELS
-from ..serving.engine import ITERATION_CPU_OVERHEAD, PER_SEQ_CPU_OVERHEAD
 
 DEFAULT_BATCHES = (1, 64, 128, 192, 256, 300)
 INITIAL_CONTEXT = 1_024
@@ -44,14 +43,18 @@ def decode_iteration_latency(
     batch_size: int,
     context_len: int,
 ) -> float:
-    """Latency of one decode iteration with the FA2 kernel."""
-    kernel = get_kernel("fa2", gpu)
-    return (
-        linear_decode_time(shard, gpu, batch_size)
-        + kernel.decode_time(shard, [context_len] * batch_size)
-        + ITERATION_CPU_OVERHEAD
-        + PER_SEQ_CPU_OVERHEAD * batch_size
+    """Latency of one decode iteration with the FA2 kernel (no memory
+    backend, so no framework overhead)."""
+    (latency,) = decode_iteration_seconds(
+        shard,
+        gpu,
+        get_kernel("fa2", gpu),
+        None,
+        batch_size,
+        (context_len * batch_size,),
+        (0.0,),
     )
+    return latency
 
 
 def run(

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..gpu.spec import GpuSpec
-from ..kernels.costmodel import linear_prefill_time
+from ..kernels.costmodel import ITERATION_CPU_OVERHEAD, linear_prefill_time
 from ..kernels.registry import get_kernel
 from ..models.shard import ShardedModel
 from ..paged.block_table import block_table_cost
-from ..serving.engine import ITERATION_CPU_OVERHEAD
 from .common import PAPER_CONFIGS
 
 

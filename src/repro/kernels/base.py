@@ -128,17 +128,18 @@ class AttentionKernel(abc.ABC):
         Every library's decode latency depends on the batch only through
         its *total* token count and its *size* (S7.2: latency is
         proportional to total tokens; per-library factors depend on
-        batch size and block size). :meth:`decode_time` routes through
-        the same per-library implementation, so for any ``context_lens``
-        this returns the bit-identical float — which is what lets the
-        decode fast path evolve ``total_tokens`` by integer increments
-        instead of walking a context list every iteration.
+        batch size and block size). This is element 0 of
+        :meth:`decode_time_total_series` over ``(total_tokens,)``, and
+        :meth:`decode_time` routes through it, so every entry point
+        returns the same float for the same total.
         """
         if not self.info.supports_decode:
             raise KernelError(f"{self.info.name} has no decode kernel")
         if batch_size <= 0:
             raise KernelError(f"decode batch must be positive, got {batch_size}")
         resolved = self.validate_block_size(block_size)
+        if total_tokens < 0:
+            raise KernelError(f"negative total tokens: {total_tokens}")
         return self._decode_time_total(shard, total_tokens, batch_size, resolved)
 
     def decode_time_total_series(
@@ -148,13 +149,13 @@ class AttentionKernel(abc.ABC):
         batch_size: int,
         block_size: Optional[int] = None,
     ) -> List[float]:
-        """:meth:`decode_time_total` over a series of total-token counts.
+        """Decode attention time for each of a series of total-token
+        counts at one batch size.
 
-        Element ``i`` of the returned list is bit-identical to
-        ``decode_time_total(shard, totals[i], batch_size, block_size)``.
-        Subclasses override :meth:`_decode_time_total_series` to hoist
-        their per-batch constants and keep their scalar op order per
-        element; the base fallback loops the scalar implementation.
+        The library's decode rule, stated once
+        (:meth:`_decode_time_total_series`): each kernel hoists its
+        per-batch constants and returns one float per total. The decode
+        fast-forwarder prices a whole stretch with one call.
         """
         if not self.info.supports_decode:
             raise KernelError(f"{self.info.name} has no decode kernel")
@@ -176,8 +177,8 @@ class AttentionKernel(abc.ABC):
         """Decode latency of a context-length batch.
 
         Reduces the batch to (total tokens, batch size) and delegates to
-        :meth:`_decode_time_total` — the single per-library
-        implementation both public entry points share.
+        :meth:`_decode_time_total`, which reads the library's one
+        series rule.
         """
         total_tokens = 0
         for ctx in context_lens:
@@ -188,7 +189,6 @@ class AttentionKernel(abc.ABC):
             shard, total_tokens, len(context_lens), block_size
         )
 
-    @abc.abstractmethod
     def _decode_time_total(
         self,
         shard: ShardedModel,
@@ -196,8 +196,12 @@ class AttentionKernel(abc.ABC):
         batch_size: int,
         block_size: int,
     ) -> float:
-        """Library-specific decode latency (block_size 0 if non-paged)."""
+        """Element 0 of the library's series over ``(total_tokens,)``."""
+        return self._decode_time_total_series(
+            shard, (total_tokens,), batch_size, block_size
+        )[0]
 
+    @abc.abstractmethod
     def _decode_time_total_series(
         self,
         shard: ShardedModel,
@@ -205,11 +209,8 @@ class AttentionKernel(abc.ABC):
         batch_size: int,
         block_size: int,
     ) -> List[float]:
-        """Decode latency series; the scalar-loop fallback is exact."""
-        return [
-            self._decode_time_total(shard, total, batch_size, block_size)
-            for total in totals
-        ]
+        """Library-specific decode latency, one float per total
+        (block_size 0 if non-paged)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.info.name} on {self.gpu.name})"

@@ -12,6 +12,9 @@ model them with a calibrated roofline:
   add compute that grows with batch size; we use the additive
   (latency = memory time + compute time) approximation, which matches
   the smooth saturation of Figure 4a better than a hard max().
+* A **decode iteration** adds linear operators, attention, the memory
+  backend's framework work and the CPU overheads
+  (:func:`decode_iteration_seconds`, the one place that sum is written).
 
 Efficiencies below are calibrated against the paper's absolute numbers
 (Tables 6 and 7): e.g. Yi-6B 192K prefill attention of 53.6s implies
@@ -24,11 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import KernelError
 from ..gpu.spec import GpuSpec
 from ..models.shard import ShardedModel
+from ..units import us
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .base import AttentionKernel
 
 #: MFU of dense linear operators during prefill (large GEMMs).
 EFF_LINEAR_PREFILL = 0.65
@@ -44,6 +51,12 @@ EFF_DECODE_KV = 0.72
 
 #: MFU of decode-phase GEMMs (skinny matrices).
 EFF_LINEAR_DECODE = 0.65
+
+#: Python/scheduler/sampler CPU cost per iteration (vLLM's Python loop).
+ITERATION_CPU_OVERHEAD = 2e-3
+
+#: Per-sequence CPU cost per iteration (sampling, detokenization, state).
+PER_SEQ_CPU_OVERHEAD = us(40)
 
 
 @dataclass(frozen=True)
@@ -143,36 +156,17 @@ def attention_decode_time(
     The kernel streams the entire KV cache of every sequence in the
     batch: latency is proportional to the total token count (paper S7.2,
     "latency of a decode attention kernel is proportional to the total
-    number of tokens in the batch").
+    number of tokens in the batch"), so this is the one-element
+    :func:`attention_decode_time_total_series` at the batch's total.
     """
     total_tokens = 0
     for ctx in context_lens:
         if ctx < 0:
             raise KernelError(f"negative context length: {ctx}")
         total_tokens += ctx
-    return attention_decode_time_total(
-        shard, gpu, total_tokens, bandwidth_efficiency
-    )
-
-
-def attention_decode_time_total(
-    shard: ShardedModel,
-    gpu: GpuSpec,
-    total_tokens: int,
-    bandwidth_efficiency: float,
-) -> float:
-    """Decode attention time from the batch's *total* token count.
-
-    The only batch property decode attention depends on (S7.2). The
-    decode fast path evolves the total by integer increments and calls
-    this directly; :func:`attention_decode_time` routes through it so
-    both paths share the identical float arithmetic.
-    """
-    if total_tokens < 0:
-        raise KernelError(f"negative total tokens: {total_tokens}")
-    roofline = Roofline(gpu)
-    nbytes = float(total_tokens) * shard.kv_bytes_per_token
-    return roofline.memory_time(nbytes, bandwidth_efficiency)
+    return attention_decode_time_total_series(
+        shard, gpu, (total_tokens,), bandwidth_efficiency
+    )[0]
 
 
 def attention_decode_time_total_series(
@@ -181,17 +175,50 @@ def attention_decode_time_total_series(
     totals: Iterable[int],
     bandwidth_efficiency: float,
 ) -> List[float]:
-    """:func:`attention_decode_time_total` over a series of totals.
+    """Decode attention time for each of a series of total token counts.
 
-    Element ``i`` is **bit-identical** to
-    ``attention_decode_time_total(shard, gpu, totals[i], eff)``: the
-    per-token bytes and the effective bandwidth are hoisted, and each
-    element is the scalar path's ``float(total) * kv_bytes_per_token``
-    then ``/ (bandwidth * eff)``, in that order.
+    The total is the only batch property decode attention depends on
+    (S7.2). Each element is ``float(total) * kv_bytes_per_token`` then
+    ``/ (bandwidth * eff)``, with the per-token bytes and the effective
+    bandwidth hoisted; every kernel's decode rule is a factor over this
+    list.
     """
     per_token = shard.kv_bytes_per_token
     bandwidth = gpu.hbm_bandwidth * bandwidth_efficiency
     return [float(total) * per_token / bandwidth for total in totals]
+
+
+# ----------------------------------------------------------------------
+# One decode iteration
+# ----------------------------------------------------------------------
+def decode_iteration_seconds(
+    shard: ShardedModel,
+    gpu: GpuSpec,
+    kernel: "AttentionKernel",
+    block_size: Optional[int],
+    batch_size: int,
+    totals: Iterable[int],
+    overheads: Iterable[float],
+) -> List[float]:
+    """Compute seconds of pure-decode iterations of one batch.
+
+    Element ``i`` prices an iteration whose batch holds ``totals[i]``
+    tokens and whose memory backend charges ``overheads[i]`` seconds of
+    framework work: linear operators, then decode attention, the
+    framework overhead, the per-iteration and the per-sequence CPU cost,
+    added left to right. The serving engine's stepped decode prices its
+    one iteration here, the decode fast-forwarder a whole stretch, so
+    the two agree float for float by construction.
+    """
+    linear = linear_decode_time(shard, gpu, batch_size)
+    per_seq = PER_SEQ_CPU_OVERHEAD * batch_size
+    attention = kernel.decode_time_total_series(
+        shard, totals, batch_size, block_size
+    )
+    return [
+        linear + a + fw + ITERATION_CPU_OVERHEAD + per_seq
+        for a, fw in zip(attention, overheads)
+    ]
 
 
 # ----------------------------------------------------------------------

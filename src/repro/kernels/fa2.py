@@ -27,7 +27,6 @@ from .base import AttentionKernel, KernelInfo, KvLayout
 from .costmodel import (
     EFF_ATTN_PREFILL,
     EFF_DECODE_KV,
-    attention_decode_time_total,
     attention_decode_time_total_series,
     attention_prefill_time,
     interp_factor,
@@ -91,17 +90,6 @@ class FlashAttention2(AttentionKernel):
             shard, self.gpu, context_len, fa2_prefill_efficiency(self.gpu)
         )
 
-    def _decode_time_total(
-        self,
-        shard: ShardedModel,
-        total_tokens: int,
-        batch_size: int,
-        block_size: int,
-    ) -> float:
-        return attention_decode_time_total(
-            shard, self.gpu, total_tokens, EFF_DECODE_KV
-        )
-
     def _decode_time_total_series(
         self, shard: ShardedModel, totals, batch_size: int, block_size: int
     ):
@@ -130,20 +118,6 @@ class FlashAttention2Paged(AttentionKernel):
             shard, self.gpu, context_len, fa2_prefill_efficiency(self.gpu)
         )
         overhead = interp_factor(FA2_PAGED_PREFILL_OVERHEAD, max(context_len, 1))
-        overhead *= FA2_PAGED_SMALL_BLOCK_PENALTY[block_size]
-        return base * overhead
-
-    def _decode_time_total(
-        self,
-        shard: ShardedModel,
-        total_tokens: int,
-        batch_size: int,
-        block_size: int,
-    ) -> float:
-        base = attention_decode_time_total(
-            shard, self.gpu, total_tokens, EFF_DECODE_KV
-        )
-        overhead = FA2_PAGED_DECODE_OVERHEAD
         overhead *= FA2_PAGED_SMALL_BLOCK_PENALTY[block_size]
         return base * overhead
 

@@ -20,7 +20,6 @@ from ..models.shard import ShardedModel
 from .base import AttentionKernel, KernelInfo, KvLayout
 from .costmodel import (
     EFF_DECODE_KV,
-    attention_decode_time_total,
     attention_decode_time_total_series,
     attention_prefill_time,
 )
@@ -55,22 +54,11 @@ class FlashAttention3(AttentionKernel):
             shard, self.gpu, context_len, EFF_ATTN_PREFILL_FA3
         )
 
-    def _decode_time_total(
-        self,
-        shard: ShardedModel,
-        total_tokens: int,
-        batch_size: int,
-        block_size: int,
-    ) -> float:
-        # Decode stays memory-bound; Hopper's higher HBM bandwidth is
-        # already captured by the GpuSpec.
-        return attention_decode_time_total(
-            shard, self.gpu, total_tokens, EFF_DECODE_KV
-        )
-
     def _decode_time_total_series(
         self, shard: ShardedModel, totals, batch_size: int, block_size: int
     ):
+        # Decode stays memory-bound; Hopper's higher HBM bandwidth is
+        # already captured by the GpuSpec.
         return attention_decode_time_total_series(
             shard, self.gpu, totals, EFF_DECODE_KV
         )

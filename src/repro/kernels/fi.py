@@ -27,7 +27,6 @@ from ..models.shard import ShardedModel
 from .base import AttentionKernel, KernelInfo, KvLayout
 from .costmodel import (
     EFF_DECODE_KV,
-    attention_decode_time_total,
     attention_decode_time_total_series,
     attention_prefill_time,
     interp_factor,
@@ -96,18 +95,6 @@ class FlashInfer(AttentionKernel):
             shard, self.gpu, context_len, fa2_prefill_efficiency(self.gpu)
         )
 
-    def _decode_time_total(
-        self,
-        shard: ShardedModel,
-        total_tokens: int,
-        batch_size: int,
-        block_size: int,
-    ) -> float:
-        base = attention_decode_time_total(
-            shard, self.gpu, total_tokens, EFF_DECODE_KV
-        )
-        return base * FI_NONPAGED_DECODE_FACTOR
-
     def _decode_time_total_series(
         self, shard: ShardedModel, totals, batch_size: int, block_size: int
     ):
@@ -137,18 +124,6 @@ class FlashInferPaged(AttentionKernel):
             shard, self.gpu, context_len, fa2_prefill_efficiency(self.gpu)
         )
         return base * interp_factor(FI_PAGED_PREFILL_OVERHEAD, max(context_len, 1))
-
-    def _decode_time_total(
-        self,
-        shard: ShardedModel,
-        total_tokens: int,
-        batch_size: int,
-        block_size: int,
-    ) -> float:
-        base = attention_decode_time_total(
-            shard, self.gpu, total_tokens, EFF_DECODE_KV
-        )
-        return base * _decode_factor(shard.model.gqa_ratio, batch_size)
 
     def _decode_time_total_series(
         self, shard: ShardedModel, totals, batch_size: int, block_size: int

@@ -28,7 +28,6 @@ from ..models.shard import ShardedModel
 from .base import AttentionKernel, KernelInfo, KvLayout
 from .costmodel import (
     EFF_DECODE_KV,
-    attention_decode_time_total,
     attention_decode_time_total_series,
 )
 
@@ -69,19 +68,6 @@ class VllmPaged(AttentionKernel):
     ) -> float:  # pragma: no cover - guarded by supports_prefill
         raise AssertionError("vLLM has no paged prefill kernel")
 
-    def _decode_time_total(
-        self,
-        shard: ShardedModel,
-        total_tokens: int,
-        batch_size: int,
-        block_size: int,
-    ) -> float:
-        base = attention_decode_time_total(
-            shard, self.gpu, total_tokens, EFF_DECODE_KV
-        )
-        penalty = vllm_gqa_penalty(shard.model.gqa_ratio)
-        return base * penalty * VLLM_BLOCK_SIZE_FACTOR[block_size]
-
     def _decode_time_total_series(
         self, shard: ShardedModel, totals, batch_size: int, block_size: int
     ):
@@ -90,5 +76,4 @@ class VllmPaged(AttentionKernel):
         )
         penalty = vllm_gqa_penalty(shard.model.gqa_ratio)
         factor = VLLM_BLOCK_SIZE_FACTOR[block_size]
-        # Same left-to-right association as the scalar path.
         return [b * penalty * factor for b in base]

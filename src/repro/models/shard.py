@@ -77,7 +77,7 @@ class ShardedModel:
     @property
     def kv_bytes_per_token_per_layer(self) -> int:
         """K + V bytes of one token in one layer on one worker."""
-        return 2 * self.kv_heads_per_worker * self.head_dim * self.dtype_bytes
+        return 2 * self.k_bytes_per_token_per_layer
 
     @property
     def k_bytes_per_token_per_layer(self) -> int:
@@ -94,12 +94,7 @@ class ShardedModel:
 
         ``S = L * H * D * P`` (S5.1.3).
         """
-        return (
-            self.max_context
-            * self.kv_heads_per_worker
-            * self.head_dim
-            * self.dtype_bytes
-        )
+        return self.max_context * self.k_bytes_per_token_per_layer
 
     def buffer_size(self, max_batch_size: int) -> int:
         """Paper's ``BS``: size of one virtual K (or V) buffer.
@@ -149,11 +144,8 @@ class ShardedModel:
         How many tokens' worth of one layer's K (or V) cache fits in a
         page-group on this worker: ``page_group_size / (H * D * P)``.
         """
-        per_token = self.kv_heads_per_worker * self.head_dim * self.dtype_bytes
-        if page_group_size % per_token != 0:
-            # Block size is still the floor; partial tokens are unusable.
-            return page_group_size // per_token
-        return page_group_size // per_token
+        # The floor: a partial token is unusable.
+        return page_group_size // self.k_bytes_per_token_per_layer
 
     def __str__(self) -> str:
         return f"{self.model.name} (TP-{self.tp_degree})"

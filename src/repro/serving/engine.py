@@ -35,8 +35,10 @@ from ..gpu.device import Device
 from ..gpu.spec import GpuSpec
 from ..kernels.base import AttentionKernel, KvLayout
 from ..kernels.costmodel import (
+    ITERATION_CPU_OVERHEAD,
+    PER_SEQ_CPU_OVERHEAD,
+    decode_iteration_seconds,
     decode_weight_stream_time,
-    linear_decode_time,
     linear_prefill_time,
 )
 from ..kernels.registry import get_kernel
@@ -57,7 +59,7 @@ from ..memory.config import MemoryConfig
 from ..memory.manager import MemoryManager
 from ..memory.tier import CpuKvTier
 from ..sim.fastforward import DecodeFastForwarder
-from ..units import GB, MB, us
+from ..units import GB, MB
 from .memory import (
     MemoryBackend,
     PagedMemory,
@@ -66,12 +68,6 @@ from .memory import (
     VAttentionMemory,
 )
 from .request import Request, RequestState
-
-#: Python/scheduler/sampler CPU cost per iteration (vLLM's Python loop).
-ITERATION_CPU_OVERHEAD = 2e-3
-
-#: Per-sequence CPU cost per iteration (sampling, detokenization, state).
-PER_SEQ_CPU_OVERHEAD = us(40)
 
 #: Activation / workspace memory reserved per worker besides weights.
 DEFAULT_WORKSPACE_BYTES = 4 * GB
@@ -133,10 +129,9 @@ class EngineConfig:
     eager_allocation: bool = True
     overlap_allocation: bool = True
     tensor_slicing: bool = False
-    workspace_bytes: int = DEFAULT_WORKSPACE_BYTES
     #: Cap the per-worker KV cache budget (None = all memory left after
-    #: weights + workspace). Capacity experiments use this to match a
-    #: deployment's effective serving budget.
+    #: weights + :data:`DEFAULT_WORKSPACE_BYTES`). Capacity experiments
+    #: use this to match a deployment's effective serving budget.
     kv_budget_bytes: Optional[int] = None
     #: Sarathi-style chunked prefill (paper ref [36]): process prompts
     #: in chunks of this many tokens, piggybacked onto decode
@@ -159,8 +154,6 @@ class EngineConfig:
     #: Memory-subsystem configuration: preemption policy, CPU tier and
     #: prefix cache.
     memory: MemoryConfig = field(default_factory=MemoryConfig)
-    iteration_cpu_overhead: float = ITERATION_CPU_OVERHEAD
-    per_seq_cpu_overhead: float = PER_SEQ_CPU_OVERHEAD
     #: Decode fast-forwarding (:mod:`repro.sim.fastforward`): execute
     #: provably-steady pure-decode stretches in one analytic step
     #: instead of one Python loop per token. Reports are bit-identical
@@ -187,12 +180,11 @@ class EngineConfig:
         validate_scheduler_policy(self.scheduler_policy)
         if self.sched_token_budget <= 0:
             raise ConfigError("sched_token_budget must be positive")
-        for name in (
-            "iteration_cpu_overhead", "per_seq_cpu_overhead", "sla_ttft_budget"
-        ):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        budget = self.sla_ttft_budget
+        if budget is not None and not 0 <= budget < math.inf:
+            raise ConfigError(
+                f"sla_ttft_budget must be finite and >= 0, got {budget}"
+            )
         if self.memory.enable_prefix_cache:
             if self.memory_backend not in ("vattention", "paged"):
                 raise ConfigError(
@@ -217,7 +209,7 @@ class LLMEngine:
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
         shard = config.shard
-        reserved = shard.weight_bytes_per_worker + config.workspace_bytes
+        reserved = shard.weight_bytes_per_worker + DEFAULT_WORKSPACE_BYTES
         if config.kv_budget_bytes is not None:
             reserved = max(
                 reserved, config.gpu.memory_bytes - config.kv_budget_bytes
@@ -738,7 +730,7 @@ class LLMEngine:
             linear_prefill_time(shard, gpu, new_tokens)
             + attention
             + self.memory.backend.append_overhead(new_tokens)
-            + self.config.iteration_cpu_overhead
+            + ITERATION_CPU_OVERHEAD
         )
         self.clock.advance(compute)
         held = self._contribution(request)
@@ -830,8 +822,8 @@ class LLMEngine:
             + decode_attention
             + self.memory.backend.framework_overhead(list(self._running))
             + self.memory.backend.append_overhead(chunk)
-            + self.config.iteration_cpu_overhead
-            + self.config.per_seq_cpu_overhead * (len(decodes) + 1)
+            + ITERATION_CPU_OVERHEAD
+            + PER_SEQ_CPU_OVERHEAD * (len(decodes) + 1)
         )
         self.clock.advance(compute)
         held = self._contribution(prefill)
@@ -871,15 +863,15 @@ class LLMEngine:
         alloc_sync = self.clock.now - before
 
         batch = list(self._running)
-        contexts = [r.context_len for r in batch]
-        compute = (
-            linear_decode_time(shard, gpu, len(batch))
-            + self.decode_kernel.decode_time(
-                shard, contexts, self._block_size_for(self.decode_kernel)
-            )
-            + self.memory.backend.framework_overhead(batch)
-            + self.config.iteration_cpu_overhead
-            + self.config.per_seq_cpu_overhead * len(batch)
+        kernel = self.decode_kernel
+        (compute,) = decode_iteration_seconds(
+            shard,
+            gpu,
+            kernel,
+            self._block_size_for(kernel),
+            len(batch),
+            (sum(r.context_len for r in batch),),
+            (self.memory.backend.framework_overhead(batch),),
         )
         self.clock.advance(compute)
         for request in batch:

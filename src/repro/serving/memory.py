@@ -578,14 +578,11 @@ class UvmMemory(MemoryBackend):
 
     def __init__(self, device: Device, shard, max_batch_size: int) -> None:
         self.shard = shard
-        per_token = (
-            shard.kv_heads_per_worker * shard.head_dim * shard.dtype_bytes
-        )
         self.region = UvmKvRegion(
             pool=device.pool,
             max_batch_size=max_batch_size,
             n_tensors=2 * shard.n_layers,
-            bytes_per_token_per_tensor=per_token,
+            bytes_per_token_per_tensor=shard.k_bytes_per_token_per_layer,
         )
         self._clock = device.clock
 

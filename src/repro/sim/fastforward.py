@@ -9,13 +9,15 @@ iterations are *provably* such steps, executing them one Python loop at
 a time buys nothing: the outcome is known analytically.
 
 :class:`DecodeFastForwarder` executes those K iterations through one
-series evaluation (:func:`_series`) that performs **exactly the same
-float operations in exactly the same order** as the per-iteration path — the clock, every request
-timestamp, every latency sum and every backend counter come out
-bit-identical (the golden and equivalence tests enforce this). What it
-skips is the per-iteration *machinery*: scheduling-view construction,
-policy planning, memory ``step()`` bookkeeping, per-request method
-calls, and one ``IterationRecord`` allocation per token. The series is
+series evaluation (:func:`_series`). It prices them with
+:func:`~repro.kernels.costmodel.decode_iteration_seconds`, the function
+the per-iteration path prices its one iteration with, so the clock,
+every request timestamp, every latency sum and every backend counter
+come out bit-identical (the golden and equivalence tests enforce
+this). What it skips is the per-iteration *machinery*:
+scheduling-view construction, policy planning, memory ``step()``
+bookkeeping, per-request method calls, and one ``IterationRecord``
+allocation per token. The series is
 plain Python lists: at the horizons stretches reach (a median of 8–15
 iterations) they are faster than array setup, and the simulator
 imports no third-party module.
@@ -52,7 +54,7 @@ import bisect
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..kernels.costmodel import linear_decode_time
+from ..kernels.costmodel import decode_iteration_seconds
 from ..metrics.collector import IterationRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -177,12 +179,6 @@ class _StretchPrep:
         "start",
         "total_tokens",
         "batch_size",
-        "linear",
-        "kernel",
-        "shard",
-        "resolved_block",
-        "cpu",
-        "per_seq",
         "overhead",
         "has_hooks",
         "base",
@@ -209,29 +205,30 @@ def _series(prep: _StretchPrep) -> Tuple[List[float], List[float]]:
     so ``starts[i + 1] = starts[i] + compute[i]`` — the per-iteration
     loop's ``now += compute`` recurrence, float for float, with
     ``starts[0] = prep.start``. The batch's totals advance by
-    ``batch_size`` a step, so the kernel prices them as one series
-    (:meth:`~repro.kernels.base.AttentionKernel.decode_time_total_series`);
-    each ``compute`` element adds the scalar path's terms in its
-    left-to-right order, and ``accumulate`` makes the same serial adds
-    as the clock.
+    ``batch_size`` a step, so the whole horizon is one call to
+    :func:`~repro.kernels.costmodel.decode_iteration_seconds`, the
+    function the stepped loop prices its one iteration with, and
+    ``accumulate`` makes the same serial adds as the clock.
     """
     n = prep.horizon
     batch_size = prep.batch_size
     total = prep.total_tokens
-    attention = prep.kernel._decode_time_total_series(
-        prep.shard,
-        range(total, total + n * batch_size, batch_size),
-        batch_size,
-        prep.resolved_block,
-    )
     if prep.overhead is None:
         overheads = map(prep.plan.overhead_at, range(n))
     else:
         overheads = repeat(prep.overhead, n)
-    linear, cpu, per_seq = prep.linear, prep.cpu, prep.per_seq
-    compute = [
-        linear + a + fw + cpu + per_seq for a, fw in zip(attention, overheads)
-    ]
+    engine = prep.owner.engine
+    config = engine.config
+    kernel = engine.decode_kernel
+    compute = decode_iteration_seconds(
+        config.shard,
+        config.gpu,
+        kernel,
+        engine._block_size_for(kernel),
+        batch_size,
+        range(total, total + n * batch_size, batch_size),
+        overheads,
+    )
     return compute, list(accumulate(compute, initial=prep.start))
 
 
@@ -384,15 +381,12 @@ class DecodeFastForwarder:
         return prep
 
     def _prove(self) -> Optional[_StretchPrep]:
-        """Prove bounds 1-3 and stage the stretch's constant terms."""
+        """Prove bounds 1-3 and stage the stretch."""
         self.proofs += 1
         engine = self.engine
         batch: List["Request"] = list(engine._running)
         if not batch:
             return None
-        config = engine.config
-        shard = config.shard
-
         # --- Bound (2): the scheduling policy's stability promise.
         horizon = engine.scheduler.stable_decode_horizon(
             batch, engine._scheduling_view()
@@ -401,7 +395,7 @@ class DecodeFastForwarder:
             return None
         # --- Bound (3): earliest completion (token budget or context
         # cap), in one pass with the batch's token total.
-        max_context = shard.max_context
+        max_context = engine.config.shard.max_context
         completion = UNBOUNDED_HORIZON
         total_tokens = 0
         for request in batch:
@@ -427,26 +421,11 @@ class DecodeFastForwarder:
         if horizon < 2:
             return None
 
-        # Constant terms of the iteration-latency expression, produced
-        # by the same calls (and therefore the same floats) as
-        # LLMEngine._run_decode.
         prep = _StretchPrep()
         prep.plan = plan
         prep.batch = batch
         prep.horizon = horizon
         prep.batch_size = len(batch)
-        prep.shard = shard
-        prep.linear = linear_decode_time(shard, config.gpu, prep.batch_size)
-        kernel = engine.decode_kernel
-        prep.kernel = kernel
-        # Resolve the block size and bind the library implementation
-        # once per stretch; decode_time_total would re-validate both on
-        # every iteration.
-        prep.resolved_block = kernel.validate_block_size(
-            engine._block_size_for(kernel)
-        )
-        prep.cpu = config.iteration_cpu_overhead
-        prep.per_seq = config.per_seq_cpu_overhead * prep.batch_size
         prep.overhead = plan.per_iteration_overhead
         prep.has_hooks = plan.has_hooks
         prep.start = engine.clock.now

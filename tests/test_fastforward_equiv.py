@@ -521,7 +521,7 @@ def test_series_is_the_stepped_clock(case):
 # Resumed stretches equal fresh proofs
 # ----------------------------------------------------------------------
 #: Per-stretch constants a resumed prep must share with a fresh proof.
-RESUME_FIELDS = ("batch_size", "linear", "cpu", "per_seq", "overhead")
+RESUME_FIELDS = ("batch_size", "overhead")
 
 
 def _swept_in_steps(engine):

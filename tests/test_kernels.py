@@ -197,27 +197,32 @@ class TestRegistry:
 
 
 class TestDecodeSeries:
-    """``decode_time_total_series`` is the fast-forwarder's attention
-    term: it must equal the scalar ``decode_time_total`` float for float
-    (not approximately), or a stretch would drift from the stepped
-    loop."""
+    """``decode_time_total_series`` is each library's one decode rule.
+    The scalar entry points read element 0 of it, so element ``i`` of a
+    long series must equal ``decode_time_total`` and ``decode_time`` at
+    that total float for float (not approximately), or a stretch would
+    drift from the stepped loop."""
 
     @staticmethod
     def assert_series_equals_scalar(kernel, shard, batch):
         for block in kernel.info.supported_block_sizes or (None,):
-            for horizon in (1, 7, 8, 500):
-                start = 1_237 * batch + 11
-                totals = range(start, start + horizon * batch, batch)
-                series = kernel.decode_time_total_series(
-                    shard, totals, batch, block
-                )
-                scalar = [
-                    kernel.decode_time_total(shard, t, batch, block)
-                    for t in totals
-                ]
-                assert [x.hex() for x in series] == [
-                    x.hex() for x in scalar
-                ], (kernel.info.name, shard.model.name, block, batch, horizon)
+            start = 1_237 * batch + 11
+            totals = range(start, start + 500 * batch, batch)
+            series = kernel.decode_time_total_series(
+                shard, totals, batch, block
+            )
+            assert len(series) == len(totals)
+            for i, total in enumerate(totals):
+                share = total // batch
+                contexts = [share] * (batch - 1)
+                contexts.append(total - share * (batch - 1))
+                where = (kernel.info.name, shard.model.name, block, batch, i)
+                assert series[i].hex() == kernel.decode_time_total(
+                    shard, total, batch, block
+                ).hex(), where
+                assert series[i].hex() == kernel.decode_time(
+                    shard, contexts, block
+                ).hex(), where
 
     @pytest.mark.parametrize("batch", [1, 8, 96])
     @pytest.mark.parametrize(
@@ -228,17 +233,19 @@ class TestDecodeSeries:
         kernel = get_kernel(name, H100 if name == "fa3" else A100)
         self.assert_series_equals_scalar(kernel, ShardedModel(model, tp), batch)
 
-    def test_base_fallback_equals_scalar(self, yi6b, yi34b):
-        """A kernel that prices only the scalar form gets an exact series
-        from the base class's loop."""
+    @pytest.mark.parametrize("name", list_kernels())
+    def test_each_kernel_states_its_decode_rule_once(self, name):
+        """A kernel prices decode only as a series; the scalar form is
+        the base class's element 0 of it."""
+        cls = type(get_kernel(name, H100))
+        assert "_decode_time_total_series" in vars(cls), name
+        assert cls._decode_time_total is AttentionKernel._decode_time_total
 
-        class ScalarOnly(VllmPaged):
-            _decode_time_total_series = AttentionKernel._decode_time_total_series
-
-        kernel = ScalarOnly(A100)
-        for shard in (yi6b, yi34b):
-            for batch in (1, 8, 96):
-                self.assert_series_equals_scalar(kernel, shard, batch)
+    def test_negative_total_rejected(self, yi6b):
+        for name in list_kernels():
+            kernel = get_kernel(name, H100)
+            with pytest.raises(KernelError, match="negative total"):
+                kernel.decode_time_total(yi6b, -1, 1)
 
     def test_series_validates_like_scalar(self, yi6b):
         paged = get_kernel("fa2_paged", A100)
