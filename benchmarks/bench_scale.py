@@ -163,7 +163,7 @@ def work_counters(cluster: ClusterEngine) -> dict:
     stretches, iterations run analytically and one at a time, backend
     hook calls, iteration series evaluated, replica-view full syncs,
     O(1) answers and predictor builds, and the vAttention managers'
-    slot visits."""
+    slot visits and slot contexts recorded."""
     engines = [replica.engine for replica in cluster.replicas]
     fast = [engine._fast for engine in engines]
     return {
@@ -180,6 +180,10 @@ def work_counters(cluster: ClusterEngine) -> dict:
         "oracle_builds": cluster.oracle_builds,
         "slots_visited": sum(
             engine.memory.backend.manager.stats.slots_visited
+            for engine in engines
+        ),
+        "contexts_recorded": sum(
+            engine.memory.backend.manager.stats.contexts_recorded
             for engine in engines
         ),
     }

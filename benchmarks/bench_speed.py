@@ -23,12 +23,13 @@ Cases (the decode-heavy end of the catalogue):
 Every row also prints the fast side's backend hook calls
 (``DecodeFastForwarder.hook_calls``), iteration series evaluated
 (``DecodeFastForwarder.series_evaluations``, at most one per backend
-plan), vAttention manager slot visits
-(``VAttentionStats.slots_visited``, 0 on paged backends), stretch
-proofs tried (``DecodeFastForwarder.proofs``) and iterations stepped
-one at a time (``LLMEngine.stepped_iterations``), each summed over a
-fleet's replicas; the cluster row adds the fast side's radix-tree edge comparisons
-(``RadixTreeStats.edge_compares``, summed over the replicas' trees).
+plan), vAttention manager slot visits and slot contexts recorded
+(``VAttentionStats.slots_visited`` and ``contexts_recorded``, 0 on
+paged backends), stretch proofs tried (``DecodeFastForwarder.proofs``)
+and iterations stepped one at a time (``LLMEngine.stepped_iterations``),
+each summed over a fleet's replicas; the cluster row adds the fast
+side's radix-tree edge comparisons (``RadixTreeStats.edge_compares``,
+summed over the replicas' trees).
 
 Usage::
 
@@ -119,10 +120,11 @@ def _tiered_engine(count: int):
     return engine
 
 
-def _slots_visited(engine) -> int:
-    """The engine's vAttention slot visits (0 on other backends)."""
+def _manager_count(engine, name: str) -> int:
+    """One of the engine's vAttention manager counters (0 on other
+    backends)."""
     manager = getattr(engine.memory.backend, "manager", None)
-    return manager.stats.slots_visited if manager is not None else 0
+    return getattr(manager.stats, name) if manager is not None else 0
 
 
 def _run_engine(build: Callable[[], object], fast_forward: bool):
@@ -139,7 +141,8 @@ def _run_engine(build: Callable[[], object], fast_forward: bool):
     counters = {
         "hook_calls": engine._fast.hook_calls,
         "series_evaluations": engine._fast.series_evaluations,
-        "slots_visited": _slots_visited(engine),
+        "slots_visited": _manager_count(engine, "slots_visited"),
+        "contexts_recorded": _manager_count(engine, "contexts_recorded"),
         "proofs": engine._fast.proofs,
         "stepped_iterations": engine.stepped_iterations,
     }
@@ -163,7 +166,12 @@ def _run_cluster(build: Callable[[], object], fast_forward: bool):
         "series_evaluations": sum(
             e._fast.series_evaluations for e in engines
         ),
-        "slots_visited": sum(_slots_visited(e) for e in engines),
+        "slots_visited": sum(
+            _manager_count(e, "slots_visited") for e in engines
+        ),
+        "contexts_recorded": sum(
+            _manager_count(e, "contexts_recorded") for e in engines
+        ),
         "proofs": sum(e._fast.proofs for e in engines),
         "stepped_iterations": sum(e.stepped_iterations for e in engines),
         "edge_compares": sum(

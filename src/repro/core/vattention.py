@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AllocationFailed, ConfigError, SchedulingError
 from ..gpu.device import Device
@@ -90,6 +90,10 @@ class VAttentionStats:
     #: work, not simulated state: fast-forwarded stretches skip most
     #: queries, so it stays out of ``repr`` and ``==``.
     slots_visited: int = field(default=0, repr=False, compare=False)
+    #: Slot contexts written by :meth:`VAttention.record_contexts`
+    #: (``step``, ``share_prefix``, the decode plan's hooks and commits).
+    #: Host work, like ``slots_visited``.
+    contexts_recorded: int = field(default=0, repr=False, compare=False)
 
 
 _REQ_ID = attrgetter("req_id")
@@ -166,7 +170,11 @@ class VAttention:
     so only a recorded context can make a slot need a lookahead row.
     The lookahead pass drops the slots it serves and those that need
     nothing; :meth:`free_reqid` and :meth:`trim_slot` (which freezes)
-    drop their slot.
+    drop their slot. Of the active slots, :meth:`on_iteration_end`
+    reads only the contexts of the lookahead list and of the excess
+    candidates, so a caller that knows no other slot can join the list
+    (the decode plan between page-group crossings) need record only
+    the candidates' contexts before a pass.
 
     The background pass also keeps the eager target
     (:meth:`_next_reqid_slot` caches its answer) and whether the last
@@ -174,6 +182,11 @@ class VAttention:
     idle flag, cleared by :meth:`alloc_reqid`, :meth:`free_reqid`,
     :meth:`share_prefix` and :meth:`trim_slot`, the calls that can make
     rows reclaimable); :meth:`background_quiet` reads both.
+
+    ``_aliased_rows`` counts the rows whose reference count exceeds 1
+    (``share_prefix`` raises it, :meth:`_detach_row` and
+    :meth:`_unmap_rows` lower it), so :meth:`free_reqid` walks a slot's
+    rows for aliases only while prefix sharing has left some.
     """
 
     def __init__(self, device: Device, config: VAttentionConfig) -> None:
@@ -234,8 +247,10 @@ class VAttention:
         self._free_rows: List[PhysicalHandle] = [
             device.pool.allocate(config.row_bytes) for _ in range(self.total_rows)
         ]
-        #: Reference counts of rows mapped into slots (>1 = aliased).
+        #: Reference counts of rows mapped into slots (>1 = aliased),
+        #: and how many rows are aliased.
         self._row_refs: Dict[int, int] = {}
+        self._aliased_rows = 0
 
         self.slots: List[RequestSlot] = [
             RequestSlot(req_id=i) for i in range(config.max_batch_size)
@@ -313,6 +328,14 @@ class VAttention:
         if len(kept) != len(candidates):
             self._excess = kept
         return total
+
+    @property
+    def excess_candidates(self) -> Sequence[RequestSlot]:
+        """The excess candidates, in reqId order (read-only): the only
+        active slots reclamation can trim (see the class docstring).
+        Between the calls that enter a slot (:meth:`alloc_reqid`,
+        ``step`` and ``share_prefix``) the list only shrinks."""
+        return self._excess
 
     def rows_for_context(self, context_len: int) -> int:
         """Rows needed to back ``context_len`` tokens.
@@ -450,9 +473,10 @@ class VAttention:
         for index in range(full_rows):
             handle = src.rows[index]
             dst.rows.append(handle)
-            self._row_refs[handle.handle_id] = (
-                self._row_refs.get(handle.handle_id, 1) + 1
-            )
+            refs = self._row_refs.get(handle.handle_id, 1)
+            if refs == 1:
+                self._aliased_rows += 1
+            self._row_refs[handle.handle_id] = refs + 1
             latency += self._map_row_latency
             self.stats.map_calls += self.config.n_tensors
             self.stats.rows_aliased += 1
@@ -619,7 +643,7 @@ class VAttention:
 
     def record_contexts(
         self,
-        contexts: Iterable[Tuple[RequestSlot, int]],
+        contexts: Sequence[Tuple[RequestSlot, int]],
         offset: int = 0,
     ) -> None:
         """Record each active slot's context, ``context + offset`` for
@@ -628,9 +652,10 @@ class VAttention:
         With overlapped allocation, a slot whose context has reached its
         mapped capacity joins the lookahead list: the next
         :meth:`on_iteration_end` maps the row its next token needs. The
-        decode plan records its whole batch, ``offset`` iterations past
+        decode plan records its entries, ``offset`` iterations past
         entry, with one call.
         """
+        self.stats.contexts_recorded += len(contexts)
         overlap = self._overlap
         tokens_per_row = self._tokens_per_row
         for slot, context in contexts:
@@ -742,9 +767,15 @@ class VAttention:
         return extra_refs * self.config.row_bytes
 
     def _holds_aliases(self, slot: RequestSlot) -> bool:
-        """Whether any of the slot's rows is shared with another slot."""
+        """Whether any of the slot's rows is shared with another slot.
+
+        Without an aliased row anywhere (the count is 0 unless prefix
+        sharing ran), no walk is needed.
+        """
         if slot.shared_rows:
             return True
+        if not self._aliased_rows:
+            return False
         return any(
             self._row_refs.get(handle.handle_id, 1) > 1
             for handle in slot.rows
@@ -852,6 +883,8 @@ class VAttention:
             self._row_refs.pop(handle.handle_id, None)
             self._free_rows.append(handle)
             return True
+        if remaining == 1:
+            self._aliased_rows -= 1
         self._row_refs[handle.handle_id] = remaining
         return False
 
@@ -878,6 +911,8 @@ class VAttention:
                 refs.pop(handle.handle_id, None)
                 free_rows.append(handle)
             else:
+                if remaining == 1:
+                    self._aliased_rows -= 1
                 refs[handle.handle_id] = remaining
             latency += unmap_latency
         if count and not slot.active:

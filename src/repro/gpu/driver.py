@@ -32,7 +32,7 @@ from .clock import SimClock
 from .phys import PhysicalHandle, PhysicalMemoryPool
 from .spec import SUPPORTED_PAGE_GROUP_SIZES
 from .virtual import Reservation, VirtualAddressSpace
-from .vmm import CudaVmm, LatencySink, VmmCallStats, api_latency, map_cost, unmap_cost
+from .vmm import CudaVmm, LatencySink, VmmCallStats, api_latency, map_cost
 
 
 class ExtendedDriver:
@@ -90,11 +90,6 @@ class ExtendedDriver:
     def map_cost_seconds(self) -> float:
         """Critical-path seconds to create + map one page-group."""
         return map_cost(self.page_group_size)
-
-    @property
-    def unmap_cost_seconds(self) -> float:
-        """Critical-path seconds to unmap + release one page-group."""
-        return unmap_cost(self.page_group_size)
 
     # ------------------------------------------------------------------
     # API surface (vMem*)

@@ -127,11 +127,6 @@ class ModelConfig:
         """Approximate total parameter count."""
         return self.n_layers * self.params_per_layer + self.embedding_params
 
-    @property
-    def weight_bytes(self) -> int:
-        """Bytes of model weights at the configured precision."""
-        return self.total_params * self.dtype_bytes
-
     # ------------------------------------------------------------------
     # KV cache footprint (whole model; per-worker values via shard.py)
     # ------------------------------------------------------------------

@@ -52,11 +52,6 @@ class ShardedModel:
         return self.model.n_kv_heads // self.tp_degree
 
     @property
-    def q_heads_per_worker(self) -> int:
-        """Query heads on one worker."""
-        return self.model.n_q_heads // self.tp_degree
-
-    @property
     def head_dim(self) -> int:
         """Paper's ``D``."""
         return self.model.head_dim

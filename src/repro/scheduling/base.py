@@ -160,15 +160,18 @@ class SchedulerPolicy(abc.ABC):
         preemption occurs (the engine bounds those separately — see
         :mod:`repro.sim.fastforward`).
 
+        The engine asks only while every member of ``running`` is
+        decoding: while one awaits its prefill the next plan is not a
+        pure decode, and the engine records "no stretch" without asking
+        (its count of such members is the one source of that fact). An
+        override need not scan for pending prefills.
+
         Returning ``math.inf`` promises that, as long as every running
         request is decoding and the queues do not change, every
         ``plan_iteration`` call would return the identical DECODE plan.
         The conservative default is 0 — custom policies opt *in* to
         decode fast-forwarding by overriding this; a policy whose
         decisions depend on, say, the clock value itself must not.
-        While a running request awaits its prefill the next plan is not
-        a pure decode, so the answer must be 0; the engine then records
-        "no stretch" without asking.
         """
         return 0
 

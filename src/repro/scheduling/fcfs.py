@@ -55,13 +55,9 @@ class FcfsPolicy(SchedulerPolicy):
     ) -> float:
         """FCFS keeps decoding until the next arrival or completion.
 
-        With no pending prefill in the batch, ``plan_iteration`` is a
-        pure function of "does anyone need a prefill" — so the decode
-        plan is stable indefinitely; the engine's arrival/completion
-        bounds are the only limits. A pending prefill means the next
-        plan is not a decode at all.
+        ``plan_iteration`` is a pure function of "does anyone need a
+        prefill", and the engine asks only when no one does — so the
+        decode plan is stable indefinitely; the engine's
+        arrival/completion bounds are the only limits.
         """
-        for request in running:
-            if request.needs_prefill:
-                return 0
         return math.inf

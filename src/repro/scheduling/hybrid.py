@@ -98,16 +98,11 @@ class HybridBatchPolicy(SchedulerPolicy):
     def stable_decode_horizon(
         self, running: Sequence[Request], view: SchedulingView
     ) -> float:
-        """Zero while a prefill is pending; unbounded otherwise.
+        """Unbounded: the engine asks only when no prefill is pending,
+        which would turn the next iteration into a *mixed* batch.
 
-        Any pending prompt turns the next iteration into a *mixed* batch
-        (hybrid never decodes past a waiting prefill), so no decode
-        stretch exists. Once every running request is decoding, the
-        token budget is irrelevant — decodes always all participate —
-        and the plan is stable until an arrival or completion, which the
-        engine bounds.
+        Once every running request is decoding, the token budget is
+        irrelevant — decodes always all participate — and the plan is
+        stable until an arrival or completion, which the engine bounds.
         """
-        for request in running:
-            if request.needs_prefill:
-                return 0
         return math.inf

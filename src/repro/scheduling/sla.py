@@ -99,12 +99,10 @@ class SlaAwarePolicy(SchedulerPolicy):
     ) -> float:
         """Deadlines reorder *prefills* and *admissions*, not decodes.
 
-        A batch with no pending prefill decodes in lockstep whatever the
-        urgency order says — urgency only matters again when a request
-        arrives (an engine-level bound) or a prefill appears. So the
-        decode plan is as stable as FCFS's.
+        The engine asks only when no prefill is pending, and such a
+        batch decodes in lockstep whatever the urgency order says —
+        urgency only matters again when a request arrives (an
+        engine-level bound) or a prefill appears. So the decode plan is
+        as stable as FCFS's.
         """
-        for request in running:
-            if request.needs_prefill:
-                return 0
         return math.inf

@@ -122,11 +122,38 @@ class _VattentionDecodePlan(DecodeFastPath):
     row is pre-mapped — but ``on_iteration_end`` still runs every
     iteration: lookahead mappings at page-group crossings, eager
     allocation for the next reqId, threshold reclamation, and the
-    background thread consuming the compute window. Each hook records
-    the batch's end-of-step contexts (what the slow path's ``step()``
-    records) and runs the manager's own pass. Between hooks the plan
-    keeps the batch's next *crossing*: the first iteration whose next
-    token needs a row no batch slot has mapped yet.
+    background thread consuming the compute window. The plan keeps the
+    batch's ``(slot, c0)`` entries (a slot's context after ``k``
+    iterations is ``c0 + k``), the *trim candidates* among them (the
+    entries whose slots are the manager's excess candidates) and the
+    batch's next *crossing*: the first iteration whose next token needs
+    a row no batch slot has mapped yet.
+
+    A hook records only the contexts its pass reads. Inside
+    ``on_iteration_end`` the only active-slot contexts read are those
+    of the lookahead list and of the excess candidates; everything
+    else the pass touches is inactive slots and the free pool. So the
+    hook at iteration ``i`` is exact when it records:
+
+    * *at a crossing* (``i >= _next_cross``, overlap only): the whole
+      batch, at ``c0 + i + 1``, as ``step()`` would, and then takes the
+      batch-wide minimum again. Crossings are rare;
+    * *otherwise*: the trim candidates alone. Below the crossing no
+      batch slot's context reaches its mapped capacity, so none joins
+      the lookahead list and the batch slots on it (none at entry: the
+      build declines a slot short of its next row) need nothing. The
+      excess candidates are the only batch slots reclamation reads,
+      and during a stretch the manager only drops candidates, so the
+      entry-time list covers every slot the pass can trim. A slot off
+      it keeps its stale context until the next record, which no pass
+      reads.
+
+    Between crossings only reclamation changes a batch slot's rows, and
+    only a trim candidate's, downward: after such a hook the next
+    crossing is the old one lowered by the candidates' own. Without
+    overlap the pass maps nothing into the batch, and the horizon rests
+    on the rows mapped at entry, so the stretch ends once a candidate
+    loses a row. :meth:`commit` records the whole batch once.
 
     The stretch ends the moment steady-state is no longer provable:
     critical work spilling past its window (the next ``step()`` would
@@ -141,57 +168,70 @@ class _VattentionDecodePlan(DecodeFastPath):
     def __init__(
         self,
         manager: VAttention,
-        slots: List[Tuple[RequestSlot, int]],
-        horizon: int,
+        entries: List[Tuple[RequestSlot, int]],
+        candidates: List[Tuple[RequestSlot, int]],
+        lead: int,
         overlap: bool,
     ) -> None:
+        """``lead`` is the batch's ``min(len(rows) * tokens_per_row -
+        c0)``, at least 1: tokens every slot can take before a step
+        would map."""
         self.manager = manager
         config = manager.config
-        #: (slot, entry context) pairs.
-        self._slots = slots
-        self.horizon = horizon
+        #: (slot, entry context) pairs, and those of the trim candidates.
+        self._entries = entries
+        self._candidates = candidates
         self._overlap = overlap
         self.has_hooks = (
             overlap or config.eager_allocation or config.deferred_reclamation
         )
         self._tokens_per_row = config.tokens_per_page_group
-        #: Rows mapped across the batch at entry: without overlapped
-        #: allocation the horizon rests on them.
-        self._batch_rows = sum(len(slot.rows) for slot, _ in slots)
-        self._next_cross = self._crossing()
+        if overlap:
+            # At iteration i the pass maps a row for the next token
+            # once c0 + i + 1 reaches a slot's mapped capacity.
+            self.horizon = UNBOUNDED_HORIZON
+            self._next_cross = lead - 1
+        else:
+            # No lookahead rows: the stretch ends where the first
+            # slot's rows run out.
+            self.horizon = lead
+            self._next_cross = UNBOUNDED_HORIZON
+            self._candidate_rows = sum(
+                len(slot.rows) for slot, _ in candidates
+            )
         #: Iterations already counted into the manager's step stats
         #: (a resumed stretch commits cumulatively).
         self._committed = 0
 
-    def _crossing(self) -> int:
-        """Stretch iteration of the batch's next lookahead mapping.
-
-        At iteration ``i`` the background pass maps a row for the next
-        token once ``c0 + i + 1 >= mapped_rows * tokens_per_row``.
-        Without overlapped allocation the pass maps no lookahead rows.
-        """
-        if not self._overlap:
-            return UNBOUNDED_HORIZON
-        tokens_per_row = self._tokens_per_row
-        return min(
-            len(slot.rows) * tokens_per_row - c0 - 1
-            for slot, c0 in self._slots
-        )
-
     def on_iteration(self, iteration: int, window: float) -> bool:
         manager = self.manager
-        manager.record_contexts(self._slots, iteration + 1)
-        manager.on_iteration_end(window)
-        if not self._overlap:
-            # The horizon was derived from the entry-time row coverage;
-            # once reclamation shrinks it, stop before it overruns.
-            return sum(len(slot.rows) for slot, _ in self._slots) == (
-                self._batch_rows
+        tokens_per_row = self._tokens_per_row
+        if iteration >= self._next_cross:
+            manager.record_contexts(self._entries, iteration + 1)
+            manager.on_iteration_end(window)
+            self._next_cross = min(
+                len(slot.rows) * tokens_per_row - c0 - 1
+                for slot, c0 in self._entries
             )
+        else:
+            candidates = self._candidates
+            if candidates:
+                manager.record_contexts(candidates, iteration + 1)
+            manager.on_iteration_end(window)
+            if not self._overlap:
+                # The horizon was derived from the entry-time row
+                # coverage; once reclamation shrinks it, stop before it
+                # overruns.
+                return self._candidate_rows == sum(
+                    len(slot.rows) for slot, _ in candidates
+                )
+            for slot, c0 in candidates:
+                cross = len(slot.rows) * tokens_per_row - c0 - 1
+                if cross < self._next_cross:
+                    self._next_cross = cross
         # A crossing still due is one the free pool could not back, and
         # critical work left over would be flushed by the next step():
         # either way that step would allocate synchronously.
-        self._next_cross = self._crossing()
         return (
             self._next_cross > iteration
             and manager.background.critical_pending <= 0.0
@@ -214,7 +254,7 @@ class _VattentionDecodePlan(DecodeFastPath):
 
     def commit(self, executed: int) -> None:
         manager = self.manager
-        manager.record_contexts(self._slots, executed)
+        manager.record_contexts(self._entries, executed)
         stats = manager.stats
         stats.steps += executed - self._committed
         self._committed = executed
@@ -339,32 +379,46 @@ class VAttentionMemory(MemoryBackend):
         pass; without overlap it ends where the first slot's mapped rows
         run out (the next ``step()`` would allocate on the critical
         path, which the per-iteration loop must account).
+
+        One pass over the batch builds the plan's ``(slot, context)``
+        entries, the *lead* ``min(len(rows) * tokens_per_row -
+        context)`` (below 1 a slot's next step would map) and the
+        entries whose slots are excess candidates, the only batch slots
+        reclamation can trim.
         """
         manager = self.manager
         if manager.background.critical_pending > 0.0:
             return None
         tokens_per_row = manager.config.tokens_per_page_group
-        slots: List[Tuple[RequestSlot, int]] = []
+        slots = manager.slots
+        pending = self._pending_rows
+        excess = manager.excess_candidates
+        trimmable = {slot.req_id for slot in excess} if excess else ()
+        entries: List[Tuple[RequestSlot, int]] = []
+        candidates: List[Tuple[RequestSlot, int]] = []
+        lead = UNBOUNDED_HORIZON
         for request in batch:
-            if request.memory_handle is None:
+            handle = request.memory_handle
+            if handle is None:
                 return None
-            if request.request_id in self._pending_rows:
+            if pending and request.request_id in pending:
                 # Admitted but never stepped (a swap-in): the first
                 # prepare must clear the admission promise.
                 return None
-            slot = manager.slots[request.memory_handle]
-            context = request.context_len
-            if slot.mapped_rows * tokens_per_row < context + 1:
-                return None  # the very next step would map synchronously
-            slots.append((slot, context))
-        overlap = manager.config.overlap_allocation
-        if overlap:
-            horizon = UNBOUNDED_HORIZON
-        else:
-            horizon = min(
-                slot.mapped_rows * tokens_per_row - c0 for slot, c0 in slots
-            )
-        return _VattentionDecodePlan(manager, slots, horizon, overlap)
+            slot = slots[handle]
+            context = request.prompt_len + request.generated
+            entry = (slot, context)
+            entries.append(entry)
+            if handle in trimmable:
+                candidates.append(entry)
+            slack = len(slot.rows) * tokens_per_row - context
+            if slack < lead:
+                lead = slack
+        if lead < 1:
+            return None  # the very next step would map synchronously
+        return _VattentionDecodePlan(
+            manager, entries, candidates, lead, manager.config.overlap_allocation
+        )
 
     # vAttention needs no Block-Table and appends new K/V with a single
     # contiguous tensor copy (S7.1) — both costs are negligible.

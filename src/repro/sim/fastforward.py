@@ -34,10 +34,11 @@ spells out the contract):
 2. **Scheduling** — :meth:`~repro.scheduling.base.SchedulerPolicy.
    stable_decode_horizon`: iterations over which the policy provably
    keeps planning the same pure-decode batch. A pre-check runs ahead
-   of it: while a running request still needs its prefill, every
-   policy's bound is 0, so the engine's count of such requests
+   of it: while a running request still needs its prefill the next
+   plan is not a pure decode, so the engine's count of such requests
    (``LLMEngine._prefill_pending``) being non-zero records "no
-   stretch" without a proof.
+   stretch" without a proof. The policy is asked only when the count
+   is 0 and does not scan for pending prefills itself.
 3. **Completion** — tokens until the earliest request in the batch
    finishes (token budget or model context limit). Only a stretch that
    reaches this bound retires a request, so only such a stretch runs
@@ -365,9 +366,9 @@ class DecodeFastForwarder:
         engine = self.engine
         state = (engine._batch_version, engine.clock.now)
         if self._memo_state != state:
-            # A member awaiting its prefill makes every policy's bound 2
-            # zero (the next plan is not a decode): record "no stretch"
-            # without the proof.
+            # A member awaiting its prefill means the next plan is not
+            # a decode: record "no stretch" without the proof. This is
+            # the only check; the policies' bound 2 does not repeat it.
             self._memo = None if engine._prefill_pending else self._prove()
             self._memo_state = state
         prep = self._memo

@@ -1,6 +1,10 @@
 """Memory backends: vAttention / Paged / Static behind the engine API."""
 
+import copy
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import VAttentionConfig
 from repro.core.vattention import VAttention
@@ -16,9 +20,9 @@ from repro.serving.memory import (
     VAttentionMemory,
     _VattentionDecodePlan,
 )
-from repro.serving.request import Request, RequestState
 from repro.sim.fastforward import UNBOUNDED_HORIZON
-from repro.units import GB, MB
+from repro.serving.request import Request, RequestState
+from repro.units import GB, KB, MB
 
 
 def make_request(rid: str, prompt: int, decode: int = 10) -> Request:
@@ -261,7 +265,11 @@ class TestVattentionPlanQuiescence:
         return manager, [(manager.slots[r], context) for r in batch]
 
     def plan(self, manager, slots):
-        return _VattentionDecodePlan(manager, slots, UNBOUNDED_HORIZON, True)
+        tokens_per_row = manager.config.tokens_per_page_group
+        lead = min(len(slot.rows) * tokens_per_row - c for slot, c in slots)
+        excess = {slot.req_id for slot in manager.excess_candidates}
+        candidates = [entry for entry in slots if entry[0].req_id in excess]
+        return _VattentionDecodePlan(manager, slots, candidates, lead, True)
 
     def test_idle_reclamation_runs_to_the_next_crossing(self):
         manager, slots = self.manager()
@@ -332,3 +340,253 @@ class TestVattentionPlanQuiescence:
         assert manager.background.pending_seconds == 0.0
         assert not manager.background_quiet()
         assert plan.quiescent_until(1, 100) == 1
+
+
+class _FullRecordPlan:
+    """The decode plan's reference: every hook records the whole batch
+    and takes the batch-wide minimum again; without overlap it compares
+    the whole batch's rows with their sum at entry."""
+
+    def __init__(self, manager, batch):
+        self.manager = manager
+        self.tokens_per_row = manager.config.tokens_per_page_group
+        self.overlap = manager.config.overlap_allocation
+        self.entries = [
+            (manager.slots[r.memory_handle], r.context_len) for r in batch
+        ]
+        if self.overlap:
+            self.horizon = UNBOUNDED_HORIZON
+        else:
+            self.horizon = min(
+                len(slot.rows) * self.tokens_per_row - c0
+                for slot, c0 in self.entries
+            )
+        self.batch_rows = self.rows()
+        self.next_cross = self.crossing()
+        self.committed = 0
+
+    def rows(self):
+        return sum(len(slot.rows) for slot, _ in self.entries)
+
+    def crossing(self):
+        if not self.overlap:
+            return UNBOUNDED_HORIZON
+        return min(
+            len(slot.rows) * self.tokens_per_row - c0 - 1
+            for slot, c0 in self.entries
+        )
+
+    def on_iteration(self, iteration, window):
+        self.manager.record_contexts(self.entries, iteration + 1)
+        self.manager.on_iteration_end(window)
+        if not self.overlap:
+            return self.rows() == self.batch_rows
+        self.next_cross = self.crossing()
+        return (
+            self.next_cross > iteration
+            and self.manager.background.critical_pending <= 0.0
+        )
+
+    def quiescent_until(self, iteration, n):
+        if iteration >= self.next_cross:
+            return iteration
+        if not self.manager.background_quiet():
+            return iteration
+        return min(n, self.next_cross)
+
+    def commit(self, executed):
+        self.manager.record_contexts(self.entries, executed)
+        self.manager.stats.steps += executed - self.committed
+        self.committed = executed
+        self.manager.stats.last_step_sync_seconds = 0.0
+
+
+#: Token counts in 1..200, biased to within two tokens of a 64-token
+#: row edge, where a context one token stale needs a different row.
+_TOKENS = st.one_of(
+    st.integers(1, 200),
+    st.builds(
+        lambda rows, d: 64 * rows + d, st.integers(1, 3), st.integers(-2, 2)
+    ),
+)
+
+
+class TestVattentionPlanAgainstFullRecord:
+    """The decode plan records only the contexts its hooks' passes read
+    (the trim candidates, the whole batch at a page-group crossing).
+    On copies of one backend it must leave exactly the state of a plan
+    that records every context and takes the full minimum after every
+    hook.
+
+    The backend holds 12 rows of 64 tokens for 8 reqIds; reclamation
+    keeps 3 rows free and eager allocation maps 3. Requests finished
+    before the batch is admitted leave rows that batch members inherit
+    (excess candidates); those finished after stay cached. A request
+    prefilled after the background pass that followed the batch's last
+    step can leave the free pool below the minimum, so that hooks
+    between crossings trim candidates.
+    """
+
+    @staticmethod
+    def backend(eager, deferred, overlap):
+        config = dict(
+            shard=ShardedModel(YI_6B, 1),
+            max_batch_size=8,
+            page_group_size=64 * KB,
+        )
+        row_bytes = VAttentionConfig(**config).row_bytes
+        backend = VAttentionMemory(
+            Device(A100, reserved_bytes=A100.memory_bytes - 12 * row_bytes),
+            VAttentionConfig(
+                **config,
+                eager_allocation=eager,
+                deferred_reclamation=deferred,
+                overlap_allocation=overlap,
+                eager_page_groups=3,
+                reclamation_threshold=0.25,
+            ),
+        )
+        manager = backend.manager
+        assert manager.total_rows == 12
+        assert manager.config.tokens_per_page_group == 64
+        return backend
+
+    @staticmethod
+    def prefill(backend, prompts, name, window):
+        """Admit and prefill one request per prompt; None if memory
+        cannot take them."""
+        batch = [
+            make_request(f"{name}{k}", prompt, 1_000)
+            for k, prompt in enumerate(prompts)
+        ]
+        for request in batch:
+            if not backend.can_admit(request):
+                return None
+            backend.admit(request)
+        if not backend.prepare_iteration(batch):
+            return None
+        for request in batch:
+            request.record_prefill(0.0)
+        backend.after_iteration(window)
+        return batch
+
+    @staticmethod
+    def snapshot(manager, contexts):
+        worker = manager.background
+        return (
+            [
+                (
+                    s.req_id,
+                    s.active,
+                    s.context_len if contexts else None,
+                    [h.handle_id for h in s.rows],
+                    s.frozen,
+                )
+                for s in manager.slots
+            ],
+            [s.req_id for s in manager._lookahead],
+            sorted(h.handle_id for h in manager._free_rows),
+            manager.stats,
+            manager.stats.slots_visited,
+            (worker.critical_pending, worker.opportunistic_pending),
+            manager.clock.now,
+        )
+
+    @settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        max_examples=150,
+    )
+    @given(
+        eager=st.booleans(),
+        deferred=st.booleans(),
+        overlap=st.booleans(),
+        inherited=st.lists(_TOKENS, max_size=3),
+        cached=st.lists(_TOKENS, max_size=2),
+        prompts=st.lists(_TOKENS, min_size=1, max_size=4),
+        decodes=st.integers(0, 3),
+        arrival=st.one_of(st.just(0), _TOKENS),
+        windows=st.lists(
+            st.sampled_from([0.0, 1e-5, 1e-3, 0.1]), min_size=1, max_size=60
+        ),
+    )
+    @example(
+        # The pool falls below its minimum with nothing cached: the
+        # first hook reads the inheriting slot's context, which the
+        # prefill left one token stale, and must find no excess.
+        eager=False, deferred=True, overlap=True, inherited=[100],
+        cached=[], prompts=[63, 400], decodes=0, arrival=64,
+        windows=[0.1] * 8,
+    )
+    @example(
+        # The first hook trims the inheriting slot to one row, which
+        # brings its crossing (iteration 52) below the other slot's
+        # (61): the quiet span must stop there.
+        eager=False, deferred=True, overlap=True, inherited=[150],
+        cached=[], prompts=[10, 257], decodes=0, arrival=150,
+        windows=[0.1] * 60,
+    )
+    @example(
+        # No candidate: the crossing at iteration 2 must record the
+        # batch slot so that the pass maps its next row.
+        eager=False, deferred=False, overlap=True, inherited=[], cached=[],
+        prompts=[60], decodes=0, arrival=0, windows=[0.1] * 8,
+    )
+    def test_plan_matches_full_record(
+        self, eager, deferred, overlap, inherited, cached, prompts, decodes,
+        arrival, windows,
+    ):
+        backend = self.backend(eager, deferred, overlap)
+        window = windows[0]
+        # Requests that finish before the batch arrives: the batch
+        # inherits their rows. Those that finish after stay cached.
+        done = self.prefill(backend, inherited, "inherited", window) or []
+        for request in done:
+            backend.release(request)
+        kept = self.prefill(backend, cached, "cached", window) or []
+        batch = self.prefill(backend, prompts, "batch", window)
+        if batch is None:
+            return
+        for request in kept:
+            backend.release(request)
+        for _ in range(decodes):
+            if not backend.prepare_iteration(batch):
+                return
+            for request in batch:
+                request.record_decode_token(0.0)
+            backend.after_iteration(window)
+        if arrival:
+            request = make_request("arrival", arrival, 1_000)
+            if backend.can_admit(request):
+                backend.admit(request)
+                if not backend.prepare_iteration([request]):
+                    return
+
+        twin, twin_batch = copy.deepcopy((backend, batch))
+        plan = backend.decode_fast_path(batch)
+        if plan is None:
+            return
+        manager, reference_manager = backend.manager, twin.manager
+        reference = _FullRecordPlan(reference_manager, twin_batch)
+        assert plan.horizon == reference.horizon
+        n = min(len(windows), plan.horizon)
+        i = 0
+        while i < n:
+            skip = plan.quiescent_until(i, n)
+            assert skip == reference.quiescent_until(i, n)
+            if skip > i:
+                i = skip
+                continue
+            going = plan.on_iteration(i, windows[i])
+            assert going == reference.on_iteration(i, windows[i])
+            assert self.snapshot(manager, False) == self.snapshot(
+                reference_manager, False
+            )
+            i += 1
+            if not going:
+                break
+        plan.commit(i)
+        reference.commit(i)
+        assert self.snapshot(manager, True) == self.snapshot(
+            reference_manager, True
+        )

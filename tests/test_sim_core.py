@@ -36,11 +36,10 @@ def view():
     )
 
 
-def running(rid, prefill_done=True):
+def running(rid):
     request = Request(request_id=rid, prompt_len=100, max_new_tokens=10)
     request.state = RequestState.RUNNING
-    if prefill_done:
-        request.record_prefill(now=0.0)
+    request.record_prefill(now=0.0)
     return request
 
 
@@ -116,11 +115,37 @@ class TestStableDecodeHorizon:
         batch = [running("a"), running("b")]
         assert policy.stable_decode_horizon(batch, view()) == math.inf
 
-    @pytest.mark.parametrize("name", ["fcfs", "sla", "hybrid"])
-    def test_zero_with_pending_prefill(self, name):
-        policy = make_scheduler_policy(name)
-        batch = [running("a"), running("b", prefill_done=False)]
-        assert policy.stable_decode_horizon(batch, view()) == 0
+    @pytest.mark.parametrize(
+        "name, chunk", [("fcfs", None), ("hybrid", 512), ("sla", 512)]
+    )
+    def test_engine_never_asks_while_a_prefill_is_pending(self, name, chunk):
+        # The policies answer inf without scanning for pending prefills:
+        # the engine's own count keeps the proof from asking then. Late
+        # arrivals join a decoding batch, and chunked prefills stay
+        # pending across several iterations.
+        engine = make_engine(scheduler_policy=name, prefill_chunk_size=chunk)
+        policy = engine.scheduler
+        answer = policy.stable_decode_horizon
+        asked = []
+
+        def spy(batch, v):
+            pending = [r.request_id for r in batch if r.needs_prefill]
+            assert not pending, f"asked while {pending} await their prefill"
+            asked.append(len(batch))
+            return answer(batch, v)
+
+        policy.stable_decode_horizon = spy
+        engine.submit(
+            fixed_trace(
+                count=6,
+                prompt_len=2_000,
+                max_new_tokens=40,
+                arrivals=[0.0, 0.0, 0.2, 0.2, 0.4, 0.6],
+            )
+        )
+        report = engine.run()
+        assert len(report.finished_requests) == 6
+        assert asked and max(asked) > 1
 
     def test_base_default_is_conservative(self):
         class Custom(SchedulerPolicy):

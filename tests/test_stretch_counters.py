@@ -291,6 +291,12 @@ HOOK_CALLS_CEILING = 283
 #: query measured 31,354; the slot-state index visits only the slots
 #: that can answer. Any increase fails.
 SLOTS_VISITED_CEILING = 623
+#: Slot contexts the manager records on the same batch
+#: (``VAttentionStats.contexts_recorded``). Recording the whole batch
+#: at every hook measured 4,360; a hook records only the trim
+#: candidates, the whole batch only at a page-group crossing. Any
+#: increase fails.
+CONTEXTS_RECORDED_CEILING = 1_129
 #: Skipping a hook never changes how many iterations run analytically.
 ANALYTIC_ITERATIONS = 2_187
 
@@ -325,4 +331,8 @@ class TestPinnedHooks:
         visited = engine.memory.backend.manager.stats.slots_visited
         assert visited <= SLOTS_VISITED_CEILING, (
             f"slot visits grew: {visited} > {SLOTS_VISITED_CEILING}"
+        )
+        recorded = engine.memory.backend.manager.stats.contexts_recorded
+        assert recorded <= CONTEXTS_RECORDED_CEILING, (
+            f"contexts recorded grew: {recorded} > {CONTEXTS_RECORDED_CEILING}"
         )

@@ -387,6 +387,15 @@ class TestAgainstFullScans:
         deferred=True,
         overlap=False,
     )
+    # Slot 2 aliases two of slot 0's rows and is freed: its rows are
+    # released at once, and the aliased-row count falls back to 0.
+    @example(
+        ops=[("alloc", 0, 1)] * 3
+        + [("step", 0, 130), ("share", 0, 128), ("free", 2, 1)],
+        eager=False,
+        deferred=True,
+        overlap=False,
+    )
     def test_index_matches_full_scans(self, ops, eager, deferred, overlap):
         manager = self.small_manager(eager, deferred, overlap)
         slots = manager.slots
@@ -682,3 +691,7 @@ class TestAgainstFullScans:
         assert [s.req_id for s in sorted(manager._holding, key=last_used)] == [
             s.req_id for s in victims
         ]
+        # The running count of aliased rows is the reference counts'.
+        assert manager._aliased_rows == sum(
+            1 for refs in manager._row_refs.values() if refs > 1
+        )
