@@ -10,10 +10,7 @@ path-compressed (edges carry token ids, split lazily on divergence),
 so entries sharing a prompt prefix share their path. Prompts, edges
 and entries hold their ids as :class:`~repro.tokens.TokenRuns` —
 runs of consecutive ids — so comparing a prompt with an edge walks
-the two run lists (one step per run boundary, not per token), and
-each node memoises its last comparison, so the router's probes, the
-admission match and the prefill-end insert of one prompt compare it
-against an edge once.
+the two run lists (one step per run boundary, not per token).
 
 Entries come in two flavours the :class:`~repro.cache.manager.
 PrefixCacheManager` distinguishes by ownership:
@@ -87,8 +84,8 @@ class RadixTreeStats:
     duplicate_insertions: int = 0
     evictions: int = 0
     removals: int = 0
-    #: Edge-vs-prompt token-run comparisons actually computed (walk
-    #: steps the per-node memo could not answer).
+    #: Edge-vs-prompt token-run comparisons (one per edge a walk
+    #: compares against the prompt).
     edge_compares: int = 0
 
     @property
@@ -99,27 +96,15 @@ class RadixTreeStats:
 
 class _Node:
     """One path-compressed tree node; ``edge`` labels the link from its
-    parent (empty for the root).
+    parent (empty for the root)."""
 
-    The ``seen_*`` slots memoise the node's last edge comparison: the
-    query and edge it compared, the query offset, and the common
-    run found (see :meth:`RadixTree._run`).
-    """
-
-    __slots__ = (
-        "edge", "parent", "children", "entries",
-        "seen_query", "seen_edge", "seen_offset", "seen_run",
-    )
+    __slots__ = ("edge", "parent", "children", "entries")
 
     def __init__(self, edge: TokenRuns, parent: Optional["_Node"]):
         self.edge = edge
         self.parent = parent
         self.children: Dict[int, _Node] = {}
         self.entries: List[PrefixEntry] = []
-        self.seen_query: Optional[TokenRuns] = None
-        self.seen_edge: Optional[TokenRuns] = None
-        self.seen_offset = 0
-        self.seen_run = 0
 
     def subtree_entries(self) -> Iterator[PrefixEntry]:
         stack = [self]
@@ -268,30 +253,9 @@ class RadixTree:
         return best, best_len
 
     def _run(self, node: _Node, query: TokenRuns, offset: int) -> int:
-        """Common token run of ``node``'s edge and ``query[offset:]``,
-        memoised per node.
-
-        Exact: :meth:`TokenRuns.common_run` is a pure function of two
-        immutable run sequences and an offset, and the node holds strong
-        references to the objects it compared, so their identities
-        cannot be reused by other objects. A split or prune merge
-        assigns the node a new edge object, so a stale memo misses by
-        construction. Identity tests keep a miss O(1) — ``==`` would
-        compare runs.
-        """
-        if (
-            node.seen_query is query
-            and node.seen_edge is node.edge
-            and node.seen_offset == offset
-        ):
-            return node.seen_run
+        """Common token run of ``node``'s edge and ``query[offset:]``."""
         self.stats.edge_compares += 1
-        run = node.edge.common_run(query, offset)
-        node.seen_query = query
-        node.seen_edge = node.edge
-        node.seen_offset = offset
-        node.seen_run = run
-        return run
+        return node.edge.common_run(query, offset)
 
     @staticmethod
     def _fresher(

@@ -133,7 +133,3 @@ class VAttentionConfig:
         if context_len < 0:
             raise ConfigError(f"negative context length {context_len}")
         return ceil_div(context_len, self.tokens_per_page_group)
-
-    def kv_bytes_mapped(self, rows: int) -> int:
-        """Physical bytes committed by ``rows`` page-group rows."""
-        return rows * self.row_bytes

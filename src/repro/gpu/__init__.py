@@ -2,7 +2,7 @@
 
 from .clock import SimClock
 from .cuda_alloc import CudaCachingAllocator, DeviceBuffer, static_kv_cache_bytes
-from .device import Device, make_devices
+from .device import Device
 from .driver import ExtendedDriver, make_driver
 from .phys import PhysicalHandle, PhysicalMemoryPool
 from .spec import (
@@ -18,14 +18,13 @@ from .spec import (
     validate_page_group_size,
 )
 from .virtual import Mapping, Reservation, VirtualAddressSpace
-from .vmm import API_LATENCY, CudaVmm, VmmCallStats, api_latency, map_cost, unmap_cost
+from .vmm import API_LATENCY, api_latency
 
 __all__ = [
     "A100",
     "API_LATENCY",
     "CUDA_VMM_GRANULARITY",
     "CudaCachingAllocator",
-    "CudaVmm",
     "DRIVER_PAGE_GROUP_SIZES",
     "Device",
     "DeviceBuffer",
@@ -40,14 +39,10 @@ __all__ = [
     "SUPPORTED_PAGE_GROUP_SIZES",
     "SimClock",
     "VirtualAddressSpace",
-    "VmmCallStats",
     "api_latency",
     "get_gpu",
-    "make_devices",
     "make_driver",
-    "map_cost",
     "register_gpu",
     "static_kv_cache_bytes",
-    "unmap_cost",
     "validate_page_group_size",
 ]

@@ -3,19 +3,16 @@
 The reproduction is a discrete-event simulation: nothing ever sleeps, and
 all latencies (kernel execution, CUDA VMM API calls, queueing) are modeled
 by advancing this clock. Components that need to account time accept a
-:class:`SimClock` and call :meth:`SimClock.advance`.
-
-A clock can have *observers* (e.g. the background allocation thread model)
-which are notified whenever time moves, allowing work that conceptually
-happens concurrently with compute to be credited correctly.
+:class:`SimClock` and call :meth:`SimClock.advance`. Work that overlaps
+with compute (the background allocation thread model,
+:class:`repro.core.background.BackgroundWorker`) keeps its own seconds
+and is told the length of each compute window; the clock has no
+listeners.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List
-
-Observer = Callable[[float, float], None]
 
 
 class SimClock:
@@ -31,7 +28,6 @@ class SimClock:
         if start < 0:
             raise ValueError(f"clock cannot start negative, got {start}")
         self._now = float(start)
-        self._observers: List[Observer] = []
 
     @property
     def now(self) -> float:
@@ -48,10 +44,7 @@ class SimClock:
             raise ValueError("cannot advance clock by NaN seconds")
         if duration < 0:
             raise ValueError(f"cannot advance clock by {duration}s")
-        previous = self._now
         self._now += duration
-        for observer in self._observers:
-            observer(previous, self._now)
         return self._now
 
     def advance_to(self, timestamp: float) -> float:
@@ -74,7 +67,6 @@ class SimClock:
         floats. The decode fast path sums its iteration latencies
         externally with the per-iteration loop's exact arithmetic and
         uses this to land the clock on the bit-identical result.
-        Observers are notified once over the whole jump.
         """
         if math.isnan(timestamp):
             raise ValueError("cannot jump clock to NaN")
@@ -82,19 +74,8 @@ class SimClock:
             raise ValueError(
                 f"cannot jump clock backwards ({self._now} -> {timestamp})"
             )
-        previous = self._now
         self._now = float(timestamp)
-        for observer in self._observers:
-            observer(previous, self._now)
         return self._now
-
-    def subscribe(self, observer: Observer) -> None:
-        """Register a callback invoked as ``observer(old_now, new_now)``."""
-        self._observers.append(observer)
-
-    def unsubscribe(self, observer: Observer) -> None:
-        """Remove a previously registered observer."""
-        self._observers.remove(observer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6f})"

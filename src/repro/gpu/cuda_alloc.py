@@ -64,11 +64,6 @@ class CudaCachingAllocator:
         self._cached_segments: Dict[int, list[PhysicalHandle]] = {}
 
     @property
-    def live_bytes(self) -> int:
-        """Bytes in buffers currently held by the application."""
-        return sum(buf.committed for buf in self._live.values())
-
-    @property
     def cached_bytes(self) -> int:
         """Bytes parked in the allocator's free lists (still committed)."""
         return sum(
@@ -102,16 +97,6 @@ class CudaCachingAllocator:
         if self._live.pop(buffer.buffer_id, None) is None:
             raise InvalidHandle(f"{buffer!r} is not live in this allocator")
         self._cached_segments.setdefault(buffer.committed, []).append(buffer.handle)
-
-    def empty_cache(self) -> int:
-        """Release cached segments back to the device; returns bytes freed."""
-        freed = 0
-        for handles in self._cached_segments.values():
-            for handle in handles:
-                freed += handle.size
-                self._pool.release(handle)
-        self._cached_segments.clear()
-        return freed
 
 
 def static_kv_cache_bytes(

@@ -1,15 +1,12 @@
 """A simulated GPU device: spec + physical pool + VA space + drivers.
 
-One :class:`Device` corresponds to one physical GPU. Tensor-parallel
-deployments create one device per worker (see
-:class:`repro.serving.engine.LLMEngine`); all devices of a deployment
-share a single :class:`~repro.gpu.clock.SimClock` because workers execute
-in lock-step within an iteration.
+One :class:`Device` corresponds to one physical GPU. A tensor-parallel
+deployment's workers execute in lock-step and hold identical per-worker
+shards, so :class:`repro.serving.engine.LLMEngine` builds one
+representative device for them all.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..errors import ConfigError
 from ..units import fmt_bytes
@@ -19,7 +16,6 @@ from .driver import ExtendedDriver, make_driver
 from .phys import PhysicalMemoryPool
 from .spec import GpuSpec, get_gpu
 from .virtual import VirtualAddressSpace
-from .vmm import CudaVmm
 
 
 class Device:
@@ -33,15 +29,12 @@ class Device:
         Bytes pre-committed to model weights and activation workspace;
         subtracted from the physical pool available for KV cache and
         other runtime allocations.
-    clock:
-        Shared simulation clock; a fresh one is created if omitted.
     """
 
     def __init__(
         self,
         spec: GpuSpec | str,
         reserved_bytes: int = 0,
-        clock: Optional[SimClock] = None,
     ) -> None:
         self.spec = get_gpu(spec) if isinstance(spec, str) else spec
         if reserved_bytes < 0:
@@ -52,10 +45,9 @@ class Device:
                 f"memory {fmt_bytes(self.spec.memory_bytes)}"
             )
         self.reserved_bytes = reserved_bytes
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
         self.pool = PhysicalMemoryPool(self.spec.memory_bytes - reserved_bytes)
         self.va_space = VirtualAddressSpace(self.spec.va_space_bytes)
-        self.vmm = CudaVmm(self.pool, self.va_space, self.clock)
         self.caching_allocator = CudaCachingAllocator(self.pool, self.clock)
 
     @property
@@ -72,18 +64,3 @@ class Device:
             f"Device({self.spec.name}, kv_budget={fmt_bytes(self.kv_budget)}, "
             f"t={self.clock.now:.3f}s)"
         )
-
-
-def make_devices(
-    gpu: GpuSpec | str,
-    count: int,
-    reserved_bytes_per_gpu: int = 0,
-) -> list[Device]:
-    """Create ``count`` lock-step devices sharing one clock (a TP group)."""
-    if count <= 0:
-        raise ConfigError(f"device count must be positive, got {count}")
-    clock = SimClock()
-    return [
-        Device(gpu, reserved_bytes=reserved_bytes_per_gpu, clock=clock)
-        for _ in range(count)
-    ]

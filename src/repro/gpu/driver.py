@@ -15,16 +15,13 @@ vMemRelease   cuMemUnmap + cuMemRelease           64KB/128KB/256KB/2MB
 vMemFree      cuMemAddressFree                    64KB/128KB/256KB/2MB
 ============  ==================================  =========================
 
-At 2MB the class simply delegates to the stock :class:`~repro.gpu.vmm.CudaVmm`
-latencies, so a serving framework can configure any supported page-group
-size through one interface (this is what :class:`repro.core.vattention.VAttention`
-does).
+At 2MB the class charges the stock CUDA latencies of the same table, so
+one interface serves every supported page-group size; the stock APIs are
+not modelled separately. Each call advances the simulated clock by its
+latency (:func:`repro.gpu.vmm.api_latency`).
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator, Optional
 
 from ..errors import ConfigError
 from ..units import MB, is_aligned
@@ -32,7 +29,7 @@ from .clock import SimClock
 from .phys import PhysicalHandle, PhysicalMemoryPool
 from .spec import SUPPORTED_PAGE_GROUP_SIZES
 from .virtual import Reservation, VirtualAddressSpace
-from .vmm import CudaVmm, LatencySink, VmmCallStats, api_latency, map_cost
+from .vmm import api_latency
 
 
 class ExtendedDriver:
@@ -41,7 +38,7 @@ class ExtendedDriver:
     Parameters
     ----------
     pool, va_space, clock:
-        The simulated device state shared with the stock VMM.
+        The simulated device state the driver allocates from.
     page_group_size:
         Granularity this driver instance allocates at. Must be one of
         64KB, 128KB, 256KB or 2MB.
@@ -64,32 +61,10 @@ class ExtendedDriver:
         self._va = va_space
         self._clock = clock
         self.page_group_size = page_group_size
-        self._sink: Optional[LatencySink] = None
-        self.stats = VmmCallStats()
 
     # ------------------------------------------------------------------
     def _charge(self, api: str) -> None:
-        latency = api_latency(api, self.page_group_size)
-        self.stats.charged_seconds += latency
-        if self._sink is not None:
-            self._sink(latency)
-        else:
-            self._clock.advance(latency)
-
-    @contextmanager
-    def charge_to(self, sink: LatencySink) -> Iterator[None]:
-        """Redirect latency charges to ``sink`` within the block."""
-        previous = self._sink
-        self._sink = sink
-        try:
-            yield
-        finally:
-            self._sink = previous
-
-    @property
-    def map_cost_seconds(self) -> float:
-        """Critical-path seconds to create + map one page-group."""
-        return map_cost(self.page_group_size)
+        self._clock.advance(api_latency(api, self.page_group_size))
 
     # ------------------------------------------------------------------
     # API surface (vMem*)
@@ -101,7 +76,6 @@ class ExtendedDriver:
                 f"reservation size {size} not aligned to page-group "
                 f"{self.page_group_size}"
             )
-        self.stats.reserve += 1
         self._charge("reserve")
         # Reservations themselves are 2MB-base-aligned regardless of
         # page-group size, matching the MMU's top-level granularity.
@@ -110,7 +84,6 @@ class ExtendedDriver:
 
     def v_mem_create(self) -> PhysicalHandle:
         """``vMemCreate``: allocate one physical page-group."""
-        self.stats.create += 1
         self._charge("create")
         return self._pool.allocate(self.page_group_size)
 
@@ -128,27 +101,22 @@ class ExtendedDriver:
                 f"handle of size {handle.size} does not match driver "
                 f"granularity {self.page_group_size}"
             )
-        self.stats.map += 1
         self._charge("map")
         if self.page_group_size == 2 * MB:
             # Stock path: access enablement is a second driver round-trip.
-            self.stats.set_access += 1
             self._charge("set_access")
         reservation.map(offset, handle)
 
     def v_mem_release(self, reservation: Reservation, offset: int) -> None:
         """``vMemRelease``: unmap the page-group at ``offset`` and free it."""
         if self.page_group_size == 2 * MB:
-            self.stats.unmap += 1
             self._charge("unmap")
-        self.stats.release += 1
         self._charge("release")
         mapping = reservation.unmap(offset)
         self._pool.release(mapping.handle)
 
     def v_mem_free(self, reservation: Reservation) -> None:
         """``vMemFree``: release the virtual buffer (must be unmapped)."""
-        self.stats.free += 1
         self._charge("free")
         self._va.free(reservation)
 
@@ -169,4 +137,4 @@ def make_driver(
     return ExtendedDriver(pool, va_space, clock, page_group_size)
 
 
-__all__ = ["ExtendedDriver", "make_driver", "CudaVmm", "VmmCallStats"]
+__all__ = ["ExtendedDriver", "make_driver"]

@@ -8,7 +8,7 @@ into one or more virtual address ranges.
 The pool tracks:
 
 * committed bytes (handles that exist),
-* a high-water mark (for capacity experiments such as Figure 15),
+* a high-water mark (peak committed bytes, which invariant tests read),
 * per-handle metadata so double-release and use-after-release are caught.
 
 The pool is deliberately simple — physical frames are fungible, so we only
@@ -60,8 +60,6 @@ class PhysicalMemoryPool:
         self._high_water = 0
         self._handles: Dict[int, PhysicalHandle] = {}
         self._ids: Iterator[int] = itertools.count(1)
-        self._total_allocations = 0
-        self._total_releases = 0
 
     # ------------------------------------------------------------------
     # Capacity accounting
@@ -85,21 +83,6 @@ class PhysicalMemoryPool:
     def high_water_mark(self) -> int:
         """Peak committed bytes over the pool's lifetime."""
         return self._high_water
-
-    @property
-    def live_handle_count(self) -> int:
-        """Number of handles currently allocated."""
-        return len(self._handles)
-
-    @property
-    def total_allocations(self) -> int:
-        """Cumulative number of successful allocations."""
-        return self._total_allocations
-
-    @property
-    def total_releases(self) -> int:
-        """Cumulative number of releases."""
-        return self._total_releases
 
     # ------------------------------------------------------------------
     # Allocation API
@@ -125,7 +108,6 @@ class PhysicalMemoryPool:
         self._handles[handle.handle_id] = handle
         self._committed += size
         self._high_water = max(self._high_water, self._committed)
-        self._total_allocations += 1
         return handle
 
     def release(self, handle: PhysicalHandle) -> None:
@@ -141,15 +123,6 @@ class PhysicalMemoryPool:
         if live is None:
             raise InvalidHandle(f"{handle!r} is not live in this pool")
         self._committed -= live.size
-        self._total_releases += 1
-
-    def is_live(self, handle: PhysicalHandle) -> bool:
-        """Whether ``handle`` is currently allocated from this pool."""
-        return handle.handle_id in self._handles
-
-    def reset_high_water_mark(self) -> None:
-        """Restart peak tracking from the current committed level."""
-        self._high_water = self._committed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -76,10 +76,6 @@ class Reservation:
         """Number of live mappings."""
         return len(self._mappings)
 
-    def mappings(self) -> List[Mapping]:
-        """All mappings ordered by offset (a copy; safe to mutate)."""
-        return [self._mappings[o] for o in self._offsets]
-
     # ------------------------------------------------------------------
     def map(self, offset: int, handle: PhysicalHandle) -> Mapping:
         """Back ``[offset, offset + handle.size)`` with ``handle``."""
@@ -110,13 +106,6 @@ class Reservation:
             raise MappingError(f"no mapping starts at offset {offset}")
         self._offsets.remove(offset)
         return mapping
-
-    def unmap_all(self) -> List[Mapping]:
-        """Remove and return every mapping (used at teardown)."""
-        removed = self.mappings()
-        self._offsets.clear()
-        self._mappings.clear()
-        return removed
 
     # ------------------------------------------------------------------
     # Queries
@@ -192,7 +181,7 @@ class VirtualAddressSpace:
     Reservations are carved with a simple bump allocator: virtual memory
     is so abundant (128TB+) that reuse of freed VA ranges is unnecessary,
     exactly the property the paper leans on (S5.1: "virtual memory is
-    abundant"). Freed ranges are tracked only for accounting.
+    abundant").
     """
 
     #: Reservation bases are aligned to the largest native page size.
@@ -204,22 +193,11 @@ class VirtualAddressSpace:
         self.size = size
         self._next_base = self.BASE_ALIGNMENT  # never hand out address 0
         self._reservations: Dict[int, Reservation] = {}
-        self._freed_bytes = 0
 
     @property
     def reserved_bytes(self) -> int:
         """Bytes currently held by live reservations."""
         return sum(r.size for r in self._reservations.values())
-
-    @property
-    def freed_bytes(self) -> int:
-        """Cumulative bytes of released reservations."""
-        return self._freed_bytes
-
-    @property
-    def reservation_count(self) -> int:
-        """Number of live reservations."""
-        return len(self._reservations)
 
     def reserve(self, size: int, alignment: int = BASE_ALIGNMENT) -> Reservation:
         """Reserve a contiguous virtual range of ``size`` bytes."""
@@ -251,7 +229,6 @@ class VirtualAddressSpace:
             raise MappingError(
                 f"cannot free reservation with {live.mapping_count} live mappings"
             )
-        self._freed_bytes += live.size
 
     def find(self, address: int) -> Reservation:
         """The reservation containing ``address``."""

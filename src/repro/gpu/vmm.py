@@ -1,37 +1,30 @@
-"""CUDA virtual memory management (VMM) API surface with latency model.
+"""CUDA virtual memory management (VMM) API latencies.
 
-This module mirrors the driver API family the paper builds on
-(``cuMemAddressReserve`` / ``cuMemCreate`` / ``cuMemMap`` /
-``cuMemSetAccess`` / ``cuMemUnmap`` / ``cuMemRelease`` /
-``cuMemAddressFree``), including their costs. Latencies are taken
-verbatim from Table 3 of the paper (2MB column for the stock CUDA APIs;
-the small-page columns belong to the extended driver of
-:mod:`repro.gpu.driver`).
-
-Stock CUDA VMM only allocates at 2MB granularity — requesting a smaller
-page-group through this class is rejected, which is precisely the
-limitation that motivates the paper's driver extension.
+The paper builds on the driver API family ``cuMemAddressReserve`` /
+``cuMemCreate`` / ``cuMemMap`` / ``cuMemSetAccess`` / ``cuMemUnmap`` /
+``cuMemRelease`` / ``cuMemAddressFree``. This module holds their costs,
+taken verbatim from Table 3 of the paper: the 2MB column for the stock
+CUDA APIs, the small-page columns for the extended driver. Both are
+emulated by one class, :class:`repro.gpu.driver.ExtendedDriver`; the
+stock APIs exist only at 2MB, the limitation that motivates the paper's
+driver extension.
 
 Time accounting
 ---------------
-Each API call charges its latency to a *sink*. By default the sink is the
-simulated clock (the call happens synchronously in the critical path).
-The vAttention background-allocation thread redirects charges to a budget
-object instead (see :mod:`repro.core.background`), modelling allocation
-that overlaps with compute.
+A driver call advances the simulated clock by its latency (the call
+happens synchronously in the critical path). The vAttention manager
+(:mod:`repro.core.vattention`) prices its page-group rows from
+:func:`api_latency` directly; work it overlaps with compute is queued on
+:class:`repro.core.background.BackgroundWorker`, which keeps its own
+seconds and never calls a driver.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional
+from typing import Dict, Optional
 
-from ..errors import ConfigError, MappingError
-from ..units import KB, MB, is_aligned, us
-from .clock import SimClock
-from .phys import PhysicalHandle, PhysicalMemoryPool
-from .virtual import Reservation, VirtualAddressSpace
+from ..errors import ConfigError
+from ..units import KB, MB, us
 
 #: Per-API latency in seconds, keyed by page-group size, from paper Table 3.
 #: ``None`` entries mean the API is not offered at that granularity.
@@ -58,158 +51,3 @@ def api_latency(api: str, page_group_size: int) -> float:
             f"API {api!r} not available at page-group size {page_group_size}"
         )
     return latency
-
-
-#: Effective cost of growing one mapped page-group, per granularity:
-#: allocate a handle and map it (map+set_access for stock CUDA).
-def map_cost(page_group_size: int) -> float:
-    """Seconds to create + map one page-group of ``page_group_size``."""
-    cost = api_latency("create", page_group_size) + api_latency(
-        "map", page_group_size
-    )
-    if page_group_size == 2 * MB:
-        cost += api_latency("set_access", 2 * MB)
-    return cost
-
-
-def unmap_cost(page_group_size: int) -> float:
-    """Seconds to unmap + release one page-group of ``page_group_size``."""
-    cost = api_latency("release", page_group_size)
-    if page_group_size == 2 * MB:
-        cost += api_latency("unmap", 2 * MB)
-    return cost
-
-
-LatencySink = Callable[[float], None]
-
-
-@dataclass
-class VmmCallStats:
-    """Counters of VMM API invocations (used by ablation experiments)."""
-
-    reserve: int = 0
-    create: int = 0
-    map: int = 0
-    set_access: int = 0
-    unmap: int = 0
-    release: int = 0
-    free: int = 0
-    charged_seconds: float = 0.0
-
-    @property
-    def total_calls(self) -> int:
-        """All API invocations combined."""
-        return (
-            self.reserve
-            + self.create
-            + self.map
-            + self.set_access
-            + self.unmap
-            + self.release
-            + self.free
-        )
-
-
-class CudaVmm:
-    """The stock CUDA VMM driver interface (2MB granularity only)."""
-
-    #: Granularity the stock APIs operate at.
-    granularity: int = 2 * MB
-
-    def __init__(
-        self,
-        pool: PhysicalMemoryPool,
-        va_space: VirtualAddressSpace,
-        clock: SimClock,
-    ) -> None:
-        self._pool = pool
-        self._va = va_space
-        self._clock = clock
-        self._sink: Optional[LatencySink] = None
-        self.stats = VmmCallStats()
-
-    # ------------------------------------------------------------------
-    # Time accounting
-    # ------------------------------------------------------------------
-    def _charge(self, api: str, page_group_size: Optional[int] = None) -> None:
-        latency = api_latency(api, page_group_size or self.granularity)
-        self.stats.charged_seconds += latency
-        if self._sink is not None:
-            self._sink(latency)
-        else:
-            self._clock.advance(latency)
-
-    @contextmanager
-    def charge_to(self, sink: LatencySink) -> Iterator[None]:
-        """Redirect latency charges to ``sink`` within the block.
-
-        Used by the background allocation thread: work done there costs
-        real time, but not *critical-path* time, unless it exceeds the
-        duration of the overlapped compute.
-        """
-        previous = self._sink
-        self._sink = sink
-        try:
-            yield
-        finally:
-            self._sink = previous
-
-    def _check_granularity(self, size: int) -> None:
-        if not is_aligned(size, self.granularity):
-            raise ConfigError(
-                f"size {size} not a multiple of CUDA granularity "
-                f"{self.granularity} (stock cuMem* APIs support only 2MB pages)"
-            )
-
-    # ------------------------------------------------------------------
-    # API surface (cuMem*)
-    # ------------------------------------------------------------------
-    def mem_address_reserve(self, size: int) -> Reservation:
-        """``cuMemAddressReserve``: carve a virtual range, no backing."""
-        self._check_granularity(size)
-        self.stats.reserve += 1
-        self._charge("reserve")
-        return self._va.reserve(size)
-
-    def mem_create(self, size: Optional[int] = None) -> PhysicalHandle:
-        """``cuMemCreate``: allocate a physical page-group (2MB default)."""
-        size = size if size is not None else self.granularity
-        self._check_granularity(size)
-        self.stats.create += 1
-        self._charge("create")
-        return self._pool.allocate(size)
-
-    def mem_map(
-        self, reservation: Reservation, offset: int, handle: PhysicalHandle
-    ) -> None:
-        """``cuMemMap``: attach a handle at ``offset``; access still disabled."""
-        self.stats.map += 1
-        self._charge("map")
-        reservation.map(offset, handle)
-
-    def mem_set_access(self, reservation: Reservation, offset: int, size: int) -> None:
-        """``cuMemSetAccess``: enable access to a mapped sub-range."""
-        if not reservation.is_range_backed(offset, size):
-            raise MappingError(
-                f"cuMemSetAccess over unmapped range [{offset}, {offset + size})"
-            )
-        self.stats.set_access += 1
-        self._charge("set_access")
-
-    def mem_unmap(self, reservation: Reservation, offset: int) -> PhysicalHandle:
-        """``cuMemUnmap``: detach the mapping starting at ``offset``."""
-        self.stats.unmap += 1
-        self._charge("unmap")
-        return reservation.unmap(offset).handle
-
-    def mem_release(self, handle: PhysicalHandle) -> None:
-        """``cuMemRelease``: free the physical page-group."""
-        self.stats.release += 1
-        self._charge("release")
-        self._pool.release(handle)
-
-    def mem_address_free(self, reservation: Reservation) -> None:
-        """``cuMemAddressFree``: release the virtual range."""
-        self.stats.free += 1
-        self._charge("free")
-        self._va.free(reservation)

@@ -129,12 +129,6 @@ class MetricsCollector:
             raise ValueError("no prefill iterations recorded")
         return total_tokens / total_time
 
-    def alloc_spike_iterations(self, threshold: float) -> int:
-        """Decode iterations whose sync-allocation time exceeds threshold."""
-        return sum(
-            1 for r in self.of_phase("decode") if r.alloc_sync > threshold
-        )
-
 
 @dataclass(frozen=True)
 class RunReport:

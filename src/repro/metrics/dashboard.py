@@ -1,12 +1,11 @@
-"""End-of-run telemetry dashboard: registry state as ASCII or JSON.
+"""End-of-run telemetry dashboard: registry state as ASCII.
 
-The ASCII form groups instruments by layer and renders counters as a
+The dashboard groups instruments by layer and renders counters as a
 bar chart, gauges as last-value plus a sim-time sparkline, and
 histograms as count/mean/p50/p99 summaries — all through the plotting
-primitives in :mod:`repro.metrics.ascii_plot`. The JSON form is just
-:meth:`TelemetryRegistry.to_json
-<repro.metrics.telemetry.TelemetryRegistry.to_json>`, kept here only
-so both renderings share one entry point.
+primitives in :mod:`repro.metrics.ascii_plot`. The JSON form of the
+same state is :meth:`TelemetryRegistry.to_json
+<repro.metrics.telemetry.TelemetryRegistry.to_json>`.
 
 Spans-on runs additionally get :func:`render_waterfall` — a Gantt view
 of the slowest requests' span trees, one row per phase, scaled to the
@@ -15,7 +14,6 @@ request's end-to-end window.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Dict, Iterable, List, Tuple
 
@@ -86,11 +84,6 @@ def render_dashboard(registry: TelemetryRegistry, width: int = 40) -> str:
 
     header = f"telemetry dashboard ({registry.event_count} events)"
     return "\n\n".join([header] + sections)
-
-
-def render_json(registry: TelemetryRegistry, indent: int = 2) -> str:
-    """The registry's state as a JSON document string."""
-    return json.dumps(registry.to_json(), indent=indent, sort_keys=True)
 
 
 def render_waterfall(

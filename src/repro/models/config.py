@@ -150,10 +150,6 @@ class ModelConfig:
             raise ConfigError(f"context length cannot be negative: {context_len}")
         return context_len * self.kv_bytes_per_token
 
-    def max_request_kv_bytes(self) -> int:
-        """KV bytes a single maximal-length request can occupy."""
-        return self.kv_bytes_for_context(self.max_context)
-
     # ------------------------------------------------------------------
     # FLOP counts (whole model; cost models shard them per worker)
     # ------------------------------------------------------------------

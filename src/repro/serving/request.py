@@ -30,8 +30,7 @@ class PrefixDescriptor:
     frozen into :class:`~repro.tokens.TokenRuns` (runs of consecutive
     ids) at construction, so a caller mutating its list afterwards
     cannot change the descriptor. A ``TokenRuns`` argument — what the
-    trace generators pass — is kept as is, so each prompt stays one
-    object for the tree's per-node comparison memo.
+    trace generators pass — is immutable and kept as is, not copied.
     """
 
     group: str

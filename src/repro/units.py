@@ -33,11 +33,6 @@ def to_us(seconds: float) -> float:
     return seconds / MICROSECOND
 
 
-def to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds / MILLISECOND
-
-
 def fmt_bytes(n: int) -> str:
     """Render a byte count with a binary-unit suffix.
 

@@ -41,12 +41,9 @@ class TestAdvance:
     @pytest.mark.parametrize("move", ["advance", "jump_to"])
     def test_rejects_nan(self, move):
         clock = SimClock(start=1.0)
-        seen = []
-        clock.subscribe(lambda old, new: seen.append(new))
         with pytest.raises(ValueError):
             getattr(clock, move)(math.nan)
         assert clock.now == 1.0
-        assert seen == []
 
 
 class TestAdvanceTo:
@@ -59,30 +56,3 @@ class TestAdvanceTo:
         clock = SimClock(start=10.0)
         clock.advance_to(5.0)
         assert clock.now == 10.0
-
-
-class TestObservers:
-    def test_observer_sees_interval(self):
-        clock = SimClock()
-        seen = []
-        clock.subscribe(lambda old, new: seen.append((old, new)))
-        clock.advance(2.0)
-        assert seen == [(0.0, 2.0)]
-
-    def test_unsubscribe(self):
-        clock = SimClock()
-        seen = []
-        observer = lambda old, new: seen.append(new)  # noqa: E731
-        clock.subscribe(observer)
-        clock.advance(1.0)
-        clock.unsubscribe(observer)
-        clock.advance(1.0)
-        assert seen == [1.0]
-
-    def test_multiple_observers(self):
-        clock = SimClock()
-        first, second = [], []
-        clock.subscribe(lambda o, n: first.append(n))
-        clock.subscribe(lambda o, n: second.append(n))
-        clock.advance(1.0)
-        assert first == [1.0] and second == [1.0]

@@ -34,11 +34,6 @@ class TestReservationSemantics:
         with pytest.raises(ValueError):
             allocator.malloc(0)
 
-    def test_live_bytes(self, allocator):
-        allocator.malloc(2 * MB)
-        allocator.malloc(2 * MB)
-        assert allocator.live_bytes == 4 * MB
-
 
 class TestCaching:
     def test_free_keeps_memory_committed(self, allocator):
@@ -60,13 +55,6 @@ class TestCaching:
         allocator.free(buffer)
         with pytest.raises(InvalidHandle):
             allocator.free(buffer)
-
-    def test_empty_cache_releases(self, allocator):
-        buffer = allocator.malloc(8 * MB)
-        allocator.free(buffer)
-        freed = allocator.empty_cache()
-        assert freed == 8 * MB
-        assert allocator._pool.committed == 0
 
 
 class TestStaticKvMath:

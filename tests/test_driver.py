@@ -72,7 +72,6 @@ class Test2MbDelegation:
         before = device.clock.now
         driver.v_mem_map(reservation, 0, handle)
         assert device.clock.now - before == pytest.approx(us(2 + 38))
-        assert driver.stats.set_access == 1
 
     def test_release_charges_unmap_plus_release(self, device):
         driver = device.driver(2 * MB)
@@ -82,14 +81,6 @@ class Test2MbDelegation:
         before = device.clock.now
         driver.v_mem_release(reservation, 0)
         assert device.clock.now - before == pytest.approx(us(34 + 23))
-
-    def test_map_cost_property(self, device):
-        assert device.driver(2 * MB).map_cost_seconds == pytest.approx(
-            us(29 + 2 + 38)
-        )
-        assert device.driver(64 * KB).map_cost_seconds == pytest.approx(
-            us(1.7 + 8)
-        )
 
 
 class TestFullTensorLifecycle:
@@ -107,14 +98,3 @@ class TestFullTensorLifecycle:
         driver.v_mem_free(reservation)
         assert device.pool.committed == 0
         assert device.va_space.reserved_bytes == 0
-
-    def test_charge_to_defers_latency(self, device):
-        driver = device.driver(64 * KB)
-        reservation = driver.v_mem_reserve(1 * MB)
-        bucket = []
-        before = device.clock.now
-        with driver.charge_to(bucket.append):
-            handle = driver.v_mem_create()
-            driver.v_mem_map(reservation, 0, handle)
-        assert device.clock.now == before
-        assert sum(bucket) == pytest.approx(us(1.7 + 8))

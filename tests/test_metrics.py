@@ -135,12 +135,6 @@ class TestCollector:
         with pytest.raises(ValueError):
             MetricsCollector().decode_throughput()
 
-    def test_spike_count(self):
-        collector = MetricsCollector()
-        collector.record(record("decode", 0.01, alloc=0.005))
-        collector.record(record("decode", 0.01, alloc=0.0))
-        assert collector.alloc_spike_iterations(threshold=0.001) == 1
-
 
 class TestRunReport:
     def _finished_request(self, rid: str, arrival: float, finish: float) -> Request:

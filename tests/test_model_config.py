@@ -54,9 +54,6 @@ class TestDerivedShapes:
         with pytest.raises(ConfigError):
             YI_6B.kv_bytes_for_context(-1)
 
-    def test_max_request_kv(self):
-        assert YI_6B.max_request_kv_bytes() == 200_000 * 64 * KB
-
 
 class TestFlops:
     def test_prefill_attention_quadratic(self):

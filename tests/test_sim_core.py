@@ -99,13 +99,6 @@ class TestClockJump:
         with pytest.raises(ValueError):
             clock.jump_to(4.0)
 
-    def test_observers_see_one_notification(self):
-        clock = SimClock()
-        seen = []
-        clock.subscribe(lambda old, new: seen.append((old, new)))
-        clock.jump_to(3.0)
-        assert seen == [(0.0, 3.0)]
-
 
 # ----------------------------------------------------------------------
 class TestStableDecodeHorizon:

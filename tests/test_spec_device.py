@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.gpu.device import Device, make_devices
+from repro.gpu.device import Device
 from repro.gpu.spec import (
     A100,
     CUDA_VMM_GRANULARITY,
@@ -80,12 +80,3 @@ class TestDevice:
         device = Device(A100)
         driver = device.driver(64 * KB)
         assert driver.page_group_size == 64 * KB
-
-    def test_make_devices_share_clock(self):
-        devices = make_devices(A100, 2, reserved_bytes_per_gpu=1 * GB)
-        assert devices[0].clock is devices[1].clock
-        assert len(devices) == 2
-
-    def test_make_devices_rejects_zero(self):
-        with pytest.raises(ConfigError):
-            make_devices(A100, 0)

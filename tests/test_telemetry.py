@@ -33,7 +33,7 @@ from repro.errors import ConfigError
 from repro.experiments import ext_sched_policy, fig08_decode_throughput
 from repro.gpu.spec import A100
 from repro.memory import MemoryConfig
-from repro.metrics.dashboard import render_dashboard, render_json
+from repro.metrics.dashboard import render_dashboard
 from repro.metrics.spans import write_spans_jsonl
 from repro.metrics.telemetry import (
     Gauge,
@@ -325,13 +325,6 @@ class TestDashboard:
         registry.counter("num_preempted_reqs_total", "r0", "engine")
         text = render_dashboard(registry)
         assert "num_preempted_reqs_total[r0]: 0" in text
-
-    def test_render_json_parses(self):
-        registry = TelemetryRegistry()
-        registry.gauge("token_usage", "r0", "memory").set(1.0, 0.5)
-        document = json.loads(render_json(registry))
-        assert document["events"] == 0
-        assert document["metrics"][0]["name"] == "token_usage"
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.units import (
     fmt_seconds,
     is_aligned,
     ms,
-    to_ms,
     to_us,
     us,
 )
@@ -26,7 +25,7 @@ class TestConstants:
 
     def test_time_round_trip(self):
         assert to_us(us(40)) == pytest.approx(40)
-        assert to_ms(ms(5)) == pytest.approx(5)
+        assert ms(5) == pytest.approx(0.005)
 
     def test_us_is_seconds(self):
         assert us(1_000_000) == pytest.approx(1.0)

@@ -69,7 +69,6 @@ class TestStrides:
     def test_row_bytes(self):
         config = config_for(YI_6B, 1)
         assert config.row_bytes == 64 * 2 * MB
-        assert config.kv_bytes_mapped(3) == 3 * config.row_bytes
 
 
 class TestValidation:

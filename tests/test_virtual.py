@@ -54,7 +54,7 @@ class TestReserve:
             space.free(reservation)
         reservation.unmap(0)
         space.free(reservation)
-        assert space.freed_bytes == 4 * MB
+        assert space.reserved_bytes == 0
 
     def test_find(self, space):
         reservation = space.reserve(4 * MB)
@@ -106,13 +106,6 @@ class TestMapping:
         reservation = space.reserve(4 * MB)
         with pytest.raises(MappingError):
             reservation.unmap(0)
-
-    def test_unmap_all(self, space, pool):
-        reservation = space.reserve(8 * MB)
-        for offset in (0, 2 * MB, 4 * MB):
-            reservation.map(offset, pool.allocate(2 * MB))
-        assert len(reservation.unmap_all()) == 3
-        assert reservation.mapping_count == 0
 
 
 class TestCoverage:

@@ -104,7 +104,7 @@ class TestDestroy:
         device = Device(A100, reserved_bytes=70 * GB)
         tensors = build_kv_tensors(device, tiny_config, count=4)
         assert len(tensors) == 4
-        assert device.va_space.reservation_count == 4
+        assert device.va_space.reserved_bytes == 4 * tiny_config.buffer_bytes
 
     def test_build_rejects_zero(self, tiny_config):
         device = Device(A100, reserved_bytes=70 * GB)

@@ -1,26 +1,10 @@
-"""CUDA VMM API surface: semantics and Table 3 latency accounting."""
+"""CUDA VMM API latencies: the Table 3 lookup."""
 
 import pytest
 
-from repro.errors import ConfigError, MappingError
-from repro.gpu.clock import SimClock
-from repro.gpu.phys import PhysicalMemoryPool
-from repro.gpu.virtual import VirtualAddressSpace
-from repro.gpu.vmm import (
-    API_LATENCY,
-    CudaVmm,
-    api_latency,
-    map_cost,
-    unmap_cost,
-)
-from repro.units import GB, KB, MB, us
-
-
-@pytest.fixture
-def vmm() -> CudaVmm:
-    pool = PhysicalMemoryPool(capacity=1 * GB)
-    space = VirtualAddressSpace(size=64 * GB)
-    return CudaVmm(pool, space, SimClock())
+from repro.errors import ConfigError
+from repro.gpu.vmm import API_LATENCY, api_latency
+from repro.units import KB, MB, us
 
 
 class TestLatencyTable:
@@ -42,88 +26,6 @@ class TestLatencyTable:
         with pytest.raises(ConfigError):
             api_latency("bogus", 2 * MB)
 
-    def test_map_cost_small_page(self):
-        assert map_cost(64 * KB) == pytest.approx(us(1.7 + 8))
-
-    def test_map_cost_2mb_includes_set_access(self):
-        assert map_cost(2 * MB) == pytest.approx(us(29 + 2 + 38))
-
-    def test_unmap_cost_2mb_includes_unmap(self):
-        assert unmap_cost(2 * MB) == pytest.approx(us(34 + 23))
-
     def test_every_api_has_all_four_sizes(self):
         for api, by_size in API_LATENCY.items():
             assert set(by_size) == {64 * KB, 128 * KB, 256 * KB, 2 * MB}, api
-
-
-class TestApiSemantics:
-    def test_reserve_create_map_flow(self, vmm):
-        reservation = vmm.mem_address_reserve(8 * MB)
-        handle = vmm.mem_create()
-        vmm.mem_map(reservation, 0, handle)
-        vmm.mem_set_access(reservation, 0, 2 * MB)
-        assert reservation.is_range_backed(0, 2 * MB)
-
-    def test_clock_charged_per_call(self, vmm):
-        start = vmm._clock.now
-        reservation = vmm.mem_address_reserve(8 * MB)
-        handle = vmm.mem_create()
-        vmm.mem_map(reservation, 0, handle)
-        vmm.mem_set_access(reservation, 0, 2 * MB)
-        elapsed = vmm._clock.now - start
-        assert elapsed == pytest.approx(us(2 + 29 + 2 + 38))
-
-    def test_granularity_enforced(self, vmm):
-        with pytest.raises(ConfigError):
-            vmm.mem_address_reserve(1 * MB)
-        with pytest.raises(ConfigError):
-            vmm.mem_create(64 * KB)
-
-    def test_set_access_requires_mapping(self, vmm):
-        reservation = vmm.mem_address_reserve(8 * MB)
-        with pytest.raises(MappingError):
-            vmm.mem_set_access(reservation, 0, 2 * MB)
-
-    def test_unmap_release_frees_pool(self, vmm):
-        reservation = vmm.mem_address_reserve(8 * MB)
-        handle = vmm.mem_create()
-        vmm.mem_map(reservation, 0, handle)
-        returned = vmm.mem_unmap(reservation, 0)
-        vmm.mem_release(returned)
-        assert vmm._pool.committed == 0
-
-    def test_address_free(self, vmm):
-        reservation = vmm.mem_address_reserve(8 * MB)
-        vmm.mem_address_free(reservation)
-        assert vmm._va.reserved_bytes == 0
-
-    def test_stats_counters(self, vmm):
-        reservation = vmm.mem_address_reserve(8 * MB)
-        handle = vmm.mem_create()
-        vmm.mem_map(reservation, 0, handle)
-        assert vmm.stats.reserve == 1
-        assert vmm.stats.create == 1
-        assert vmm.stats.map == 1
-        assert vmm.stats.total_calls == 3
-
-
-class TestChargeRedirection:
-    def test_charge_to_sink_does_not_advance_clock(self, vmm):
-        bucket = []
-        with vmm.charge_to(bucket.append):
-            vmm.mem_create()
-        assert vmm._clock.now == 0.0
-        assert bucket == [pytest.approx(us(29))]
-
-    def test_sink_restored_after_block(self, vmm):
-        with vmm.charge_to(lambda s: None):
-            pass
-        vmm.mem_create()
-        assert vmm._clock.now == pytest.approx(us(29))
-
-    def test_sink_restored_on_exception(self, vmm):
-        with pytest.raises(RuntimeError):
-            with vmm.charge_to(lambda s: None):
-                raise RuntimeError("boom")
-        vmm.mem_create()
-        assert vmm._clock.now == pytest.approx(us(29))
