@@ -3,7 +3,7 @@
 from .clock import SimClock
 from .cuda_alloc import CudaCachingAllocator, DeviceBuffer, static_kv_cache_bytes
 from .device import Device
-from .driver import ExtendedDriver, make_driver
+from .driver import ExtendedDriver
 from .phys import PhysicalHandle, PhysicalMemoryPool
 from .spec import (
     A100,
@@ -41,7 +41,6 @@ __all__ = [
     "VirtualAddressSpace",
     "api_latency",
     "get_gpu",
-    "make_driver",
     "register_gpu",
     "static_kv_cache_bytes",
     "validate_page_group_size",

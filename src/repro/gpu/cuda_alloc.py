@@ -63,15 +63,6 @@ class CudaCachingAllocator:
         self._live: Dict[int, DeviceBuffer] = {}
         self._cached_segments: Dict[int, list[PhysicalHandle]] = {}
 
-    @property
-    def cached_bytes(self) -> int:
-        """Bytes parked in the allocator's free lists (still committed)."""
-        return sum(
-            handle.size
-            for handles in self._cached_segments.values()
-            for handle in handles
-        )
-
     def malloc(self, size: int) -> DeviceBuffer:
         """Allocate ``size`` bytes; physical memory is committed now."""
         if size <= 0:

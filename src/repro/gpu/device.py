@@ -12,7 +12,7 @@ from ..errors import ConfigError
 from ..units import fmt_bytes
 from .clock import SimClock
 from .cuda_alloc import CudaCachingAllocator
-from .driver import ExtendedDriver, make_driver
+from .driver import ExtendedDriver
 from .phys import PhysicalMemoryPool
 from .spec import GpuSpec, get_gpu
 from .virtual import VirtualAddressSpace
@@ -57,7 +57,9 @@ class Device:
 
     def driver(self, page_group_size: int) -> ExtendedDriver:
         """An extended-driver handle at the requested granularity."""
-        return make_driver(self.pool, self.va_space, self.clock, page_group_size)
+        return ExtendedDriver(
+            self.pool, self.va_space, self.clock, page_group_size
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -121,20 +121,4 @@ class ExtendedDriver:
         self._va.free(reservation)
 
 
-def make_driver(
-    pool: PhysicalMemoryPool,
-    va_space: VirtualAddressSpace,
-    clock: SimClock,
-    page_group_size: int,
-) -> ExtendedDriver:
-    """Factory matching how vAttention selects its allocation backend.
-
-    The paper uses the stock CUDA APIs when configured with 2MB
-    page-groups and the extended driver for smaller ones; both are the
-    same :class:`ExtendedDriver` here, with the latency model switching
-    internally on granularity.
-    """
-    return ExtendedDriver(pool, va_space, clock, page_group_size)
-
-
-__all__ = ["ExtendedDriver", "make_driver"]
+__all__ = ["ExtendedDriver"]

@@ -229,10 +229,3 @@ class VirtualAddressSpace:
             raise MappingError(
                 f"cannot free reservation with {live.mapping_count} live mappings"
             )
-
-    def find(self, address: int) -> Reservation:
-        """The reservation containing ``address``."""
-        for reservation in self._reservations.values():
-            if reservation.base <= address < reservation.end:
-                return reservation
-        raise InvalidAddress(f"address {address:#x} is not reserved")

@@ -818,9 +818,12 @@ class EngineTelemetry:
         now = engine.clock.now
         self.running.set(now, float(len(engine._running)))
         self.queued.set(now, float(len(engine._waiting)))
-        self.token_usage.set(now, float(sum(
+        # The ledger's total covers the decoding members; the members
+        # awaiting their prefill add their (prompt) context.
+        ledger = engine._ledger
+        self.token_usage.set(now, float(ledger.tokens + sum(
             request.prompt_len + request.generated
-            for request in engine._running
+            for request in ledger.awaiting
         )))
         self.batch.set(now, float(record.batch_size))
         if record.latency > 0:

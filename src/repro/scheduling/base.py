@@ -148,9 +148,18 @@ class SchedulerPolicy(abc.ABC):
 
     @abc.abstractmethod
     def plan_iteration(
-        self, running: Sequence["Request"], view: SchedulingView
+        self,
+        running: Sequence["Request"],
+        awaiting: Sequence["Request"],
+        view: SchedulingView,
     ) -> IterationPlan:
-        """Shape of the next iteration over the running batch."""
+        """Shape of the next iteration over the running batch.
+
+        ``awaiting`` is the members of ``running`` that still need
+        their prefill, in running order — the engine keeps the list as
+        the batch changes, so a policy need not scan ``running`` for
+        them. An empty list means every member is decoding.
+        """
 
     def stable_decode_horizon(
         self, running: Sequence["Request"], view: SchedulingView

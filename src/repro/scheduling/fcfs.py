@@ -37,11 +37,14 @@ class FcfsPolicy(SchedulerPolicy):
         return waiting[0] if waiting else None
 
     def plan_iteration(
-        self, running: Sequence[Request], view: SchedulingView
+        self,
+        running: Sequence[Request],
+        awaiting: Sequence[Request],
+        view: SchedulingView,
     ) -> IterationPlan:
-        prefill = next((r for r in running if r.needs_prefill), None)
-        if prefill is None:
+        if not awaiting:
             return IterationPlan(PlanKind.DECODE)
+        prefill = awaiting[0]
         if view.prefill_chunk_size:
             return IterationPlan(
                 PlanKind.MIXED,

@@ -76,17 +76,19 @@ class HybridBatchPolicy(SchedulerPolicy):
         return waiting[0] if waiting else None
 
     def plan_iteration(
-        self, running: Sequence[Request], view: SchedulingView
+        self,
+        running: Sequence[Request],
+        awaiting: Sequence[Request],
+        view: SchedulingView,
     ) -> IterationPlan:
-        decodes = sum(1 for r in running if r.prefill_done)
-        prefills = [r for r in running if r.needs_prefill]
-        if not prefills:
+        if not awaiting:
             return IterationPlan(PlanKind.DECODE)
+        decodes = len(running) - len(awaiting)
         # Cheapest-first; the index tie-break keeps admission order for
         # equal remainders (and each prompt's cache probe runs once).
         remaining, _, prefill = min(
             (view.remaining_prefill_tokens(r), index, r)
-            for index, r in enumerate(prefills)
+            for index, r in enumerate(awaiting)
         )
         chunk = max(1, min(self.token_budget - decodes, remaining))
         if view.prefill_chunk_size:

@@ -72,12 +72,14 @@ class SlaAwarePolicy(SchedulerPolicy):
         return min(waiting, key=self._urgency)
 
     def plan_iteration(
-        self, running: Sequence[Request], view: SchedulingView
+        self,
+        running: Sequence[Request],
+        awaiting: Sequence[Request],
+        view: SchedulingView,
     ) -> IterationPlan:
-        prefills = [r for r in running if r.needs_prefill]
-        if not prefills:
+        if not awaiting:
             return IterationPlan(PlanKind.DECODE)
-        prefill = min(prefills, key=self._urgency)
+        prefill = min(awaiting, key=self._urgency)
         if view.prefill_chunk_size:
             return IterationPlan(
                 PlanKind.MIXED,

@@ -60,6 +60,7 @@ from ..memory.manager import MemoryManager
 from ..memory.tier import CpuKvTier
 from ..sim.fastforward import DecodeFastForwarder
 from ..units import GB, MB
+from .ledger import BatchLedger, remove_identical
 from .memory import (
     MemoryBackend,
     PagedMemory,
@@ -277,13 +278,12 @@ class LLMEngine:
         #: does not bump it: a queued request is outside the proof, and
         #: the arrival bound (:meth:`_arrival_cap`) is applied live.
         self._batch_version = 0
-        #: Running requests that still need their prefill. It changes at
-        #: admission, when a prefill ends (monolithic or a final chunk)
-        #: and when a preemption takes a request out of the batch; a
-        #: retired request always has its prefill done. While it is
-        #: non-zero no policy plans a decode stretch, so the
-        #: fast-forwarder skips the proof.
-        self._prefill_pending = 0
+        #: The running batch's token total, completion frontier and
+        #: members awaiting their prefill (:mod:`repro.serving.ledger`),
+        #: kept where the batch changes: the stretch proof, the decode
+        #: iteration's pricing, retirement and the policies' plans read
+        #: it instead of walking the batch.
+        self._ledger = BatchLedger(config.shard.max_context)
         #: Iterations executed one at a time (prefill, mixed, or decode
         #: the fast-forwarder could not prove steady).
         self.stepped_iterations = 0
@@ -489,7 +489,7 @@ class LLMEngine:
         """Execute the iteration the scheduling policy planned."""
         self.stepped_iterations += 1
         plan = self.scheduler.plan_iteration(
-            self._running, self._scheduling_view()
+            self._running, self._ledger.awaiting, self._scheduling_view()
         )
         if plan.kind is PlanKind.MIXED:
             self._run_mixed(plan.prefill, plan.chunk_tokens)
@@ -649,16 +649,6 @@ class LLMEngine:
             request.prefix.token_ids, limit=request.prompt_len - 1
         )
 
-    def _remove_waiting(self, request: Request) -> None:
-        """Drop ``request`` from the waiting queue by identity."""
-        for index, waiting in enumerate(self._waiting):
-            if waiting is request:
-                del self._waiting[index]
-                return
-        raise AssertionError(
-            f"{request.request_id} not in the waiting queue"
-        )  # pragma: no cover - policy returned a foreign request
-
     def _admit(self) -> None:
         while self._waiting and len(self._running) < self.config.max_batch_size:
             request = self.scheduler.next_admission(
@@ -678,7 +668,7 @@ class LLMEngine:
             # ends here; backend admission and any swap-in restore
             # below are the request's admission span.
             picked = self.clock.now
-            self._remove_waiting(request)
+            remove_identical(self._waiting, request)
             restore = self.memory.allocate_request(request)
             # A KV demand-paged back from the CPU tier: charge the PCIe
             # transfer to the clock.
@@ -689,8 +679,7 @@ class LLMEngine:
             request.state = RequestState.RUNNING
             request.admitted_time = self.clock.now
             self._running.append(request)
-            if not request.prefill_done:
-                self._prefill_pending += 1
+            self._ledger.admit(request)
             self._batch_version += 1
             if self.telemetry is not None:
                 self.telemetry.on_admit(self, request, picked)
@@ -735,7 +724,7 @@ class LLMEngine:
         self.clock.advance(compute)
         held = self._contribution(request)
         request.record_prefill(self.clock.now)
-        self._prefill_pending -= 1
+        self._ledger.prefilled(request)
         self._outstanding += self._contribution(request) - held
         self.memory.note_prefill_complete(request)
         self.memory.backend.after_iteration(compute)
@@ -756,7 +745,7 @@ class LLMEngine:
                 self, record, prefill=request, chunk=new_tokens
             )
             self.telemetry.on_iteration(self, record)
-        self._retire_finished((request,))
+        self._retire_finished()
 
     def _run_mixed(self, prefill: Request, chunk_budget: int) -> None:
         """One Sarathi-style iteration: a prefill chunk + all decodes.
@@ -774,8 +763,8 @@ class LLMEngine:
         # A mixed iteration backs every running request's prompt, so a
         # pending prefill's one chance to alias a cached prefix is its
         # first mixed iteration — not just the iteration chunking it.
-        for request in self._running:
-            if request.needs_prefill and request.prefilled_tokens == 0:
+        for request in self._ledger.awaiting:
+            if request.prefilled_tokens == 0:
                 held = self._contribution(request)
                 self.memory.before_prefill(request)
                 self._outstanding += self._contribution(request) - held
@@ -830,13 +819,17 @@ class LLMEngine:
         prefill.record_prefill_chunk(chunk, self.clock.now)
         self._outstanding += self._contribution(prefill) - held
         if prefill.prefill_done:
-            self._prefill_pending -= 1
             self.memory.note_prefill_complete(prefill)
         for request in decodes:
             request.record_decode_token(self.clock.now)
         # Each decode owed at least one more token (it would have been
         # retired otherwise), so the backlog shrinks by exactly one per.
         self._outstanding -= len(decodes)
+        # The decodes took a tick; a prompt that completed decodes from
+        # the next one, so it joins the frontier after the tick.
+        self._ledger.advance(1)
+        if prefill.prefill_done:
+            self._ledger.prefilled(prefill)
         self.memory.backend.after_iteration(compute)
         record = IterationRecord(
             start_time=before,
@@ -870,12 +863,13 @@ class LLMEngine:
             kernel,
             self._block_size_for(kernel),
             len(batch),
-            (sum(r.context_len for r in batch),),
+            (self._ledger.tokens,),
             (self.memory.backend.framework_overhead(batch),),
         )
         self.clock.advance(compute)
         for request in batch:
             request.record_decode_token(self.clock.now)
+        self._ledger.advance(1)
         self._outstanding -= len(batch)
         self.memory.backend.after_iteration(compute)
         record = IterationRecord(
@@ -921,18 +915,24 @@ class LLMEngine:
                     "cannot back even a single running request; "
                     "the workload exceeds device memory"
                 )
-            victim = self.scheduler.select_victim(self._running, protected)
-            for index in range(len(self._running) - 1, -1, -1):
-                if self._running[index] is victim:
-                    del self._running[index]
-                    break
-            if not victim.prefill_done:
-                self._prefill_pending -= 1
-            self._evict(victim)
-            victim.state = RequestState.QUEUED
-            self._waiting.appendleft(victim)
-            if self.telemetry is not None:
-                self.telemetry.on_preempt(self, victim)
+            self._preempt(
+                self.scheduler.select_victim(self._running, protected)
+            )
+
+    def _preempt(self, victim: Request) -> None:
+        """Take ``victim`` out of the batch and requeue it at the head."""
+        running = self._running
+        for index in range(len(running) - 1, -1, -1):
+            if running[index] is victim:
+                del running[index]
+                break
+        # Before the eviction rewrites a recomputed victim's prompt.
+        self._ledger.leave(victim)
+        self._evict(victim)
+        victim.state = RequestState.QUEUED
+        self._waiting.appendleft(victim)
+        if self.telemetry is not None:
+            self.telemetry.on_preempt(self, victim)
 
     def _evict(self, victim: Request) -> None:
         """Free ``victim``'s memory under the configured preemption
@@ -946,42 +946,33 @@ class LLMEngine:
             self.telemetry.on_tier_transfer(self, victim, outcome)
         self._outstanding += self._contribution(victim) - held
 
-    def _retire_finished(
-        self, candidates: Optional[Sequence[Request]] = None
-    ) -> None:
-        """Retire the running requests that have finished.
+    def _retire_finished(self) -> None:
+        """Retire the running requests that have finished, in running
+        order.
 
-        Only a request an iteration advanced can have newly finished:
-        admission never brings in a finished one (:meth:`submit` refuses
-        a prompt with no room for an output token). So ``candidates``
-        narrows the scan to the requests the caller advanced: a prefill
-        passes its one request, and a decode stretch calls this only
-        when it reached its completion bound. Most calls find nothing,
-        so the scan (inlining ``context_len``) runs first and the
-        running list is rebuilt only when a request actually finished.
+        The ledger's frontier names them: only a request an iteration
+        advanced can have newly finished, and admission never brings in
+        a finished one (:meth:`submit` refuses a prompt with no room for
+        an output token). Most calls find nothing due.
         """
-        max_context = self.config.shard.max_context
-        for request in self._running if candidates is None else candidates:
-            if request.generated >= request.max_new_tokens or (
-                request.prompt_len + request.generated >= max_context
-            ):
-                break
-        else:
+        due = self._ledger.pop_due()
+        if not due:
             return
-        still_running: List[Request] = []
-        for request in self._running:
-            if request.generated >= request.max_new_tokens or (
-                request.prompt_len + request.generated >= max_context
-            ):
-                # Context-cap finishes leave unserved budget behind.
-                self._outstanding -= self._contribution(request)
-                self.memory.cache_finished_request(request)
-                request.finish(self.clock.now)
-                if self.telemetry is not None:
-                    self.telemetry.on_finish(self, request)
-                if self.on_retire is not None:
-                    self.on_retire(request)
-            else:
-                still_running.append(request)
-        self._running = still_running
+        running = self._running
+        # Positions by identity; the id list compares ints, not
+        # requests (an ``eq=True`` dataclass compares every field).
+        ids = list(map(id, running))
+        positions = sorted([ids.index(id(request)) for request in due])
+        finished = [running[index] for index in positions]
+        for index in reversed(positions):
+            del running[index]
+        for request in finished:
+            # Context-cap finishes leave unserved budget behind.
+            self._outstanding -= self._contribution(request)
+            self.memory.cache_finished_request(request)
+            request.finish(self.clock.now)
+            if self.telemetry is not None:
+                self.telemetry.on_finish(self, request)
+            if self.on_retire is not None:
+                self.on_retire(request)
         self._batch_version += 1

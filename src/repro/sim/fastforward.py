@@ -35,14 +35,17 @@ spells out the contract):
    stable_decode_horizon`: iterations over which the policy provably
    keeps planning the same pure-decode batch. A pre-check runs ahead
    of it: while a running request still needs its prefill the next
-   plan is not a pure decode, so the engine's count of such requests
-   (``LLMEngine._prefill_pending``) being non-zero records "no
-   stretch" without a proof. The policy is asked only when the count
-   is 0 and does not scan for pending prefills itself.
+   plan is not a pure decode, so a non-empty list of such requests in
+   the engine's ledger (``BatchLedger.awaiting``) records "no stretch"
+   without a proof. The policy is asked only when the list is empty
+   and does not scan for pending prefills itself.
 3. **Completion** — tokens until the earliest request in the batch
-   finishes (token budget or model context limit). Only a stretch that
-   reaches this bound retires a request, so only such a stretch runs
-   the engine's retirement check.
+   finishes (token budget or model context limit): the minimum of the
+   engine's completion frontier (:class:`~repro.serving.ledger.
+   BatchLedger`), a heap of finish ticks kept as the batch changes, so
+   the proof reads it and the batch's token total without walking the
+   batch. Only a stretch that reaches this bound retires a request, so
+   only such a stretch runs the engine's retirement check.
 4. **Events** — the next pending arrival and the caller's ``run_until``
    deadline, checked against each iteration's start time (an iteration
    that would *start* at or past either never runs, matching the
@@ -369,7 +372,7 @@ class DecodeFastForwarder:
             # A member awaiting its prefill means the next plan is not
             # a decode: record "no stretch" without the proof. This is
             # the only check; the policies' bound 2 does not repeat it.
-            self._memo = None if engine._prefill_pending else self._prove()
+            self._memo = None if engine._ledger.awaiting else self._prove()
             self._memo_state = state
         prep = self._memo
         if prep is None:
@@ -395,19 +398,9 @@ class DecodeFastForwarder:
         if horizon < 2:
             return None
         # --- Bound (3): earliest completion (token budget or context
-        # cap), in one pass with the batch's token total.
-        max_context = engine.config.shard.max_context
-        completion = UNBOUNDED_HORIZON
-        total_tokens = 0
-        for request in batch:
-            generated = request.generated
-            context = request.prompt_len + generated
-            total_tokens += context
-            remaining = min(
-                request.max_new_tokens - generated, max_context - context
-            )
-            if remaining < completion:
-                completion = remaining
+        # cap), the minimum of the engine ledger's frontier.
+        ledger = engine._ledger
+        completion = ledger.completion()
         if completion < horizon:
             horizon = completion
         if horizon < 2:
@@ -430,7 +423,7 @@ class DecodeFastForwarder:
         prep.overhead = plan.per_iteration_overhead
         prep.has_hooks = plan.has_hooks
         prep.start = engine.clock.now
-        prep.total_tokens = total_tokens
+        prep.total_tokens = ledger.tokens
         prep.completion = completion
         prep.base = 0
         prep.owner = self
@@ -487,6 +480,7 @@ class DecodeFastForwarder:
         engine.clock.jump_to(starts[done])
         for request in batch:
             request.generated += executed
+        engine._ledger.advance(executed)
         # The completion bound kept every member's remaining budget at
         # or above the horizon, so each owes exactly ``executed`` fewer.
         engine._outstanding -= executed * batch_size

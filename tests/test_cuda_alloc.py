@@ -40,7 +40,6 @@ class TestCaching:
         buffer = allocator.malloc(8 * MB)
         allocator.free(buffer)
         assert allocator._pool.committed == 8 * MB
-        assert allocator.cached_bytes == 8 * MB
 
     def test_free_list_reuse_skips_driver(self, allocator):
         buffer = allocator.malloc(8 * MB)

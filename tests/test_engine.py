@@ -240,6 +240,61 @@ class TestPromptMustLeaveRoom:
         assert edge.finish_time == edge.first_token_time
 
 
+class TestRetirementOrder:
+    """Requests that finish on the same iteration retire in running
+    order, whatever order they joined the completion frontier in.
+
+    Under the hybrid policy the short prompt ``x``, admitted second,
+    prefills first and starts decoding while ``p``'s 1,000-token prompt
+    chunks 100 tokens an iteration behind it; ``x`` finishes on the
+    tick ``p`` does, so the frontier holds them as ``x, p`` while the
+    batch runs them as ``p, x``.
+    """
+
+    @staticmethod
+    def retire_order(fast_forward: bool, p_tokens: int):
+        engine = make_engine(
+            scheduler_policy="hybrid",
+            sched_token_budget=101,
+            fast_forward=fast_forward,
+        )
+        cached = []
+        cache_finished = engine.memory.cache_finished_request
+
+        def noted_cache(request):
+            cached.append(request.request_id)
+            return cache_finished(request)
+
+        engine.memory.cache_finished_request = noted_cache
+        retired = []
+        engine.on_retire = lambda request: retired.append(request.request_id)
+        # x joins at tick 1 and p at tick 11, after ten chunks.
+        engine.submit(
+            [
+                Request("p", prompt_len=1_000, max_new_tokens=p_tokens),
+                Request("x", prompt_len=10, max_new_tokens=10 + p_tokens),
+            ]
+        )
+        report = engine.run()
+        p, x = report.requests
+        assert p.finish_time == x.finish_time
+        assert cached == retired == ["p", "x"]
+        return engine
+
+    def test_mixed_iteration(self):
+        # p's final chunk is its only token: it finishes as it joins.
+        engine = self.retire_order(fast_forward=False, p_tokens=1)
+        assert engine.metrics.of_phase("decode") == []
+
+    def test_stepped_decode(self):
+        engine = self.retire_order(fast_forward=False, p_tokens=20)
+        assert engine._fast.stretches == 0
+
+    def test_stretch(self):
+        engine = self.retire_order(fast_forward=True, p_tokens=20)
+        assert engine._fast.analytic_iterations == 19
+
+
 def small_engine(**overrides) -> LLMEngine:
     """A 16-wide Yi-6B batch over a 2 GB KV budget: preemption bites."""
     defaults = dict(max_batch_size=16, kv_budget_bytes=2 * GB)
@@ -324,6 +379,24 @@ PREFILL_COUNT_SCENARIOS = {
         ),
         "cached_prefix",
     ),
+    "tiered_swap_in": (
+        lambda: (
+            small_engine(
+                scheduler_policy="hybrid",
+                prefill_chunk_size=512,
+                memory=MemoryConfig(preemption_mode="tiered"),
+            ),
+            chunked_pressure(),
+        ),
+        "swap_in",
+    ),
+    "sla_recompute": (
+        lambda: (
+            small_engine(scheduler_policy="sla", sla_ttft_budget=1.0),
+            openchat_at_zero(),
+        ),
+        "decoding_victim",
+    ),
     "disaggregated_fleet": (
         lambda: (
             build_cluster(
@@ -336,24 +409,44 @@ PREFILL_COUNT_SCENARIOS = {
 }
 
 
+def ids(requests):
+    return [id(r) for r in requests]
+
+
 class TestPrefillPendingCount:
-    """The engine's count of running requests awaiting their prefill,
-    which lets the fast-forwarder skip a proof, equals a scan of the
-    running batch after every serve pass."""
+    """The engine's batch ledger — the members awaiting their prefill,
+    the decoding members' token total and the completion frontier —
+    equals a scan of the running batch around every serve pass."""
 
     @staticmethod
     def watch(engine: LLMEngine, seen: dict) -> None:
-        """Check the count around every stretch attempt and stepped
-        iteration, and note preemptions of requests awaiting prefill."""
+        """Check the ledger around every stretch attempt and stepped
+        iteration, and note the preemptions and swap-ins the scenarios
+        are here for."""
+        max_context = engine.config.shard.max_context
+        ledger = engine._ledger
 
         def check():
-            expected = sum(1 for r in engine._running if r.needs_prefill)
-            assert engine._prefill_pending == expected
+            running = engine._running
+            assert ids(ledger.awaiting) == ids(
+                [r for r in running if r.needs_prefill]
+            )
+            decoding = [r for r in running if r.prefill_done]
+            assert ledger.tokens == sum(r.context_len for r in decoding)
+            if decoding:
+                assert ledger.completion() == min(
+                    min(
+                        r.max_new_tokens - r.generated,
+                        max_context - r.context_len,
+                    )
+                    for r in decoding
+                )
             seen["checks"] += 1
 
         run_iteration = engine._run_iteration
         execute = engine._fast.execute
         select_victim = engine.scheduler.select_victim
+        allocate_request = engine.memory.allocate_request
 
         def checked_iteration():
             check()
@@ -368,13 +461,21 @@ class TestPrefillPendingCount:
 
         def noted_victim(running, protected=None):
             victim = select_victim(running, protected)
-            if not victim.prefill_done:
+            if victim.needs_prefill:
                 seen["pending_victim"] += 1
+            else:
+                seen["decoding_victim"] += 1
             return victim
+
+        def noted_admission(request):
+            if request.prefill_done:
+                seen["swap_in"] += 1
+            return allocate_request(request)
 
         engine._run_iteration = checked_iteration
         engine._fast.execute = checked_execute
         engine.scheduler.select_victim = noted_victim
+        engine.memory.allocate_request = noted_admission
 
     @pytest.mark.parametrize("name", sorted(PREFILL_COUNT_SCENARIOS))
     def test_count_matches_a_scan(self, name):
@@ -382,13 +483,16 @@ class TestPrefillPendingCount:
         target, requests = build()
         fleet = getattr(target, "replicas", None)
         engines = [r.engine for r in fleet] if fleet else [target]
-        seen = {"checks": 0, "pending_victim": 0}
+        seen = dict.fromkeys(
+            ("checks", "pending_victim", "decoding_victim", "swap_in"), 0
+        )
         for engine in engines:
             self.watch(engine, seen)
         target.submit(requests)
         report = target.run()
         for engine in engines:
-            assert engine._prefill_pending == 0
+            assert engine._ledger.awaiting == []
+            assert engine._ledger.tokens == 0
         assert seen["checks"] > 0
         if fleet:
             assert len(report.finished_records) == len(requests)
@@ -400,6 +504,11 @@ class TestPrefillPendingCount:
         elif covers == "pending_victim":
             assert seen["pending_victim"] > 0
             assert report.metrics.of_phase("mixed")
+        elif covers == "swap_in":
+            assert seen["swap_in"] > 0
+            assert report.metrics.of_phase("mixed")
+        elif covers == "decoding_victim":
+            assert seen["decoding_victim"] > 0
         elif covers == "cached_prefix":
             assert any(r.cached_prefix_tokens for r in requests)
         else:

@@ -47,6 +47,13 @@ def running_request(rid="r", prompt=1_000, gen=8, prefill_done=False,
     return request
 
 
+def plan_for(policy, batch, view):
+    """``policy``'s plan for ``batch``, handing it the members awaiting
+    their prefill as the engine's ledger does."""
+    awaiting = [r for r in batch if r.needs_prefill]
+    return policy.plan_iteration(batch, awaiting, view)
+
+
 def make_engine(**overrides):
     defaults = dict(
         shard=ShardedModel(YI_6B, 1),
@@ -163,9 +170,7 @@ class TestHybridPlanning:
         # The whole prompt exceeds the budget: the chunk is exactly the
         # budget and the prefill takes multiple iterations.
         policy = HybridBatchPolicy(token_budget=64)
-        plan = policy.plan_iteration(
-            [running_request(prompt=1_000)], make_view()
-        )
+        plan = plan_for(policy, [running_request(prompt=1_000)], make_view())
         assert plan.kind is PlanKind.MIXED
         assert plan.chunk_tokens == 64
 
@@ -173,7 +178,7 @@ class TestHybridPlanning:
         policy = HybridBatchPolicy(token_budget=100)
         batch = [running_request(f"d{i}", prefill_done=True) for i in range(30)]
         batch.append(running_request("p", prompt=1_000))
-        plan = policy.plan_iteration(batch, make_view())
+        plan = plan_for(policy, batch, make_view())
         assert plan.chunk_tokens == 70
 
     def test_budget_exhausted_by_decodes_floors_at_one_token(self):
@@ -182,23 +187,21 @@ class TestHybridPlanning:
         policy = HybridBatchPolicy(token_budget=16)
         batch = [running_request(f"d{i}", prefill_done=True) for i in range(32)]
         batch.append(running_request("p", prompt=500))
-        plan = policy.plan_iteration(batch, make_view())
+        plan = plan_for(policy, batch, make_view())
         assert plan.kind is PlanKind.MIXED
         assert plan.chunk_tokens == 1
 
     def test_empty_decode_set(self):
         # A lone prompt gets the full budget in a mixed iteration.
         policy = HybridBatchPolicy(token_budget=512)
-        plan = policy.plan_iteration(
-            [running_request(prompt=2_000)], make_view()
-        )
+        plan = plan_for(policy, [running_request(prompt=2_000)], make_view())
         assert plan.kind is PlanKind.MIXED
         assert plan.chunk_tokens == 512
 
     def test_no_prefill_is_pure_decode(self):
         policy = HybridBatchPolicy(token_budget=512)
-        plan = policy.plan_iteration(
-            [running_request(prefill_done=True)], make_view()
+        plan = plan_for(
+            policy, [running_request(prefill_done=True)], make_view()
         )
         assert plan.kind is PlanKind.DECODE
 
@@ -206,7 +209,8 @@ class TestHybridPlanning:
         # 900 of 1000 prompt tokens are cached: the budget only has to
         # cover the uncached suffix, one iteration completes it.
         policy = HybridBatchPolicy(token_budget=512)
-        plan = policy.plan_iteration(
+        plan = plan_for(
+            policy,
             [running_request(prompt=1_000)],
             make_view(probe=lambda r: 900),
         )
@@ -219,7 +223,7 @@ class TestHybridPlanning:
         doc = running_request("doc", prompt=50_000)
         doc.record_prefill_chunk(8_192, now=0.0)
         chat = running_request("chat", prompt=1_500)
-        plan = policy.plan_iteration([doc, chat], make_view())
+        plan = plan_for(policy, [doc, chat], make_view())
         assert plan.prefill is chat
 
     def test_cache_hit_wins_prefill_selection(self):
@@ -229,9 +233,7 @@ class TestHybridPlanning:
         cold = running_request("cold", prompt=4_000)
         hot = running_request("hot", prompt=4_000)
         probe = lambda r: 3_900 if r is hot else 0  # noqa: E731
-        plan = policy.plan_iteration(
-            [cold, hot], make_view(probe=probe)
-        )
+        plan = plan_for(policy, [cold, hot], make_view(probe=probe))
         assert plan.prefill is hot
         assert plan.chunk_tokens == 100
 
@@ -239,22 +241,20 @@ class TestHybridPlanning:
         policy = HybridBatchPolicy(token_budget=512)
         first = running_request("first", prompt=2_000)
         second = running_request("second", prompt=2_000)
-        plan = policy.plan_iteration([first, second], make_view())
+        plan = plan_for(policy, [first, second], make_view())
         assert plan.prefill is first
 
     def test_probe_ignored_after_chunking_started(self):
         policy = HybridBatchPolicy(token_budget=512)
         request = running_request(prompt=1_000)
         request.record_prefill_chunk(400, now=0.0)
-        plan = policy.plan_iteration(
-            [request], make_view(probe=lambda r: 900)
-        )
+        plan = plan_for(policy, [request], make_view(probe=lambda r: 900))
         assert plan.chunk_tokens == 512  # 600 remaining, budget caps at 512
 
     def test_legacy_chunk_size_caps_budget(self):
         policy = HybridBatchPolicy(token_budget=512)
-        plan = policy.plan_iteration(
-            [running_request(prompt=2_000)], make_view(chunk_size=128)
+        plan = plan_for(
+            policy, [running_request(prompt=2_000)], make_view(chunk_size=128)
         )
         assert plan.chunk_tokens == 128
 
@@ -361,7 +361,7 @@ class TestSlaPolicy:
         policy = SlaAwarePolicy()
         lax = running_request("lax", ttft_budget=9.0)
         tight = running_request("tight", ttft_budget=1.0)
-        plan = policy.plan_iteration([lax, tight], make_view())
+        plan = plan_for(policy, [lax, tight], make_view())
         assert plan.kind is PlanKind.PREFILL
         assert plan.prefill is tight
 

@@ -167,10 +167,8 @@ class TestEngineIntegration:
 
         # Preempt exactly the way _prepare_or_preempt does.
         nbytes = victim.context_len * engine.config.shard.kv_bytes_per_token
-        engine._running.remove(victim)
-        engine._evict(victim)
-        victim.state = RequestState.QUEUED
-        engine._waiting.appendleft(victim)
+        engine._preempt(victim)
+        assert victim.state is RequestState.QUEUED
         assert victim.swapped
         assert engine.memory.tier.holds(victim.request_id)
 

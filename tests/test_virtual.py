@@ -56,12 +56,6 @@ class TestReserve:
         space.free(reservation)
         assert space.reserved_bytes == 0
 
-    def test_find(self, space):
-        reservation = space.reserve(4 * MB)
-        assert space.find(reservation.base + 100) is reservation
-        with pytest.raises(InvalidAddress):
-            space.find(reservation.end + 10 * MB)
-
 
 class TestMapping:
     def test_map_and_query(self, space, pool):
